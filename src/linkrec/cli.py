@@ -220,8 +220,7 @@ def _load_stream(cfg: dict) -> LinkStream:
     if cfg["positive_filter"]:
         stream = filter_positive(stream, cfg["rating_floor"])
     stream = filter_min_activity(
-        stream, FilterConfig(sigma_u=cfg["sigma_u"], sigma_i=cfg["sigma_i"],
-                             rating_floor=cfg["rating_floor"])
+        stream, FilterConfig(sigma_u=cfg["sigma_u"], sigma_i=cfg["sigma_i"])
     )
     if len(stream) == 0:
         raise NothingEvaluated("no events survive the filters")

@@ -136,11 +136,10 @@ class LinkStream:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Minimum-activity thresholds and the positive-rating floor."""
+    """Minimum-activity thresholds."""
 
     sigma_u: int = 1
     sigma_i: int = 1
-    rating_floor: float = 2.5
 
     def __post_init__(self):
         if self.sigma_u < 0 or self.sigma_i < 0:

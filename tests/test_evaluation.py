@@ -1,8 +1,10 @@
 import json
+import logging
 
 import jsonschema
 import pytest
 
+from linkrec import evaluation
 from linkrec.evaluation import (
     EVALUATED_USERS_RULE,
     REPORT_SCHEMA,
@@ -322,6 +324,45 @@ def test_run_protocol_requires_flavor_params():
     stream = drifting_stream()
     with pytest.raises(ValueError, match="stg requires delta"):
         run_protocol(stream, "stg", ParamSetting(alpha=0.3, n=5), n_windows=4)
+
+
+FLAVOR_PARAMS = [
+    ("bip", ParamSetting(alpha=0.5, n=5)),
+    ("stg", ParamSetting(alpha=0.5, n=5, delta=100.0, beta=0.5, eta_s=0.2)),
+    ("lsg", ParamSetting(alpha=0.5, n=5, eta_s=0.2)),
+]
+
+
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+def test_run_protocol_independent_of_block_width(monkeypatch, flavor, params):
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    reports = {}
+    for width in (1, 5, 128):
+        monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", width)
+        reports[width] = report_json(run_protocol(stream, flavor, params, n_windows=4))
+    assert max(c["users"] for c in json.loads(reports[1])["windows"]) > 5
+    assert reports[1] == reports[5] == reports[128]
+
+
+def test_run_protocol_warns_once_per_capped_fold(caplog):
+    stream = drifting_stream()
+    with caplog.at_level(logging.WARNING, logger="linkrec.evaluation"):
+        capped = run_protocol(stream, "lsg", ParamSetting(alpha=0.9, n=5, eta_s=0.2))
+    assert not capped.all_converged
+    evaluated = [c.window for c in capped.windows if not c.skipped]
+    assert [r.levelno for r in caplog.records] == [logging.WARNING] * len(evaluated)
+    for record, k in zip(caplog.records, evaluated):
+        message = record.getMessage()
+        assert message.startswith(f"lsg fold {k}: ")
+        assert "alpha=0.9" in message
+        assert "capped at 100 steps" in message
+        assert "2*alpha^100 = 5.3e-05" in message
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="linkrec.evaluation"):
+        converged = run_protocol(stream, "lsg", ParamSetting(alpha=0.7, n=5, eta_s=0.2))
+    assert converged.all_converged
+    assert caplog.records == []
 
 
 # --- serialization -------------------------------------------------------------------

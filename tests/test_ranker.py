@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -26,7 +27,7 @@ from linkrec.ranker import (
     top_n,
     transition_matrix,
 )
-from linkrec.tuning import ParamSetting
+from linkrec.tuning import GRID_ALPHA, ParamSetting
 
 from conftest import make_stream
 
@@ -55,6 +56,16 @@ def random_digraph(rng: random.Random, max_nodes: int = 50) -> RecGraph:
     return RecGraph(flavor="bip", nodes=frozenset(nodes), edges=edges)
 
 
+def random_digraph_with_dangling(rng: random.Random, max_nodes: int = 40) -> RecGraph:
+    """random_digraph with the out-edges of a random third of its nodes
+    removed, so every graph has dangling nodes."""
+    graph = random_digraph(rng, max_nodes)
+    nodes = sorted(graph.nodes)
+    sinks = set(rng.sample(nodes, max(1, len(nodes) // 3)))
+    edges = {e: w for e, w in graph.edges.items() if e[0] not in sinks}
+    return RecGraph(flavor="bip", nodes=graph.nodes, edges=edges)
+
+
 def random_restart(rng: random.Random, tm) -> dict:
     support = rng.sample(tm.nodes, rng.randint(1, len(tm.nodes)))
     masses = [rng.random() + 1e-3 for _ in support]
@@ -72,6 +83,26 @@ def dense_pagerank(tm, d: dict, alpha: float) -> np.ndarray:
     A = tm.matrix.toarray()
     A[:, tm.dangling] = d_vec[:, None]
     return np.linalg.solve(np.eye(n) - alpha * A, (1.0 - alpha) * d_vec)
+
+
+def adaptive_pagerank_batch(tm, D, alpha, tol=1e-10, max_iter=100):
+    """Reference: the earlier loop, which stopped at the first step whose
+    largest per-column L1 change fell below tol."""
+    M = tm.matrix
+    has_dangling = bool(tm.dangling.any())
+    restart = (1.0 - alpha) * D
+    X = D.copy()
+    for iteration in range(1, max_iter + 1):
+        X_next = M @ X
+        if has_dangling:
+            X_next += D * X[tm.dangling].sum(axis=0)
+        X_next *= alpha
+        X_next += restart
+        err = np.abs(X_next - X).sum(axis=0).max()
+        X = X_next
+        if err < tol:
+            return X, True, iteration
+    return X, False, max_iter
 
 
 # --- transition matrix ---------------------------------------------------------
@@ -238,6 +269,94 @@ def test_pagerank_batch_matches_single():
         single = pagerank(tm, d, alpha=0.3, tol=1e-13, max_iter=1000)
         got = np.array([single.scores[node] for node in tm.nodes])
         assert np.max(np.abs(X[:, j] - got)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", GRID_ALPHA)
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_pagerank_batch_certified_step_count_and_bound(alpha, tol):
+    rng = random.Random(f"{alpha}-{tol}")
+    for _ in range(4):
+        graph = random_digraph_with_dangling(rng)
+        tm = transition_matrix(graph)
+        assert tm.dangling.any()
+        ds = [random_restart(rng, tm) for _ in range(3)]
+        X, converged, iterations = pagerank_batch(
+            tm, personalization_matrix(tm, ds), alpha, tol=tol, max_iter=1000
+        )
+        assert converged
+        assert iterations == math.ceil(math.log(tol / 2) / math.log(alpha))
+        for j, d in enumerate(ds):
+            assert np.abs(X[:, j] - dense_pagerank(tm, d, alpha)).sum() <= tol
+
+
+def differential_cases(rng: random.Random):
+    """(transition matrix, restart block) pairs: recommender graphs, whose
+    bipartite structure makes the adaptive loop stop at the certified
+    step, and random digraphs with dangling nodes, where it stops early."""
+    for seed in range(3):
+        stream = make_stream(seed, n_users=6, n_items=10, n_events=40)
+        users = sorted(stream.users)
+        t = stream.omega
+        for graph in (
+            build_bip(stream),
+            build_stg(stream, delta=200, eta_s=0.5),
+            build_lsg(stream, eta_s=0.5),
+        ):
+            tm = transition_matrix(graph)
+            ds = [personalization(graph, u, t=t, beta=0.5) for u in users]
+            yield tm, personalization_matrix(tm, ds)
+        tm = transition_matrix(random_digraph_with_dangling(rng))
+        yield tm, personalization_matrix(tm, [random_restart(rng, tm) for _ in range(4)])
+
+
+@pytest.mark.parametrize("alpha", GRID_ALPHA)
+def test_pagerank_batch_matches_adaptive_reference(alpha):
+    same_step = other_step = 0
+    for tm, D in differential_cases(random.Random(alpha)):
+        X, converged, iterations = pagerank_batch(tm, D, alpha, max_iter=1000)
+        X_ref, ref_converged, ref_iterations = adaptive_pagerank_batch(
+            tm, D, alpha, max_iter=1000
+        )
+        assert converged and ref_converged
+        if ref_iterations == iterations:
+            same_step += 1
+            assert np.array_equal(X, X_ref)
+        else:
+            # the certified iterate is within tol of the fixed point; the
+            # adaptive stop (step change below tol) only guarantees
+            # alpha / (1 - alpha) * tol for the reference
+            other_step += 1
+            assert np.abs(X - X_ref).sum(axis=0).max() <= 1e-10 / (1.0 - alpha)
+    assert same_step and other_step
+
+
+def test_pagerank_batch_capped_run_matches_adaptive_reference():
+    # alpha = 0.9 needs 226 steps; on a bipartite graph both loops stop
+    # at the 100-step cap
+    graph = build_bip(make_stream(3, n_users=6, n_items=10, n_events=40))
+    tm = transition_matrix(graph)
+    D = personalization_matrix(tm, [personalization(graph, u) for u in ("u0", "u1")])
+    X, converged, iterations = pagerank_batch(tm, D, 0.9)
+    X_ref, ref_converged, ref_iterations = adaptive_pagerank_batch(tm, D, 0.9)
+    assert (converged, iterations) == (ref_converged, ref_iterations) == (False, 100)
+    assert np.array_equal(X, X_ref)
+
+
+def test_pagerank_batch_rejects_negative_restart_mass():
+    tm = transition_matrix(two_node_cycle())
+    D = np.array([[1.0, 1.5], [0.0, -0.5]])
+    with pytest.raises(ValueError, match=r"restart columns \[1\] have negative mass"):
+        pagerank_batch(tm, D, alpha=0.5)
+
+
+def test_pagerank_batch_rejects_restart_not_summing_to_one():
+    tm = transition_matrix(two_node_cycle())
+    with pytest.raises(ValueError, match="restart column 1 mass sums to 0.9"):
+        pagerank_batch(tm, np.array([[1.0, 0.4], [0.0, 0.5]]), alpha=0.5)
+    with pytest.raises(ValueError, match="restart column 0 mass sums to 0.0"):
+        pagerank_batch(tm, np.zeros((2, 1)), alpha=0.5)
+    with pytest.raises(ValueError, match="mass sums to nan"):
+        pagerank_batch(tm, np.array([[np.nan], [1.0]]), alpha=0.5)
 
 
 # --- personalization -------------------------------------------------------------
