@@ -9,12 +9,16 @@ from its own output.
 
 Exit codes: 0 success, 1 IO/runtime failure, 2 bad configuration,
 3 nothing evaluated.
+
+Log records of the ``linkrec`` loggers (such as capped power
+iterations) go to stderr at ``--log-level`` and above, default warning.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from datetime import datetime, timezone
@@ -39,6 +43,8 @@ EXIT_CONFIG = 2
 EXIT_NOTHING_EVALUATED = 3
 
 WORKERS_ENV = "LINKREC_WORKERS"
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 
@@ -191,6 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", help="report directory (default ./out)")
         p.add_argument("--workers", type=int,
                        help=f"parallel protocol evaluations (default ${WORKERS_ENV} or 1)")
+        p.add_argument("--log-level", dest="log_level", choices=LOG_LEVELS,
+                       default="warning", help="stderr logging threshold (default warning)")
 
     p_eval = sub.add_parser("evaluate", help="run the windowed protocol once")
     add_common(p_eval)
@@ -376,6 +384,14 @@ def main(argv: list[str] | None = None) -> int:
     if not args.command:
         parser.print_help()
         return EXIT_CONFIG
+    # The handler lives for this call only, so repeated calls in one
+    # process neither stack handlers nor leave the level changed.
+    logger = logging.getLogger("linkrec")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level.upper())
     try:
         cfg = effective_config(args)
         return _HANDLERS[args.command](cfg)
@@ -388,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous_level)
 
 
 if __name__ == "__main__":

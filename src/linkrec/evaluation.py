@@ -16,16 +16,19 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .graphs import SESSION, TUSER, USER, RecGraph, build_graph
 from .linkstream import Event, LinkStream, Window, split_windows
 from .ranker import (
+    TransitionMatrix,
     item_matrix,
     pagerank_batch,
     personalization_matrix,
@@ -44,6 +47,8 @@ __all__ = [
     "hit_ratio_components",
     "map_components",
     "iter_folds",
+    "FoldGraph",
+    "evaluate_settings",
     "run_protocol",
     "time_average",
     "report_to_dict",
@@ -208,11 +213,15 @@ def _restart_vectors(
 ) -> list[dict]:
     """Restart vectors for many users in one pass over the node set.
 
-    Same semantics as :func:`linkrec.ranker.personalization`, which
-    scans the graph per call; here the per-user latest session/time is
-    collected once.
+    Same semantics and errors as :func:`linkrec.ranker.personalization`,
+    which scans the graph per call; here the per-user latest session/time
+    is collected once. A user absent from the graph raises ValueError.
     """
     wanted = set(users)
+    if graph.flavor in ("bip", "stg"):
+        for u in users:
+            if (USER, u) not in graph.nodes:
+                raise ValueError(f"user {u!r} not in training graph")
     if graph.flavor == "bip":
         return [{(USER, u): 1.0} for u in users]
     if graph.flavor == "stg":
@@ -232,26 +241,68 @@ def _restart_vectors(
             out.append(d)
         return out
     if graph.flavor == "lsg":
+        present: set[str] = set()
         last_time: dict[str, int] = {}
         for node in graph.nodes:
-            if node[0] == TUSER and node[2] in wanted and node[1] <= t:
-                if node[2] not in last_time or node[1] > last_time[node[2]]:
+            if node[0] == TUSER and node[2] in wanted:
+                present.add(node[2])
+                if node[1] <= t and node[1] > last_time.get(node[2], -math.inf):
                     last_time[node[2]] = node[1]
+        for u in users:
+            if u not in present:
+                raise ValueError(f"user {u!r} not in training graph")
+            if u not in last_time:
+                raise ValueError(f"user {u!r} not in training graph at or before t={t}")
         return [{(TUSER, last_time[u], u): 1.0} for u in users]
     raise ValueError(f"unknown graph flavor {graph.flavor!r}")
 
 
+@dataclass
+class FoldGraph:
+    """One fold's graph and what every setting scored on it shares.
+
+    Settings with the same graph key (flavor, delta, eta_s) build the
+    graph, transition matrix, item aggregation matrix and item-row map
+    of a fold once; restart vectors are kept per beta on first use.
+    Dense restart blocks are not kept: each is built when it is scored.
+    """
+
+    fold: Fold
+    graph: RecGraph
+    tm: TransitionMatrix
+    items: list[str]
+    A: sparse.csr_matrix
+    item_row: dict[str, int]
+    users: list[str]
+    _restarts: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def build(
+        cls, fold: Fold, flavor: str, delta: float | None, eta_s: float | None
+    ) -> "FoldGraph":
+        graph = build_graph(flavor, fold.train, delta=delta, eta_s=eta_s)
+        tm = transition_matrix(graph)
+        items, A = item_matrix(graph, tm)
+        item_row = {item: r for r, item in enumerate(items)}
+        return cls(fold, graph, tm, items, A, item_row, sorted(fold.truth))
+
+    def restarts(self, beta: float | None) -> list[dict]:
+        """Restart vectors of the evaluated users, built once per beta."""
+        if beta not in self._restarts:
+            self._restarts[beta] = _restart_vectors(
+                self.graph, self.users, self.fold.rec_time, beta
+            )
+        return self._restarts[beta]
+
+
 def _evaluate_fold(
-    fold: Fold, graph: RecGraph, params: "ParamSetting"
+    shared: FoldGraph, params: "ParamSetting"
 ) -> tuple[MetricComponents, bool, int]:
-    """Components of one fold, whether every block converged, and the
-    power-iteration steps per block (the same for all: they depend on
-    alpha alone)."""
-    tm = transition_matrix(graph)
-    items, A = item_matrix(graph, tm)
-    item_row = {item: r for r, item in enumerate(items)}
-    users = sorted(fold.truth)
-    restarts = _restart_vectors(graph, users, fold.rec_time, params.beta)
+    """Components of one fold for one setting, whether every block
+    converged, and the power-iteration steps per block (the same for
+    all: they depend on alpha alone)."""
+    fold, items, item_row, users = shared.fold, shared.items, shared.item_row, shared.users
+    restarts = shared.restarts(params.beta)
 
     hit_counts: list[int] = []
     new_counts: list[int] = []
@@ -261,10 +312,10 @@ def _evaluate_fold(
     order_rank = np.arange(len(items))
     for start in range(0, len(users), _BATCH_COLUMNS):
         block = users[start : start + _BATCH_COLUMNS]
-        D = personalization_matrix(tm, restarts[start : start + _BATCH_COLUMNS])
-        X, converged, steps = pagerank_batch(tm, D, params.alpha)
+        D = personalization_matrix(shared.tm, restarts[start : start + _BATCH_COLUMNS])
+        X, converged, steps = pagerank_batch(shared.tm, D, params.alpha)
         all_converged = all_converged and converged
-        scores = A @ X
+        scores = shared.A @ X
         for j, user in enumerate(block):
             col = scores[:, j].copy()
             for seen in fold.train_items[user]:
@@ -289,6 +340,91 @@ def _evaluate_fold(
     return components, all_converged, steps
 
 
+def evaluate_settings(
+    folds: Sequence[Fold], flavor: str, settings: Sequence["ParamSetting"]
+) -> list["EvaluationReport | Exception"]:
+    """Evaluate settings that share one graph key over the protocol folds.
+
+    All settings must share delta and eta_s, so each fold's graph and
+    matrices are built once and every setting (alpha, beta, n) is scored
+    on them. Returns one outcome per setting, in order: its report, or
+    the exception that stopped it. An error building a fold's shared
+    graph stops every setting still running; an error scoring one
+    setting stops only that one. Folds without evaluable users
+    contribute (0, 0) components and are marked skipped. A fold whose
+    power iteration was capped before its certified step count is logged
+    as a WARNING with its L1 error bound.
+    """
+    first = settings[0]
+    if any((s.delta, s.eta_s) != (first.delta, first.eta_s) for s in settings):
+        raise ValueError("settings evaluated together must share delta and eta_s")
+    components: list[list[MetricComponents]] = [[] for _ in settings]
+    all_converged = [True] * len(settings)
+    errors: list[Exception | None] = [None] * len(settings)
+    for fold in folds:
+        running = [j for j, error in enumerate(errors) if error is None]
+        if not running:
+            break
+        if not fold.truth:
+            for j in running:
+                components[j].append(
+                    MetricComponents(
+                        window=fold.k,
+                        users=0,
+                        f1=(0.0, 0.0),
+                        hr=(0.0, 0.0),
+                        map=(0.0, 0.0),
+                        skipped=True,
+                    )
+                )
+            continue
+        try:
+            shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
+        except Exception as exc:  # the whole group stops; the caller reports it
+            for j in running:
+                errors[j] = exc
+            continue
+        for j in running:
+            params = settings[j]
+            try:
+                comp, converged, steps = _evaluate_fold(shared, params)
+            except Exception as exc:  # this setting stops; the others go on
+                errors[j] = exc
+                continue
+            if not converged:
+                log.warning(
+                    "%s fold %d: PageRank not converged at alpha=%g, capped at %d steps; "
+                    "L1 error bound 2*alpha^%d = %.2g",
+                    flavor, fold.k, params.alpha, steps, steps, 2.0 * params.alpha**steps,
+                )
+            all_converged[j] = all_converged[j] and converged
+            components[j].append(comp)
+        del shared  # free it before the next, larger, fold is built
+
+    outcomes: list[EvaluationReport | Exception] = []
+    for params, comps, converged, error in zip(settings, components, all_converged, errors):
+        if error is not None:
+            outcomes.append(error)
+            continue
+        if all(c.skipped for c in comps):
+            ta = (None, None, None)
+        else:
+            ta = time_average(comps)
+        outcomes.append(
+            EvaluationReport(
+                flavor=flavor,
+                params=params,
+                n_windows=len(folds) + 1,
+                windows=comps,
+                ta_f1=ta[0],
+                ta_hr=ta[1],
+                ta_map=ta[2],
+                all_converged=converged,
+            )
+        )
+    return outcomes
+
+
 def run_protocol(
     stream: LinkStream,
     flavor: str,
@@ -297,52 +433,14 @@ def run_protocol(
 ) -> EvaluationReport:
     """Evaluate one parameter setting over all folds of the protocol.
 
-    Folds without evaluable users contribute (0, 0) components and are
-    marked skipped; a report where every fold was skipped has None for
-    the time-averaged metrics and ``nothing_evaluated`` set. A fold whose
-    power iteration was capped before its certified step count is logged
-    as a WARNING with its L1 error bound.
+    The one-setting case of :func:`evaluate_settings`, raising what
+    stopped the setting. A report where every fold was skipped has None
+    for the time-averaged metrics and ``nothing_evaluated`` set.
     """
-    components: list[MetricComponents] = []
-    all_converged = True
-    for fold in iter_folds(stream, n_windows):
-        if not fold.truth:
-            components.append(
-                MetricComponents(
-                    window=fold.k,
-                    users=0,
-                    f1=(0.0, 0.0),
-                    hr=(0.0, 0.0),
-                    map=(0.0, 0.0),
-                    skipped=True,
-                )
-            )
-            continue
-        graph = build_graph(flavor, fold.train, delta=params.delta, eta_s=params.eta_s)
-        comp, converged, steps = _evaluate_fold(fold, graph, params)
-        if not converged:
-            log.warning(
-                "%s fold %d: PageRank not converged at alpha=%g, capped at %d steps; "
-                "L1 error bound 2*alpha^%d = %.2g",
-                flavor, fold.k, params.alpha, steps, steps, 2.0 * params.alpha**steps,
-            )
-        all_converged = all_converged and converged
-        components.append(comp)
-
-    if all(c.skipped for c in components):
-        ta = (None, None, None)
-    else:
-        ta = time_average(components)
-    return EvaluationReport(
-        flavor=flavor,
-        params=params,
-        n_windows=n_windows,
-        windows=components,
-        ta_f1=ta[0],
-        ta_hr=ta[1],
-        ta_map=ta[2],
-        all_converged=all_converged,
-    )
+    (outcome,) = evaluate_settings(iter_folds(stream, n_windows), flavor, [params])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # --- serialization ---------------------------------------------------------

@@ -6,6 +6,12 @@ eta_s and alpha for LSG; delta, beta, eta_s and alpha for STG. The
 top-N length is fixed per run, not searched. Every sampled setting is
 scored with the full windowed protocol and all three time-averaged
 metrics are kept, so the best row can be read off for any metric.
+
+Settings that share a graph key (flavor, delta, eta_s) share work: the
+folds are computed once per campaign, and each fold's graph, transition
+matrix and item matrix once per key, with every alpha (and beta) of the
+key scored on them. Results are keyed by sample index, so the output
+does not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 
-from .evaluation import EvaluationReport, run_protocol
+from .evaluation import EvaluationReport, evaluate_settings, iter_folds
 from .linkstream import LinkStream
 
 __all__ = [
@@ -189,27 +195,33 @@ class SearchResult:
         return ranked[0]
 
 
-def _entry_from_report(
-    index: int, setting: ParamSetting, report: EvaluationReport
+def _entry(
+    index: int, setting: ParamSetting, outcome: "EvaluationReport | Exception"
 ) -> SearchEntry:
-    if report.nothing_evaluated:
+    if isinstance(outcome, Exception):
+        return SearchEntry(index, setting, None, None, None, "failed", str(outcome))
+    if outcome.nothing_evaluated:
         return SearchEntry(
-            sample_index=index,
-            setting=setting,
-            ta_f1=None,
-            ta_hr=None,
-            ta_map=None,
-            status="failed",
-            error="nothing evaluated",
+            index, setting, None, None, None, "failed", "nothing evaluated"
         )
     return SearchEntry(
-        sample_index=index,
-        setting=setting,
-        ta_f1=report.ta_f1,
-        ta_hr=report.ta_hr,
-        ta_map=report.ta_map,
-        status="ok",
+        index, setting, outcome.ta_f1, outcome.ta_hr, outcome.ta_map, "ok"
     )
+
+
+def _graph_groups(settings: list[ParamSetting]) -> list[list[int]]:
+    """Sample indices grouped by graph key, in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for index, setting in enumerate(settings):
+        groups.setdefault((setting.delta, setting.eta_s), []).append(index)
+    return list(groups.values())
+
+
+def _evaluate_group(
+    stream: LinkStream, flavor: str, settings: list[ParamSetting], n_windows: int
+) -> list["EvaluationReport | Exception"]:
+    """One group in a worker process, which computes the folds itself."""
+    return evaluate_settings(iter_folds(stream, n_windows), flavor, settings)
 
 
 def search(
@@ -225,8 +237,11 @@ def search(
 ) -> SearchResult:
     """Score sampled settings with the windowed protocol and rank them.
 
-    A setting whose evaluation raises (or evaluates nobody) is recorded
-    as failed and left out of the ranking; the campaign continues.
+    Settings are evaluated in groups sharing a graph key; with
+    ``workers > 1`` each worker process takes one group at a time. A
+    setting whose evaluation raises (or evaluates nobody) is recorded
+    as failed and left out of the ranking; the campaign continues. An
+    error in a fold or a graph build fails every setting of its group.
     Results are keyed by sample index, so worker parallelism cannot
     change the output.
     """
@@ -235,37 +250,42 @@ def search(
     if grid is None:
         grid = ParamGrid()
     settings = sample_settings(grid, flavor, count, seed, n=n)
+    groups = _graph_groups(settings)
 
     outcomes: dict[int, SearchEntry] = {}
+
+    def record(group: list[int], results) -> None:
+        for index, outcome in zip(group, results):
+            outcomes[index] = _entry(index, settings[index], outcome)
+
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(run_protocol, stream, flavor, setting, n_windows): (
-                    index,
-                    setting,
-                )
-                for index, setting in enumerate(settings)
+                pool.submit(
+                    _evaluate_group, stream, flavor, [settings[i] for i in group],
+                    n_windows,
+                ): group
+                for group in groups
             }
             for future in as_completed(futures):
-                index, setting = futures[future]
+                group = futures[future]
                 try:
-                    report = future.result()
+                    results = future.result()
                 except Exception as exc:
-                    outcomes[index] = SearchEntry(
-                        index, setting, None, None, None, "failed", str(exc)
-                    )
-                else:
-                    outcomes[index] = _entry_from_report(index, setting, report)
+                    results = [exc] * len(group)
+                record(group, results)
     else:
-        for index, setting in enumerate(settings):
-            try:
-                report = run_protocol(stream, flavor, setting, n_windows)
-            except Exception as exc:
-                outcomes[index] = SearchEntry(
-                    index, setting, None, None, None, "failed", str(exc)
+        try:
+            folds = iter_folds(stream, n_windows)
+        except Exception as exc:
+            for group in groups:
+                record(group, [exc] * len(group))
+        else:
+            for group in groups:
+                record(
+                    group,
+                    evaluate_settings(folds, flavor, [settings[i] for i in group]),
                 )
-            else:
-                outcomes[index] = _entry_from_report(index, setting, report)
 
     ordered = [outcomes[i] for i in range(len(settings))]
     ok = [e for e in ordered if e.status == "ok"]

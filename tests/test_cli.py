@@ -1,4 +1,5 @@
 import json
+import logging
 
 import jsonschema
 import pytest
@@ -248,3 +249,37 @@ def test_workers_env_default(dataset, tmp_path, monkeypatch, capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == EXIT_CONFIG
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def capped_evaluate(dataset, tmp_path, *flags):
+    return main([
+        "evaluate", "--input", str(dataset), "--graph", "lsg",
+        "--alpha", "0.9", "--eta-s", "0.1", "--out-dir", str(tmp_path / "capped"),
+        *flags,
+    ])
+
+
+def test_log_level_default_shows_capped_fold_warnings(dataset, tmp_path, capsys):
+    handlers = list(logging.getLogger("linkrec").handlers)
+    for _ in range(2):  # a second call must not stack a second handler
+        assert capped_evaluate(dataset, tmp_path) == EXIT_OK
+        report = json.loads((tmp_path / "capped" / "report.json").read_text())
+        evaluated = [w["window"] for w in report["windows"] if not w["skipped"]]
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "capped at 100 steps" in line
+        ]
+        assert evaluated
+        assert len(warnings) == len(evaluated)
+        assert all(line.startswith("WARNING linkrec.evaluation: lsg fold") for line in warnings)
+    assert logging.getLogger("linkrec").handlers == handlers
+
+
+def test_log_level_error_silences_capped_fold_warnings(dataset, tmp_path, capsys):
+    assert capped_evaluate(dataset, tmp_path, "--log-level", "error") == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_log_level_rejects_unknown_level(dataset, tmp_path, capsys):
+    assert capped_evaluate(dataset, tmp_path, "--log-level", "loud") == EXIT_CONFIG
+    assert "--log-level" in capsys.readouterr().err

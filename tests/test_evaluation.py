@@ -260,6 +260,39 @@ def test_restart_vectors_match_personalization(seed):
     ]
 
 
+@pytest.mark.parametrize(
+    "build,t,beta",
+    [
+        (build_bip, None, None),
+        (lambda s: build_stg(s, delta=40, eta_s=0.5), None, 0.7),
+        (lambda s: build_lsg(s, eta_s=0.5), "omega", None),
+    ],
+    ids=["bip", "stg", "lsg"],
+)
+def test_restart_vectors_name_an_absent_user(build, t, beta):
+    stream = make_stream(2, n_events=40, t_max=300)
+    graph = build(stream)
+    t = stream.omega if t == "omega" else t
+    users = sorted(stream.users) + ["ghost"]
+    with pytest.raises(ValueError) as public:
+        personalization(graph, "ghost", t=t, beta=beta)
+    with pytest.raises(ValueError, match="user 'ghost' not in training graph") as batched:
+        _restart_vectors(graph, users, stream.omega, beta)
+    assert str(batched.value) == str(public.value)
+
+
+def test_restart_vectors_name_an_lsg_user_absent_at_t():
+    stream = make_stream(2, n_events=40, t_max=300)
+    graph = build_lsg(stream, eta_s=0.5)
+    user = min(stream.users)
+    t = min(ev.t for ev in stream.events if ev.user == user) - 1
+    with pytest.raises(ValueError) as public:
+        personalization(graph, user, t=t)
+    with pytest.raises(ValueError, match="at or before") as batched:
+        _restart_vectors(graph, [user], t, None)
+    assert str(batched.value) == str(public.value)
+
+
 # --- protocol ----------------------------------------------------------------------
 
 
@@ -457,3 +490,9 @@ def test_write_report_files(tmp_path):
     payload = json.loads(json_path.read_text())
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["config"]["seed"] == 1
+
+
+def test_evaluate_settings_rejects_mixed_graph_keys():
+    settings = [ParamSetting(alpha=0.3, eta_s=0.0), ParamSetting(alpha=0.3, eta_s=0.5)]
+    with pytest.raises(ValueError, match="share delta and eta_s"):
+        evaluation.evaluate_settings(iter_folds(drifting_stream(), 4), "lsg", settings)

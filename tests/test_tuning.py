@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
+import linkrec.evaluation as evaluation
 import linkrec.tuning as tuning
-from linkrec.evaluation import MetricComponents, EvaluationReport
+from linkrec.evaluation import MetricComponents, EvaluationReport, run_protocol
 from linkrec.linkstream import Event, LinkStream
 from linkrec.tuning import (
     GRID_ALPHA,
@@ -10,10 +13,14 @@ from linkrec.tuning import (
     GRID_ETA_S,
     ParamGrid,
     ParamSetting,
+    SearchEntry,
+    SearchResult,
     leaderboard_csv,
     sample_settings,
     search,
 )
+
+from conftest import make_stream
 
 
 # --- ParamSetting / ParamGrid ----------------------------------------------------
@@ -117,22 +124,24 @@ def tiny_stream() -> LinkStream:
     return LinkStream.from_events(events, time_span=(0, 100))
 
 
-def fake_protocol(scores_by_alpha):
-    """run_protocol stand-in mapping alpha -> (f1, hr, map)."""
+def fake_report(flavor, params, scores, n_windows=8):
+    f1, hr, map_ = scores
+    return EvaluationReport(
+        flavor=flavor,
+        params=params,
+        n_windows=n_windows,
+        windows=[MetricComponents(1, 1, (f1, 1.0), (hr, 1.0), (map_, 1.0))],
+        ta_f1=f1,
+        ta_hr=hr,
+        ta_map=map_,
+    )
 
-    def fake(stream, flavor, params, n_windows=8):
-        f1, hr, map_ = scores_by_alpha[params.alpha]
-        return EvaluationReport(
-            flavor=flavor,
-            params=params,
-            n_windows=n_windows,
-            windows=[
-                MetricComponents(1, 1, (f1, 1.0), (hr, 1.0), (map_, 1.0))
-            ],
-            ta_f1=f1,
-            ta_hr=hr,
-            ta_map=map_,
-        )
+
+def fake_group(scores_by_alpha):
+    """evaluate_settings stand-in mapping alpha -> (f1, hr, map)."""
+
+    def fake(folds, flavor, settings):
+        return [fake_report(flavor, s, scores_by_alpha[s.alpha]) for s in settings]
 
     return fake
 
@@ -149,7 +158,7 @@ def test_search_single_setting_is_best():
 
 def test_search_dominant_setting_heads_every_objective(monkeypatch):
     scores = {0.1: (0.9, 0.9, 0.9), 0.5: (0.1, 0.2, 0.3)}
-    monkeypatch.setattr(tuning, "run_protocol", fake_protocol(scores))
+    monkeypatch.setattr(tuning, "evaluate_settings", fake_group(scores))
     result = search(
         tiny_stream(), "bip", grid=ParamGrid(alpha=(0.1, 0.5)), count=2, seed=0
     )
@@ -159,7 +168,7 @@ def test_search_dominant_setting_heads_every_objective(monkeypatch):
 
 def test_search_objectives_can_disagree(monkeypatch):
     scores = {0.1: (0.9, 0.1, 0.1), 0.5: (0.1, 0.2, 0.9)}
-    monkeypatch.setattr(tuning, "run_protocol", fake_protocol(scores))
+    monkeypatch.setattr(tuning, "evaluate_settings", fake_group(scores))
     result = search(
         tiny_stream(), "bip", grid=ParamGrid(alpha=(0.1, 0.5)), count=2, seed=0
     )
@@ -168,14 +177,14 @@ def test_search_objectives_can_disagree(monkeypatch):
 
 
 def test_search_records_failures_and_continues(monkeypatch):
-    def flaky(stream, flavor, params, n_windows=8):
-        if params.alpha == 0.5:
-            raise ValueError("boom")
-        return fake_protocol({params.alpha: (0.5, 0.5, 0.5)})(
-            stream, flavor, params, n_windows
-        )
+    def flaky(folds, flavor, settings):
+        return [
+            ValueError("boom") if s.alpha == 0.5
+            else fake_report(flavor, s, (0.5, 0.5, 0.5))
+            for s in settings
+        ]
 
-    monkeypatch.setattr(tuning, "run_protocol", flaky)
+    monkeypatch.setattr(tuning, "evaluate_settings", flaky)
     result = search(
         tiny_stream(), "bip", grid=ParamGrid(alpha=(0.1, 0.5, 0.9)), count=3, seed=0
     )
@@ -197,7 +206,7 @@ def test_search_nothing_evaluated_counts_as_failed():
 
 def test_search_leaderboard_sorted_with_ties_by_sample_order(monkeypatch):
     scores = {0.1: (0.5, 0.5, 0.5), 0.5: (0.5, 0.5, 0.5), 0.9: (0.7, 0.7, 0.7)}
-    monkeypatch.setattr(tuning, "run_protocol", fake_protocol(scores))
+    monkeypatch.setattr(tuning, "evaluate_settings", fake_group(scores))
     result = search(
         tiny_stream(), "bip", grid=ParamGrid(alpha=(0.1, 0.5, 0.9)), count=3, seed=0
     )
@@ -248,3 +257,100 @@ def test_leaderboard_csv_layout():
         assert cells[1] == "lsg"
         assert cells[2] == "" and cells[3] == ""  # delta/beta not relevant
         assert cells[-1] in ("ok", "failed")
+
+
+# --- shared graph groups against per-setting evaluation ----------------------------
+
+
+def per_setting_leaderboard(stream, flavor, settings, objective, n_windows):
+    """Leaderboard built from one run_protocol call per sampled setting."""
+    entries = []
+    for index, setting in enumerate(settings):
+        report = run_protocol(stream, flavor, setting, n_windows)
+        if report.nothing_evaluated:
+            entries.append(SearchEntry(index, setting, None, None, None, "failed",
+                                       "nothing evaluated"))
+        else:
+            entries.append(SearchEntry(index, setting, report.ta_f1, report.ta_hr,
+                                       report.ta_map, "ok"))
+    ok = sorted((e for e in entries if e.status == "ok"),
+                key=lambda e: (-e.objective_value(objective), e.sample_index))
+    failed = [e for e in entries if e.status != "ok"]
+    return leaderboard_csv(SearchResult(flavor, objective, ok, failed, len(settings)))
+
+
+SHARED_CASES = [
+    ("bip", ParamGrid(alpha=(0.1, 0.5, 0.9)), 3, 11),
+    ("stg", ParamGrid(delta=(150.0, 400.0), beta=(0.3, 0.7), eta_s=(0.0, 0.5),
+                      alpha=(0.1, 0.5)), 7, 12),
+    ("lsg", ParamGrid(eta_s=(0.0, 0.5, 2.0), alpha=(0.1, 0.3, 0.9)), 5, 13),
+]
+
+
+@pytest.mark.parametrize("flavor,grid,count,seed", SHARED_CASES,
+                         ids=[case[0] for case in SHARED_CASES])
+def test_search_matches_per_setting_protocol(flavor, grid, count, seed):
+    stream = make_stream(seed, n_users=8, n_items=12, n_events=120)
+    settings = sample_settings(grid, flavor, count, seed=seed, n=5)
+    if flavor != "bip":
+        assert count < grid.size(flavor)
+        sizes = Counter((s.delta, s.eta_s) for s in settings).values()
+        assert min(sizes) == 1 and max(sizes) > 1
+    expected = per_setting_leaderboard(stream, flavor, settings, "map", 4)
+    assert ",ok\n" in expected
+    for workers in (1, 2):
+        result = search(stream, flavor, grid=grid, count=count, seed=seed,
+                        objective="map", n=5, n_windows=4, workers=workers)
+        assert leaderboard_csv(result) == expected
+
+
+LSG_GRID = ParamGrid(eta_s=(0.0, 0.5), alpha=(0.1, 0.5, 0.9))
+
+
+def lsg_search():
+    stream = make_stream(14, n_users=8, n_items=12, n_events=120)
+    return search(stream, "lsg", grid=LSG_GRID, count=6, seed=0, n=5, n_windows=4)
+
+
+def test_search_graph_build_error_fails_its_group_only(monkeypatch):
+    reference = {e.sample_index: e for e in lsg_search().entries}
+    build_graph = evaluation.build_graph
+
+    def failing(flavor, stream, delta=None, eta_s=None):
+        if eta_s == 0.5:
+            raise ValueError("no graph")
+        return build_graph(flavor, stream, delta=delta, eta_s=eta_s)
+
+    monkeypatch.setattr(evaluation, "build_graph", failing)
+    result = lsg_search()
+    assert sorted(e.setting.alpha for e in result.failed) == [0.1, 0.5, 0.9]
+    assert all(e.setting.eta_s == 0.5 and e.error == "no graph" for e in result.failed)
+    assert [e.setting.eta_s for e in result.entries] == [0.0] * 3
+    assert all(e == reference[e.sample_index] for e in result.entries)
+
+
+def test_search_scoring_error_fails_one_setting_only(monkeypatch):
+    reference = {e.sample_index: e for e in lsg_search().entries}
+    pagerank_batch = evaluation.pagerank_batch
+
+    def failing(tm, D, alpha):
+        if alpha == 0.5:
+            raise ValueError("walk failed")
+        return pagerank_batch(tm, D, alpha)
+
+    monkeypatch.setattr(evaluation, "pagerank_batch", failing)
+    result = lsg_search()
+    assert sorted(e.setting.eta_s for e in result.failed) == [0.0, 0.5]
+    assert all(e.setting.alpha == 0.5 and e.error == "walk failed" for e in result.failed)
+    assert len(result.entries) == 4
+    assert all(e == reference[e.sample_index] for e in result.entries)
+
+
+def test_search_fold_error_fails_every_setting(monkeypatch):
+    def failing(stream, n_windows):
+        raise ValueError("no folds")
+
+    monkeypatch.setattr(tuning, "iter_folds", failing)
+    result = lsg_search()
+    assert result.entries == []
+    assert [e.error for e in result.failed] == ["no folds"] * 6
