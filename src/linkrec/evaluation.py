@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -25,10 +24,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .graphs import SESSION, TUSER, USER, RecGraph, build_graph
-from .linkstream import Event, LinkStream, Window, split_windows
+from .graphs import RecGraph, build_graph
+from .linkstream import LinkStream, Window, split_windows
 from .ranker import (
     TransitionMatrix,
+    _restart_vectors,
     item_matrix,
     pagerank_batch,
     personalization_matrix,
@@ -176,19 +176,28 @@ def time_average(components: Iterable[MetricComponents]) -> tuple[float, float, 
 
 
 def iter_folds(stream: LinkStream, n_windows: int = 8) -> list[Fold]:
-    """Materialize the sliding train/test folds of the protocol."""
+    """Materialize the sliding train/test folds of the protocol.
+
+    Windows are runs of the time-sorted stream, so each fold's training
+    stream is a prefix of the stream's own events and columns.
+    """
     windows = split_windows(stream, n_windows)
     alpha = stream.alpha
     folds = []
-    train_events: list[Event] = []
+    end = 0
+    train_items: dict[str, set[str]] = {}
+    window_items = windows[0][1].items_by_user()
     for k in range(1, n_windows):
         w_train, sub = windows[k - 1]
-        train_events.extend(sub.events)
+        end += len(sub)
         w_test, test_sub = windows[k]
-        train = LinkStream.from_events(train_events, time_span=(alpha, w_train.end))
-        train_items = train.items_by_user()
+        train = stream.slice(0, end, (alpha, w_train.end))
+        train_items = {user: set(items) for user, items in train_items.items()}
+        for user, items in window_items.items():
+            train_items.setdefault(user, set()).update(items)
+        window_items = test_sub.items_by_user()
         truth = {}
-        for user, items in test_sub.items_by_user().items():
+        for user, items in window_items.items():
             if user not in train_items:
                 continue
             new = items - train_items[user]
@@ -208,63 +217,15 @@ def iter_folds(stream: LinkStream, n_windows: int = 8) -> list[Fold]:
     return folds
 
 
-def _restart_vectors(
-    graph: RecGraph, users: Sequence[str], t: float, beta: float | None
-) -> list[dict]:
-    """Restart vectors for many users in one pass over the node set.
-
-    Same semantics and errors as :func:`linkrec.ranker.personalization`,
-    which scans the graph per call; here the per-user latest session/time
-    is collected once. A user absent from the graph raises ValueError.
-    """
-    wanted = set(users)
-    if graph.flavor in ("bip", "stg"):
-        for u in users:
-            if (USER, u) not in graph.nodes:
-                raise ValueError(f"user {u!r} not in training graph")
-    if graph.flavor == "bip":
-        return [{(USER, u): 1.0} for u in users]
-    if graph.flavor == "stg":
-        if beta is None or not 0.0 <= beta <= 1.0:
-            raise ValueError("stg personalization requires beta in [0, 1]")
-        last_session: dict[str, int] = {}
-        for node in graph.nodes:
-            if node[0] == SESSION and node[1] in wanted:
-                last_session[node[1]] = max(last_session.get(node[1], 0), node[2])
-        out = []
-        for u in users:
-            d = {}
-            if beta > 0.0:
-                d[(USER, u)] = beta
-            if beta < 1.0:
-                d[(SESSION, u, last_session[u])] = 1.0 - beta
-            out.append(d)
-        return out
-    if graph.flavor == "lsg":
-        present: set[str] = set()
-        last_time: dict[str, int] = {}
-        for node in graph.nodes:
-            if node[0] == TUSER and node[2] in wanted:
-                present.add(node[2])
-                if node[1] <= t and node[1] > last_time.get(node[2], -math.inf):
-                    last_time[node[2]] = node[1]
-        for u in users:
-            if u not in present:
-                raise ValueError(f"user {u!r} not in training graph")
-            if u not in last_time:
-                raise ValueError(f"user {u!r} not in training graph at or before t={t}")
-        return [{(TUSER, last_time[u], u): 1.0} for u in users]
-    raise ValueError(f"unknown graph flavor {graph.flavor!r}")
-
-
 @dataclass
 class FoldGraph:
     """One fold's graph and what every setting scored on it shares.
 
     Settings with the same graph key (flavor, delta, eta_s) build the
-    graph, transition matrix, item aggregation matrix and item-row map
-    of a fold once; restart vectors are kept per beta on first use.
-    Dense restart blocks are not kept: each is built when it is scored.
+    graph, transition matrix and item aggregation matrix of a fold
+    once, with users x items masks of the evaluated users' training
+    items (``seen``) and new test-window items (``truth``); restart
+    vectors are kept per beta on first use.
     """
 
     fold: Fold
@@ -272,8 +233,9 @@ class FoldGraph:
     tm: TransitionMatrix
     items: list[str]
     A: sparse.csr_matrix
-    item_row: dict[str, int]
     users: list[str]
+    seen: np.ndarray
+    truth: np.ndarray
     _restarts: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -284,7 +246,13 @@ class FoldGraph:
         tm = transition_matrix(graph)
         items, A = item_matrix(graph, tm)
         item_row = {item: r for r, item in enumerate(items)}
-        return cls(fold, graph, tm, items, A, item_row, sorted(fold.truth))
+        users = sorted(fold.truth)
+        seen = np.zeros((len(users), len(items)), dtype=bool)
+        truth = np.zeros_like(seen)
+        for r, user in enumerate(users):
+            seen[r, [item_row[i] for i in fold.train_items[user]]] = True
+            truth[r, [item_row[i] for i in fold.truth[user] if i in item_row]] = True
+        return cls(fold, graph, tm, items, A, users, seen, truth)
 
     def restarts(self, beta: float | None) -> list[dict]:
         """Restart vectors of the evaluated users, built once per beta."""
@@ -295,40 +263,44 @@ class FoldGraph:
         return self._restarts[beta]
 
 
+def _rank_block(
+    shared: FoldGraph, params: "ParamSetting", start: int
+) -> tuple[np.ndarray, bool, int]:
+    """Rank items for the evaluated users start .. start + _BATCH_COLUMNS - 1.
+
+    Returns their top-n item rows, best first, with -1 past the last
+    item a user has not seen (ties go to the lower row, the smaller item
+    id), and whether their PageRank block converged, in how many steps.
+    """
+    restarts = shared.restarts(params.beta)[start : start + _BATCH_COLUMNS]
+    D = personalization_matrix(shared.tm, restarts)
+    X, converged, steps = pagerank_batch(shared.tm, D, params.alpha)
+    S = np.ascontiguousarray((shared.A @ X).T)
+    seen = shared.seen[start : start + len(restarts)]
+    S[seen] = -np.inf
+    top = np.argsort(-S, axis=1, kind="stable")[:, : params.n]
+    top[np.take_along_axis(seen, top, axis=1)] = -1
+    return top, converged, steps
+
+
 def _evaluate_fold(
     shared: FoldGraph, params: "ParamSetting"
 ) -> tuple[MetricComponents, bool, int]:
     """Components of one fold for one setting, whether every block
     converged, and the power-iteration steps per block (the same for
     all: they depend on alpha alone)."""
-    fold, items, item_row, users = shared.fold, shared.items, shared.item_row, shared.users
-    restarts = shared.restarts(params.beta)
-
-    hit_counts: list[int] = []
-    new_counts: list[int] = []
+    fold, users = shared.fold, shared.users
     flags: list[list[int]] = []
     all_converged = True
     steps = 0
-    order_rank = np.arange(len(items))
     for start in range(0, len(users), _BATCH_COLUMNS):
-        block = users[start : start + _BATCH_COLUMNS]
-        D = personalization_matrix(shared.tm, restarts[start : start + _BATCH_COLUMNS])
-        X, converged, steps = pagerank_batch(shared.tm, D, params.alpha)
+        top, converged, steps = _rank_block(shared, params, start)
         all_converged = all_converged and converged
-        scores = shared.A @ X
-        for j, user in enumerate(block):
-            col = scores[:, j].copy()
-            for seen in fold.train_items[user]:
-                col[item_row[seen]] = -np.inf
-            ranked = np.lexsort((order_rank, -col))
-            h = []
-            for idx in ranked[: params.n]:
-                if col[idx] == -np.inf:
-                    break
-                h.append(1 if items[idx] in fold.truth[user] else 0)
-            flags.append(h)
-            hit_counts.append(sum(h))
-            new_counts.append(len(fold.truth[user]))
+        rows = np.arange(start, start + len(top))[:, None]
+        # truth and seen items are disjoint, so hits stop where unseen items do
+        flags.extend((shared.truth[rows, top] & (top >= 0)).astype(int).tolist())
+    hit_counts = [sum(h) for h in flags]
+    new_counts = [len(fold.truth[user]) for user in users]
 
     components = MetricComponents(
         window=fold.k,
@@ -355,6 +327,8 @@ def evaluate_settings(
     power iteration was capped before its certified step count is logged
     as a WARNING with its L1 error bound.
     """
+    if not settings:
+        return []
     first = settings[0]
     if any((s.delta, s.eta_s) != (first.delta, first.eta_s) for s in settings):
         raise ValueError("settings evaluated together must share delta and eta_s")

@@ -8,22 +8,33 @@
   edges between consecutive occurrences of the same user or item
   (forward weight 1, backward weight eta_s).
 
-Nodes are tagged tuples -- ("U", u), ("I", i), ("S", u, k),
-("TU", t, u), ("TI", t, i) -- cheap, hashable and ordered, so a sorted
-node list gives every graph a deterministic index.
+Nodes are integer-coded. A graph is a node table -- per node its kind,
+its user or item code and its time (session slice k, or timestamp t) --
+plus parallel (src, dst, weight) edge arrays over node indices. Codes
+index the graph's sorted user and item id tables, so they sort like the
+ids, and the builders emit the table in the order of the sorted tagged
+tuples ("I", i) < ("S", u, k) < ("TI", t, i) < ("TU", t, u) < ("U", u).
+Those tuples are a rendered view in that same order: ``RecGraph.nodes``
+and ``RecGraph.edges`` render them on first read, for export, tests and
+the single-user API; building, ranking and evaluating never do.
 
 Edges pointing "into the past" (item->session, backward chains) carry
 the eta_s weight; eta_s = 0 omits them entirely so transition matrices
-never see zero-weight edges.
+never see zero-weight edges. Edges are emitted so that each node's
+out-edges come in a fixed order (LSG: event edges, then the backward
+chain edge, then the forward one; STG: BIP edges, then session edges),
+which fixes the order in which out-weights are summed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .linkstream import LinkStream
+import numpy as np
+
+from .linkstream import LinkStream, StreamColumns
 
 __all__ = [
     "RecGraph",
@@ -50,79 +61,235 @@ SESSION = "S"
 TUSER = "TU"
 TITEM = "TI"
 
+# Node kinds, numbered in the sort order of their tags.
+TAGS = (ITEM, SESSION, TITEM, TUSER, USER)
+_KIND = {tag: k for k, tag in enumerate(TAGS)}
+
 Node = tuple  # ("U", u) | ("I", i) | ("S", u, k) | ("TU", t, u) | ("TI", t, i)
 
 FLAVORS = ("bip", "stg", "lsg")
 
 
-@dataclass(frozen=True)
 class RecGraph:
-    """Weighted directed graph with typed nodes.
+    """Weighted directed graph over an integer-coded node table.
 
-    ``edges`` maps (src, dst) to a positive weight; zero-weight edges are
-    never stored. Instances are immutable once built and safe to share
-    across threads.
+    Node j has kind ``TAGS[kind[j]]``, code ``ident[j]`` into ``users``
+    (U, S, TU) or ``items`` (I, TI), and ``time[j]``: the slice k of a
+    session, the timestamp t of a temporal node, 0 otherwise. Edge e
+    goes from node ``src[e]`` to node ``dst[e]`` with positive
+    ``weight[e]``; zero-weight edges are never stored. Instances are
+    not modified once built and are safe to share across threads. Two
+    graphs are equal when their rendered nodes, edges and parameters are.
+
+    ``RecGraph(flavor, nodes, edges)`` encodes a graph given as
+    tagged-tuple nodes and a (src, dst) -> weight map, keeping the map's
+    edge order; the builders assemble the arrays with :meth:`coded`.
     """
 
-    flavor: str
-    nodes: frozenset
-    edges: dict
-    delta: float | None = None
-    eta_s: float | None = None
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        flavor: str,
+        nodes,
+        edges: dict,
+        delta: float | None = None,
+        eta_s: float | None = None,
+    ):
+        ordered = sorted(nodes)
+        users = sorted(
+            {n[1] for n in ordered if n[0] in (USER, SESSION)}
+            | {n[2] for n in ordered if n[0] == TUSER}
+        )
+        items = sorted(
+            {n[1] for n in ordered if n[0] == ITEM} | {n[2] for n in ordered if n[0] == TITEM}
+        )
+        user_code = {u: c for c, u in enumerate(users)}
+        item_code = {i: c for c, i in enumerate(items)}
+        kind, ident, time = [], [], []
+        for node in ordered:
+            tag = node[0]
+            kind.append(_KIND[tag])
+            if tag in (USER, ITEM):
+                ident.append((user_code if tag == USER else item_code)[node[1]])
+                time.append(0)
+            elif tag == SESSION:
+                ident.append(user_code[node[1]])
+                time.append(node[2])
+            else:
+                ident.append((user_code if tag == TUSER else item_code)[node[2]])
+                time.append(node[1])
+        index = {node: j for j, node in enumerate(ordered)}
+        self._set(
+            flavor,
+            np.array(kind, dtype=np.int8),
+            np.array(ident, dtype=np.int64),
+            np.array(time) if time else np.zeros(0, np.int64),
+            np.array([index[s] for s, _ in edges], dtype=np.int64),
+            np.array([index[d] for _, d in edges], dtype=np.int64),
+            np.array(list(edges.values()), dtype=float),
+            tuple(users),
+            tuple(items),
+            delta,
+            eta_s,
+        )
+
+    @classmethod
+    def coded(
+        cls, flavor, kind, ident, time, src, dst, weight, users, items, delta=None, eta_s=None
+    ) -> "RecGraph":
+        """A graph from its node table, edge arrays and id tables, as is."""
+        graph = cls.__new__(cls)
+        graph._set(flavor, kind, ident, time, src, dst, weight, users, items, delta, eta_s)
+        return graph
+
+    def _set(self, flavor, kind, ident, time, src, dst, weight, users, items, delta, eta_s):
+        self.flavor, self.delta, self.eta_s = flavor, delta, eta_s
+        self.kind, self.ident, self.time = kind, ident, time
+        self.src, self.dst, self.weight = src, dst, weight
+        self.users, self.items = users, items
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.kind)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.src)
 
-    def item_ids(self) -> set[str]:
-        """Item identifiers present in the graph, whatever the flavor."""
-        out = set()
-        for node in self.nodes:
-            if node[0] == ITEM:
-                out.add(node[1])
-            elif node[0] == TITEM:
-                out.add(node[2])
+    def render(self, indices) -> list:
+        """Tagged tuples of the nodes at ``indices``, in that order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        out = []
+        for k, c, t in zip(
+            self.kind[indices].tolist(), self.ident[indices].tolist(), self.time[indices].tolist()
+        ):
+            tag = TAGS[k]
+            if tag == ITEM:
+                out.append((ITEM, self.items[c]))
+            elif tag == USER:
+                out.append((USER, self.users[c]))
+            elif tag == SESSION:
+                out.append((SESSION, self.users[c], t))
+            elif tag == TITEM:
+                out.append((TITEM, t, self.items[c]))
+            else:
+                out.append((TUSER, t, self.users[c]))
         return out
 
-    def user_ids(self) -> set[str]:
-        out = set()
-        for node in self.nodes:
-            if node[0] == USER:
-                out.add(node[1])
-            elif node[0] == TUSER:
-                out.add(node[2])
+    @cached_property
+    def node_list(self) -> list:
+        """Rendered nodes in index order (sorted tagged-tuple order)."""
+        return self.render(np.arange(self.n_nodes))
+
+    @cached_property
+    def nodes(self) -> frozenset:
+        return frozenset(self.node_list)
+
+    @cached_property
+    def edges(self) -> dict:
+        """Rendered (src, dst) -> weight map, in edge-array order."""
+        nodes = self.node_list
+        return {
+            (nodes[s], nodes[d]): w
+            for s, d, w in zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())
+        }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecGraph):
+            return NotImplemented
+        return (self.flavor, self.delta, self.eta_s, self.nodes, self.edges) == (
+            other.flavor, other.delta, other.eta_s, other.nodes, other.edges
+        )
+
+    def item_nodes(self) -> np.ndarray:
+        """Indices of the item-side nodes (I or TI), ascending."""
+        return np.flatnonzero((self.kind == _KIND[ITEM]) | (self.kind == _KIND[TITEM]))
+
+    @cached_property
+    def _user_code(self) -> dict[str, int]:
+        return {u: c for c, u in enumerate(self.users)}
+
+    @cached_property
+    def _by_user(self) -> dict:
+        """Per user-side kind: its node indices sorted by (user code, time)."""
+        out = {}
+        for tag in (USER, SESSION, TUSER):
+            idx = np.flatnonzero(self.kind == _KIND[tag])
+            idx = idx[np.lexsort((self.time[idx], self.ident[idx]))]
+            out[tag] = (idx, self.ident[idx])
         return out
 
+    def user_nodes(self, tag: str, user: str) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and times of ``user``'s nodes of kind ``tag`` (U, S or
+        TU), by ascending time; empty when the user has none."""
+        idx, codes = self._by_user[tag]
+        code = self._user_code.get(user)
+        if code is None:
+            return idx[:0], self.time[:0]
+        lo, hi = np.searchsorted(codes, [code, code + 1])
+        found = idx[lo:hi]
+        return found, self.time[found]
 
-def _require_events(stream: LinkStream) -> None:
+
+def _columns(stream: LinkStream) -> StreamColumns:
     if len(stream) == 0:
         raise ValueError("cannot build graph from empty stream")
+    return stream.columns
 
 
-def _bip_edges(stream: LinkStream) -> dict:
-    edges: dict = {}
-    for ev in stream.events:
-        u, i = (USER, ev.user), (ITEM, ev.item)
-        edges[(u, i)] = 1.0
-        edges[(i, u)] = 1.0
-    return edges
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values and each value's rank among them."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return distinct, rank.ravel()
+
+
+def _bip(cols: StreamColumns):
+    """Present item and user codes, each event's item rank, and the
+    distinct (user rank, item rank) pairs."""
+    item_codes, item_rank = _ranks(cols.item_code)
+    user_codes, user_rank = _ranks(cols.user_code)
+    n_items = len(item_codes)
+    pairs = np.unique(user_rank * n_items + item_rank)
+    return item_codes, item_rank, user_codes, pairs // n_items, pairs % n_items
+
+
+def _graph(flavor, cols, blocks, edges, **params) -> RecGraph:
+    """Assemble a graph from (kind, codes, times) node blocks in table
+    order and (src, dst, weight) edge parts in emission order."""
+    kind = np.concatenate([np.full(len(codes), _KIND[tag], np.int8) for tag, codes, _ in blocks])
+    ident = np.concatenate([codes for _, codes, _ in blocks])
+    time = np.concatenate([times for _, _, times in blocks])
+    src, dst = (np.concatenate(part).astype(np.int64) for part in edges[:2])
+    return RecGraph.coded(
+        flavor, kind, ident, time, src, dst, np.concatenate(edges[2]).astype(float),
+        cols.users, cols.items, **params,
+    )
 
 
 def build_bip(stream: LinkStream) -> RecGraph:
     """Bipartite graph: one weight-1 edge pair per distinct (user, item)."""
-    _require_events(stream)
-    edges = _bip_edges(stream)
-    nodes = {(USER, u) for u in stream.users} | {(ITEM, i) for i in stream.items}
-    return RecGraph(flavor="bip", nodes=frozenset(nodes), edges=edges)
+    cols = _columns(stream)
+    item_codes, _, user_codes, u, i = _bip(cols)
+    u = u + len(item_codes)
+    ones = np.ones(len(u))
+    return _graph(
+        "bip",
+        cols,
+        [(ITEM, item_codes, np.zeros_like(item_codes)),
+         (USER, user_codes, np.zeros_like(user_codes))],
+        ([u, i], [i, u], [ones, ones]),
+    )
 
 
 def slice_count(alpha: float, omega: float, delta: float) -> int:
     """Number of delta-wide slices covering [alpha, omega] (at least 1)."""
     return max(1, math.ceil((omega - alpha) / delta))
+
+
+def _slice_indices(t: np.ndarray, alpha: float, omega: float, delta: float) -> np.ndarray:
+    k = np.floor((t - alpha) / delta).astype(np.int64) + 1
+    return np.minimum(k, slice_count(alpha, omega, delta))
 
 
 def slice_index(t: float, alpha: float, omega: float, delta: float) -> int:
@@ -131,8 +298,7 @@ def slice_index(t: float, alpha: float, omega: float, delta: float) -> int:
     An event at exactly omega is clamped into the last slice, mirroring
     the closed right edge of the last evaluation window.
     """
-    k = math.floor((t - alpha) / delta) + 1
-    return min(k, slice_count(alpha, omega, delta))
+    return int(_slice_indices(np.array([t]), alpha, omega, delta)[0])
 
 
 def build_stg(stream: LinkStream, delta: float, eta_s: float) -> RecGraph:
@@ -141,51 +307,79 @@ def build_stg(stream: LinkStream, delta: float, eta_s: float) -> RecGraph:
         raise ValueError("slice duration delta must be positive")
     if eta_s < 0:
         raise ValueError("eta_s must be non-negative")
-    _require_events(stream)
-    alpha, omega = stream.time_span
-    edges = _bip_edges(stream)
-    nodes = {(USER, u) for u in stream.users} | {(ITEM, i) for i in stream.items}
-    for ev in stream.events:
-        k = slice_index(ev.t, alpha, omega, delta)
-        session, item = (SESSION, ev.user, k), (ITEM, ev.item)
-        nodes.add(session)
-        edges[(session, item)] = 1.0
-        if eta_s > 0:
-            edges[(item, session)] = eta_s
-    return RecGraph(
-        flavor="stg", nodes=frozenset(nodes), edges=edges, delta=delta, eta_s=eta_s
+    cols = _columns(stream)
+    item_codes, item_rank, user_codes, u, i = _bip(cols)
+    n_items = len(item_codes)
+    # sessions sort by (user, slice), like their tuples
+    k = _slice_indices(cols.t, *stream.time_span, delta)
+    n_slices = int(k.max()) + 1
+    sessions, session_rank = _ranks(cols.user_code * n_slices + k)
+    links = np.unique(session_rank * n_items + item_rank)
+    s, si = links // n_items + n_items, links % n_items
+    u = u + n_items + len(sessions)
+    ones = np.ones(len(u))
+    # per item: edges to users first, then edges to sessions
+    src, dst, weight = [u, i, s], [i, u, si], [ones, ones, np.ones(len(links))]
+    if eta_s > 0:
+        src, dst = src + [si], dst + [s]
+        weight = weight + [np.full(len(links), float(eta_s))]
+    return _graph(
+        "stg",
+        cols,
+        [(ITEM, item_codes, np.zeros_like(item_codes)),
+         (SESSION, sessions // n_slices, sessions % n_slices),
+         (USER, user_codes, np.zeros_like(user_codes))],
+        (src, dst, weight),
+        delta=delta,
+        eta_s=eta_s,
     )
+
+
+def _chains(node_ident: np.ndarray, node_time: np.ndarray, offset: int):
+    """Consecutive (earlier, later) node pairs of the same id, as node
+    indices shifted by ``offset``."""
+    order = np.lexsort((node_time, node_ident))
+    same = node_ident[order[1:]] == node_ident[order[:-1]]
+    return order[:-1][same] + offset, order[1:][same] + offset
 
 
 def build_lsg(stream: LinkStream, eta_s: float) -> RecGraph:
     """Link stream graph: temporal nodes, event edges and chain edges."""
     if eta_s < 0:
         raise ValueError("eta_s must be non-negative")
-    _require_events(stream)
-    edges: dict = {}
-    user_times: dict[str, set[int]] = {}
-    item_times: dict[str, set[int]] = {}
-    for ev in stream.events:
-        tu, ti = (TUSER, ev.t, ev.user), (TITEM, ev.t, ev.item)
-        edges[(tu, ti)] = 1.0
-        edges[(ti, tu)] = 1.0
-        user_times.setdefault(ev.user, set()).add(ev.t)
-        item_times.setdefault(ev.item, set()).add(ev.t)
-
-    def chain(times_by_id: dict[str, set[int]], tag: str) -> None:
-        for ident, times in times_by_id.items():
-            ordered = sorted(times)
-            for prev, nxt in zip(ordered, ordered[1:]):
-                edges[((tag, prev, ident), (tag, nxt, ident))] = 1.0
-                if eta_s > 0:
-                    edges[((tag, nxt, ident), (tag, prev, ident))] = eta_s
-
-    chain(user_times, TUSER)
-    chain(item_times, TITEM)
-    nodes = {(TUSER, t, u) for u, ts in user_times.items() for t in ts} | {
-        (TITEM, t, i) for i, ts in item_times.items() for t in ts
-    }
-    return RecGraph(flavor="lsg", nodes=frozenset(nodes), edges=edges, eta_s=eta_s)
+    cols = _columns(stream)
+    times, t_rank = _ranks(cols.t)
+    # (t, item) and (t, user) occurrences, sorted like their tuples
+    n_ids = max(len(cols.users), len(cols.items))
+    occ_items, ti_rank = _ranks(t_rank * n_ids + cols.item_code)
+    occ_users, tu_rank = _ranks(t_rank * n_ids + cols.user_code)
+    n_ti = len(occ_items)
+    ti_ident, ti_time = occ_items % n_ids, times[occ_items // n_ids]
+    tu_ident, tu_time = occ_users % n_ids, times[occ_users // n_ids]
+    tu_node = n_ti + tu_rank
+    n_nodes = n_ti + len(occ_users)
+    links = np.unique(tu_node * n_nodes + ti_rank)
+    tu, ti = links // n_nodes, links % n_nodes
+    ones = np.ones(len(links))
+    user_prev, user_next = _chains(tu_ident, tu_time, n_ti)
+    item_prev, item_next = _chains(ti_ident, ti_time, 0)
+    # per source node: event edges, then the backward, then the forward chain edge
+    src, dst, weight = [tu, ti], [ti, tu], [ones, ones]
+    for prev, nxt in ((user_prev, user_next), (item_prev, item_next)):
+        if eta_s > 0:
+            src.append(nxt)
+            dst.append(prev)
+            weight.append(np.full(len(prev), float(eta_s)))
+        src.append(prev)
+        dst.append(nxt)
+        weight.append(np.ones(len(prev)))
+    return _graph(
+        "lsg",
+        cols,
+        [(TITEM, ti_ident, ti_time), (TUSER, tu_ident, tu_time)],
+        (src, dst, weight),
+        eta_s=eta_s,
+    )
 
 
 def build_graph(

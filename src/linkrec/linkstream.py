@@ -12,14 +12,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "Event",
     "LinkStream",
+    "StreamColumns",
     "FilterConfig",
     "Window",
     "ParseError",
@@ -69,6 +73,22 @@ class Event:
 
 
 @dataclass(frozen=True)
+class StreamColumns:
+    """Integer-coded columns of a stream's events, in event order.
+
+    ``users`` and ``items`` are sorted id tables and the codes index
+    them, so codes sort like the ids they stand for. A training prefix
+    shares its parent's tables, which may list ids absent from it.
+    """
+
+    t: np.ndarray
+    user_code: np.ndarray
+    item_code: np.ndarray
+    users: tuple[str, ...]
+    items: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class LinkStream:
     """Events sorted by (t, user, item) with their observation interval.
 
@@ -76,13 +96,15 @@ class LinkStream:
     duplicates (event sets, not multisets), derives the user/item sets
     and checks the interval actually covers the events. An empty stream
     is legal only with an explicit time span (filters may empty a stream;
-    parsing empty input is an error).
+    parsing empty input is an error). :attr:`columns` is an
+    integer-coded view of the events, built on first use.
     """
 
     events: tuple[Event, ...]
     time_span: tuple[float, float]
     users: frozenset[str]
     items: frozenset[str]
+    _columns: StreamColumns | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_events(
@@ -113,6 +135,46 @@ class LinkStream:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    @property
+    def columns(self) -> StreamColumns:
+        """Sorted ``t`` with user and item codes per event, plus the id tables."""
+        if self._columns is None:
+            users, items = tuple(sorted(self.users)), tuple(sorted(self.items))
+            user_code = {u: c for c, u in enumerate(users)}
+            item_code = {i: c for c, i in enumerate(items)}
+            n = len(self.events)
+            cols = StreamColumns(
+                t=np.array([ev.t for ev in self.events]) if n else np.zeros(0, np.int64),
+                user_code=np.fromiter(
+                    (user_code[ev.user] for ev in self.events), np.int64, count=n
+                ),
+                item_code=np.fromiter(
+                    (item_code[ev.item] for ev in self.events), np.int64, count=n
+                ),
+                users=users,
+                items=items,
+            )
+            object.__setattr__(self, "_columns", cols)
+        return self._columns
+
+    def slice(self, lo: int, hi: int, time_span: tuple[float, float]) -> "LinkStream":
+        """Events lo..hi-1 over ``time_span``, which must cover them.
+
+        Events, columns and id tables are slices and shares of this
+        stream's, so nothing is sorted again.
+        """
+        cols = self.columns
+        sub = StreamColumns(
+            cols.t[lo:hi], cols.user_code[lo:hi], cols.item_code[lo:hi], cols.users, cols.items
+        )
+        return LinkStream(
+            events=self.events[lo:hi],
+            time_span=(float(time_span[0]), float(time_span[1])),
+            users=frozenset(cols.users[c] for c in np.unique(sub.user_code).tolist()),
+            items=frozenset(cols.items[c] for c in np.unique(sub.item_code).tolist()),
+            _columns=sub,
+        )
 
     @property
     def alpha(self) -> float:
@@ -348,17 +410,18 @@ def split_windows(stream: LinkStream, n: int) -> list[tuple[Window, LinkStream]]
     alpha, omega = stream.time_span
     if not omega > alpha:
         raise ValueError("time span must have positive duration to split")
-    buckets: dict[int, list[Event]] = {}
-    for ev in stream.events:
-        buckets.setdefault(window_index(ev.t, alpha, omega, n), []).append(ev)
+    # Events are sorted by t and window_index grows with t, so each
+    # window is a run of the stream's events.
+    bounds = [
+        bisect_left(stream.events, k, key=lambda ev: window_index(ev.t, alpha, omega, n))
+        for k in range(1, n + 1)
+    ] + [len(stream)]
     out = []
     span = omega - alpha
     for k in range(1, n + 1):
         window = Window(
             index=k, start=alpha + span * (k - 1) / n, end=alpha + span * k / n
         )
-        sub = LinkStream.from_events(
-            buckets.get(k, ()), time_span=(window.start, window.end)
-        )
+        sub = stream.slice(bounds[k - 1], bounds[k], (window.start, window.end))
         out.append((window, sub))
     return out

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -49,22 +50,31 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 
 
-@dataclass
+@dataclass(eq=False)
 class TransitionMatrix:
-    """Column-stochastic matrix over a deterministic node ordering.
+    """Column-stochastic matrix over the graph's node order.
 
     ``matrix[y, x]`` is w(x, y) / out_weight(x); columns of dangling
     nodes (zero out-weight) are empty and flagged in ``dangling``.
+    ``nodes`` and ``index`` are the rendered tagged-tuple view of that
+    order, built on first read.
     """
 
-    nodes: list
-    index: dict
+    graph: RecGraph
     matrix: sparse.csr_matrix
     dangling: np.ndarray  # bool mask over node indices
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return self.matrix.shape[0]
+
+    @property
+    def nodes(self) -> list:
+        return self.graph.node_list
+
+    @cached_property
+    def index(self) -> dict:
+        return {node: i for i, node in enumerate(self.nodes)}
 
 
 @dataclass
@@ -83,26 +93,63 @@ class ScoreVector:
 
 
 def transition_matrix(graph: RecGraph) -> TransitionMatrix:
-    """Out-weight-normalize the graph's edges into column convention."""
-    if not graph.nodes:
+    """Out-weight-normalize the graph's edges into column convention.
+
+    Out-weights are summed per source node in edge-array order.
+    """
+    n = graph.n_nodes
+    if n == 0:
         raise ValueError("cannot build transition matrix of empty graph")
-    nodes = sorted(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    out_weight = np.zeros(n)
-    for (src, _), w in graph.edges.items():
-        out_weight[index[src]] += w
-    rows = np.empty(len(graph.edges), dtype=np.int64)
-    cols = np.empty(len(graph.edges), dtype=np.int64)
-    data = np.empty(len(graph.edges))
-    for k, ((src, dst), w) in enumerate(graph.edges.items()):
-        s = index[src]
-        rows[k], cols[k] = index[dst], s
-        data[k] = w / out_weight[s]
-    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return TransitionMatrix(
-        nodes=nodes, index=index, matrix=matrix, dangling=out_weight == 0.0
-    )
+    out_weight = np.bincount(graph.src, weights=graph.weight, minlength=n)
+    data = graph.weight / out_weight[graph.src]
+    matrix = sparse.csr_matrix((data, (graph.dst, graph.src)), shape=(n, n))
+    return TransitionMatrix(graph=graph, matrix=matrix, dangling=out_weight == 0.0)
+
+
+def _restart_vectors(
+    graph: RecGraph, users: Sequence[str], t: float | None = None, beta: float | None = None
+) -> list[dict[int, float]]:
+    """Restart vectors of ``users`` as node index -> mass maps.
+
+    Each user's nodes are found with a searchsorted on the node table:
+    BIP the user node; STG the user node and the user's latest session;
+    LSG the latest temporal user node at or before t. A user absent
+    from the graph (for LSG, also one with no node at or before t)
+    raises ValueError naming the user.
+    """
+    if graph.flavor not in ("bip", "stg", "lsg"):
+        raise ValueError(f"unknown graph flavor {graph.flavor!r}")
+    if graph.flavor == "lsg" and t is None:
+        raise ValueError("lsg personalization requires the query time t")
+    out = []
+    for user in users:
+        if graph.flavor == "lsg":
+            nodes, times = graph.user_nodes(TUSER, user)
+            if not len(nodes):
+                raise ValueError(f"user {user!r} not in training graph")
+            last = int(np.searchsorted(times, t, side="right")) - 1
+            if last < 0:
+                raise ValueError(f"user {user!r} not in training graph at or before t={t}")
+            out.append({int(nodes[last]): 1.0})
+            continue
+        node, _ = graph.user_nodes(USER, user)
+        if not len(node):
+            raise ValueError(f"user {user!r} not in training graph")
+        if graph.flavor == "bip":
+            out.append({int(node[0]): 1.0})
+            continue
+        if beta is None or not 0.0 <= beta <= 1.0:
+            raise ValueError("stg personalization requires beta in [0, 1]")
+        sessions, _ = graph.user_nodes(SESSION, user)
+        if not len(sessions):  # unreachable: active users always have a session
+            raise ValueError(f"user {user!r} has no session node")
+        d = {}
+        if beta > 0.0:
+            d[int(node[0])] = beta
+        if beta < 1.0:
+            d[int(sessions[-1])] = 1.0 - beta
+        out.append(d)
+    return out
 
 
 def personalization(
@@ -115,55 +162,25 @@ def personalization(
 
     Returns a sparse node -> mass map; zero masses are omitted.
     """
-    if graph.flavor == "bip":
-        node = (USER, user)
-        if node not in graph.nodes:
-            raise ValueError(f"user {user!r} not in training graph")
-        return {node: 1.0}
-
-    if graph.flavor == "stg":
-        node = (USER, user)
-        if node not in graph.nodes:
-            raise ValueError(f"user {user!r} not in training graph")
-        if beta is None or not 0.0 <= beta <= 1.0:
-            raise ValueError("stg personalization requires beta in [0, 1]")
-        last_k = max(
-            (n[2] for n in graph.nodes if n[0] == SESSION and n[1] == user),
-            default=None,
-        )
-        if last_k is None:  # unreachable: active users always have a session
-            raise ValueError(f"user {user!r} has no session node")
-        d = {}
-        if beta > 0.0:
-            d[node] = beta
-        if beta < 1.0:
-            d[(SESSION, user, last_k)] = 1.0 - beta
-        return d
-
-    if graph.flavor == "lsg":
-        if t is None:
-            raise ValueError("lsg personalization requires the query time t")
-        times = [n[1] for n in graph.nodes if n[0] == TUSER and n[2] == user]
-        if not times:
-            raise ValueError(f"user {user!r} not in training graph")
-        past = [tk for tk in times if tk <= t]
-        if not past:
-            raise ValueError(
-                f"user {user!r} not in training graph at or before t={t}"
-            )
-        return {(TUSER, max(past), user): 1.0}
-
-    raise ValueError(f"unknown graph flavor {graph.flavor!r}")
+    (d,) = _restart_vectors(graph, [user], t, beta)
+    return dict(zip(graph.render(list(d)), d.values()))
 
 
-def personalization_matrix(tm: TransitionMatrix, vectors: Iterable[Mapping]) -> np.ndarray:
-    """Stack restart vectors as dense columns in the matrix's node order."""
-    cols = list(vectors)
-    D = np.zeros((tm.n, len(cols)))
-    for j, d in enumerate(cols):
-        for node, mass in d.items():
-            D[tm.index[node], j] = mass
-    return D
+def personalization_matrix(tm: TransitionMatrix, vectors: Iterable[Mapping]) -> sparse.coo_matrix:
+    """Stack restart vectors as the columns of a sparse (n, columns) matrix.
+
+    Vectors map nodes to mass; a node is its index in ``tm`` or its
+    tagged tuple.
+    """
+    rows, cols, mass = [], [], []
+    width = 0
+    for j, d in enumerate(vectors):
+        width = j + 1
+        for node, m in d.items():
+            rows.append(node if isinstance(node, (int, np.integer)) else tm.index[node])
+            cols.append(j)
+            mass.append(m)
+    return sparse.coo_matrix((mass, (rows, cols)), shape=(tm.n, width), dtype=float)
 
 
 def _check_restart(tm: TransitionMatrix, d: Mapping) -> None:
@@ -195,7 +212,7 @@ def pagerank_batch(
     """Power iteration for many restart vectors at once.
 
     ``D`` holds one restart vector per column, each non-negative and
-    summing to 1; the recurrence
+    summing to 1, as a sparse or a dense array; the recurrence
     X <- alpha * (M X + D * dangling_mass) + (1 - alpha) * D is applied
     to all columns in one sparse product per step, starting from X = D.
 
@@ -217,8 +234,9 @@ def pagerank_batch(
         raise ValueError(f"restart matrix must have shape ({tm.n}, columns), got {D.shape}")
     # D has one or two nonzeros per column; its terms are scatter-adds
     # there, which equal the dense adds because adding +0.0 is exact.
-    rows, cols = np.nonzero(D)
-    mass = D[rows, cols]
+    D = sparse.coo_matrix(D)
+    D.sum_duplicates()
+    rows, cols, mass = D.row, D.col, np.asarray(D.data, dtype=float)
     # the bound holds only for probability columns
     negative = np.unique(cols[mass < 0.0])
     if negative.size:
@@ -233,7 +251,8 @@ def pagerank_batch(
     steps = certified_steps(alpha, tol)
     iterations = min(steps, max_iter)
     M = tm.matrix
-    X = D.copy()
+    X = np.zeros(D.shape)
+    X[rows, cols] = mass
     for _ in range(iterations):
         X_next = M @ X
         if dangling.size:
@@ -279,18 +298,11 @@ def item_matrix(graph: RecGraph, tm: TransitionMatrix) -> tuple[list[str], spars
 
     Items are sorted, so row order doubles as the ranking tie-break.
     """
-    items = sorted(graph.item_ids())
-    item_row = {item: r for r, item in enumerate(items)}
-    rows, cols = [], []
-    for node, idx in tm.index.items():
-        if node[0] == ITEM:
-            rows.append(item_row[node[1]])
-            cols.append(idx)
-        elif node[0] == TITEM:
-            rows.append(item_row[node[2]])
-            cols.append(idx)
+    cols = graph.item_nodes()
+    codes, rows = np.unique(graph.ident[cols], return_inverse=True)
+    items = [graph.items[c] for c in codes.tolist()]
     A = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(items), tm.n)
+        (np.ones(len(cols)), (rows.ravel(), cols)), shape=(len(items), tm.n)
     )
     return items, A
 

@@ -217,6 +217,21 @@ def _graph_groups(settings: list[ParamSetting]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _split_groups(groups: list[list[int]], workers: int) -> list[list[int]]:
+    """Halve the largest group by setting until ``workers`` tasks exist
+    or every task holds one setting, so that fewer graph-key groups than
+    workers still keep min(workers, settings) processes busy."""
+    tasks = [list(group) for group in groups]
+    while len(tasks) < workers:
+        largest = max(range(len(tasks)), key=lambda k: len(tasks[k]))
+        group = tasks[largest]
+        if len(group) < 2:
+            break
+        half = (len(group) + 1) // 2
+        tasks[largest : largest + 1] = [group[:half], group[half:]]
+    return tasks
+
+
 def _evaluate_group(
     stream: LinkStream, flavor: str, settings: list[ParamSetting], n_windows: int
 ) -> list["EvaluationReport | Exception"]:
@@ -238,7 +253,9 @@ def search(
     """Score sampled settings with the windowed protocol and rank them.
 
     Settings are evaluated in groups sharing a graph key; with
-    ``workers > 1`` each worker process takes one group at a time. A
+    ``workers > 1`` each worker process takes one group at a time, and
+    groups are split by setting while there are fewer groups than
+    workers (each part then builds its own graphs). A
     setting whose evaluation raises (or evaluates nobody) is recorded
     as failed and left out of the ranking; the campaign continues. An
     error in a fold or a graph build fails every setting of its group.
@@ -265,7 +282,7 @@ def search(
                     _evaluate_group, stream, flavor, [settings[i] for i in group],
                     n_windows,
                 ): group
-                for group in groups
+                for group in _split_groups(groups, workers)
             }
             for future in as_completed(futures):
                 group = futures[future]

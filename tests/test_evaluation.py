@@ -25,7 +25,7 @@ from linkrec.evaluation import (
 )
 from linkrec.graphs import build_bip, build_lsg, build_stg
 from linkrec.linkstream import Event, LinkStream
-from linkrec.ranker import personalization
+from linkrec.ranker import personalization, recommend
 from linkrec.tuning import ParamSetting
 
 from conftest import make_stream
@@ -244,18 +244,22 @@ def test_restart_vectors_match_personalization(seed):
     t = stream.omega
     users = sorted(stream.users)
 
+    def rendered(graph, vectors):
+        # batched vectors are keyed by node index
+        return [{graph.node_list[i]: mass for i, mass in d.items()} for d in vectors]
+
     bip = build_bip(stream)
-    assert _restart_vectors(bip, users, t, None) == [
+    assert rendered(bip, _restart_vectors(bip, users, t, None)) == [
         personalization(bip, u) for u in users
     ]
 
     stg = build_stg(stream, delta=40, eta_s=0.5)
-    assert _restart_vectors(stg, users, t, 0.7) == [
+    assert rendered(stg, _restart_vectors(stg, users, t, 0.7)) == [
         personalization(stg, u, beta=0.7) for u in users
     ]
 
     lsg = build_lsg(stream, eta_s=0.5)
-    assert _restart_vectors(lsg, users, t, None) == [
+    assert rendered(lsg, _restart_vectors(lsg, users, t, None)) == [
         personalization(lsg, u, t=t) for u in users
     ]
 
@@ -496,3 +500,32 @@ def test_evaluate_settings_rejects_mixed_graph_keys():
     settings = [ParamSetting(alpha=0.3, eta_s=0.0), ParamSetting(alpha=0.3, eta_s=0.5)]
     with pytest.raises(ValueError, match="share delta and eta_s"):
         evaluation.evaluate_settings(iter_folds(drifting_stream(), 4), "lsg", settings)
+
+
+def test_evaluate_settings_with_no_settings_is_empty():
+    assert evaluation.evaluate_settings(iter_folds(drifting_stream(), 4), "lsg", []) == []
+
+
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+@pytest.mark.parametrize("seed", range(3))
+def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, params):
+    # small blocks, so several blocks per fold are compared
+    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    stream = make_stream(20 + seed, n_users=12, n_items=25, n_events=250)
+    compared = 0
+    for fold in iter_folds(stream, 4):
+        if not fold.truth:
+            continue
+        shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
+        for start in range(0, len(shared.users), evaluation._BATCH_COLUMNS):
+            top, _, _ = evaluation._rank_block(shared, params, start)
+            for user, rows in zip(shared.users[start:], top.tolist()):
+                expected = recommend(
+                    shared.graph, user, fold.rec_time, params,
+                    seen=fold.train_items[user], tm=shared.tm,
+                )
+                assert [shared.items[r] for r in rows if r >= 0] == [
+                    item for item, _ in expected
+                ]
+                compared += 1
+    assert compared > 10

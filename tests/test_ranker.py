@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from linkrec.graphs import (
     ITEM,
@@ -87,7 +88,8 @@ def dense_pagerank(tm, d: dict, alpha: float) -> np.ndarray:
 
 def adaptive_pagerank_batch(tm, D, alpha, tol=1e-10, max_iter=100):
     """Reference: the earlier loop, which stopped at the first step whose
-    largest per-column L1 change fell below tol."""
+    largest per-column L1 change fell below tol. It steps a dense D."""
+    D = D.toarray() if sparse.issparse(D) else D
     M = tm.matrix
     has_dangling = bool(tm.dangling.any())
     restart = (1.0 - alpha) * D
@@ -219,7 +221,7 @@ def test_pagerank_mass_conserved_each_iteration(seed):
     graph = random_digraph(rng, max_nodes=20)
     tm = transition_matrix(graph)
     d = random_restart(rng, tm)
-    D = personalization_matrix(tm, [d])
+    D = personalization_matrix(tm, [d]).toarray()
     X = D.copy()
     for _ in range(30):
         dangling_mass = X[tm.dangling].sum(axis=0)

@@ -237,6 +237,34 @@ def test_search_workers_do_not_change_output():
     assert leaderboard_csv(serial) == leaderboard_csv(parallel)
 
 
+def test_split_groups_fills_the_workers():
+    assert tuning._split_groups([[0, 1, 2, 3, 4, 5, 6]], 2) == [[0, 1, 2, 3], [4, 5, 6]]
+    assert tuning._split_groups([[0, 1, 2, 3, 4, 5, 6]], 3) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert tuning._split_groups([[0, 1], [2]], 8) == [[0], [1], [2]]
+    assert tuning._split_groups([[0, 2], [1, 3]], 2) == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize(
+    "flavor,grid",
+    [
+        ("bip", ParamGrid(alpha=GRID_ALPHA)),  # one graph-key group
+        ("lsg", ParamGrid(eta_s=(0.0, 0.5), alpha=(0.1, 0.3, 0.9))),
+    ],
+    ids=["bip", "lsg"],
+)
+def test_search_leaderboard_identical_for_1_2_3_workers(flavor, grid):
+    stream = make_stream(8, n_users=8, n_items=15, n_events=150)
+    boards = {
+        workers: leaderboard_csv(
+            search(stream, flavor, grid=grid, count=grid.size(flavor), seed=2,
+                   n=5, n_windows=4, workers=workers)
+        )
+        for workers in (1, 2, 3)
+    }
+    assert boards[1] == boards[2] == boards[3]
+    assert "failed" not in boards[1]
+
+
 def test_search_rejects_unknown_objective():
     with pytest.raises(ValueError, match="objective"):
         search(tiny_stream(), "bip", objective="accuracy")
