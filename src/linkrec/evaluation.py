@@ -179,7 +179,7 @@ def iter_folds(stream: LinkStream, n_windows: int = 8) -> list[Fold]:
     """Materialize the sliding train/test folds of the protocol.
 
     Windows are runs of the time-sorted stream, so each fold's training
-    stream is a prefix of the stream's own events and columns.
+    stream is a prefix of the stream's columns.
     """
     windows = split_windows(stream, n_windows)
     alpha = stream.alpha

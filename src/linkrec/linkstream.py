@@ -5,16 +5,27 @@ operations every experiment starts from.
 A link stream is an ordered set of events (t, user, item[, rating])
 observed over a closed interval [alpha, omega]. Timestamps are integer
 epoch seconds internally; ISO-8601 inputs are converted on parse.
+
+The stream *is* its columns: sorted ``t``, ``user_code``, ``item_code``
+and ``rating`` arrays (NaN when unrated) with codes into sorted user
+and item id tables. Parsing collects plain lists and codes and sorts
+them once; the filters are counts and masks over the codes; windows
+and training prefixes are slices. ``LinkStream.events`` and its
+``users``/``items`` sets are views rendered on first read, for tests,
+demos and summaries; loading, the protocol and the search never render
+them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -68,43 +79,57 @@ class Event:
     item: str
     rating: float | None = None
 
-    def sort_key(self) -> tuple[int, str, str]:
-        return (self.t, self.user, self.item)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamColumns:
     """Integer-coded columns of a stream's events, in event order.
 
-    ``users`` and ``items`` are sorted id tables and the codes index
-    them, so codes sort like the ids they stand for. A training prefix
-    shares its parent's tables, which may list ids absent from it.
+    ``rating`` is NaN for unrated events. ``users`` and ``items`` are
+    sorted id tables and the codes index them, so codes sort like the
+    ids they stand for. A training prefix shares its parent's tables,
+    which may list ids absent from it.
     """
 
     t: np.ndarray
     user_code: np.ndarray
     item_code: np.ndarray
+    rating: np.ndarray
     users: tuple[str, ...]
     items: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LinkStream:
-    """Events sorted by (t, user, item) with their observation interval.
+def _code(ids: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted table of the distinct ids and each id's index in it."""
+    table = tuple(sorted(set(ids)))
+    index = {x: c for c, x in enumerate(table)}
+    return table, np.fromiter(map(index.__getitem__, ids), np.int64, count=len(ids))
 
-    Build instances through :meth:`from_events`; it sorts, drops exact
-    duplicates (event sets, not multisets), derives the user/item sets
-    and checks the interval actually covers the events. An empty stream
-    is legal only with an explicit time span (filters may empty a stream;
-    parsing empty input is an error). :attr:`columns` is an
-    integer-coded view of the events, built on first use.
+
+def _compact(table: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The part of a sorted table that ``codes`` use, and the codes into it."""
+    present = np.unique(codes)
+    return tuple(table[c] for c in present.tolist()), np.searchsorted(present, codes)
+
+
+class LinkStream:
+    """Events sorted by (t, user, item, rating) with their observation interval.
+
+    Unrated events sort before rated ones with the same (t, user, item),
+    so the order is total and does not depend on input order or hashing.
+    Build instances through :meth:`from_events` or :func:`parse_link_stream`;
+    both sort, drop exact duplicates (event sets, not multisets) and check
+    the interval actually covers the events. An empty stream is legal only
+    with an explicit time span (filters may empty a stream; parsing empty
+    input is an error).
+
+    :attr:`columns` holds the stream. :attr:`events`, :attr:`users` and
+    :attr:`items` are rendered from it on first read. Two streams are
+    equal when their events and time spans are.
     """
 
-    events: tuple[Event, ...]
-    time_span: tuple[float, float]
-    users: frozenset[str]
-    items: frozenset[str]
-    _columns: StreamColumns | None = field(default=None, compare=False, repr=False)
+    def __init__(self, columns: StreamColumns, time_span: tuple[float, float]):
+        self.columns = columns
+        self.time_span = (float(time_span[0]), float(time_span[1]))
 
     @classmethod
     def from_events(
@@ -112,68 +137,121 @@ class LinkStream:
         events: Iterable[Event],
         time_span: tuple[float, float] | None = None,
     ) -> "LinkStream":
-        ordered = sorted(set(events), key=Event.sort_key)
-        if not ordered and time_span is None:
-            raise ValueError("empty stream")
-        for ev in ordered:
-            if not ev.user or not ev.item:
-                raise ValueError(f"event at t={ev.t} has an empty identifier")
-        if time_span is None:
-            time_span = (float(ordered[0].t), float(ordered[-1].t))
-        alpha, omega = time_span
-        if ordered and (alpha > ordered[0].t or omega < ordered[-1].t):
-            raise ValueError(
-                f"time span [{alpha}, {omega}] does not cover events "
-                f"[{ordered[0].t}, {ordered[-1].t}]"
-            )
-        return cls(
-            events=tuple(ordered),
-            time_span=(float(alpha), float(omega)),
-            users=frozenset(ev.user for ev in ordered),
-            items=frozenset(ev.item for ev in ordered),
+        events = list(events)
+        return cls._sorted(
+            [ev.t for ev in events],
+            [ev.user for ev in events],
+            [ev.item for ev in events],
+            [math.nan if ev.rating is None else ev.rating for ev in events],
+            time_span,
         )
 
-    def __len__(self) -> int:
-        return len(self.events)
+    @classmethod
+    def _sorted(cls, ts: list, users: list[str], items: list[str], ratings: list[float],
+                time_span) -> "LinkStream":
+        """Code, sort and deduplicate parallel per-event lists."""
+        if not ts and time_span is None:
+            raise ValueError("empty stream")
+        user_table, user_code = _code(users)
+        item_table, item_code = _code(items)
+        t = np.array(ts) if ts else np.zeros(0, np.int64)
+        if t.dtype.kind not in "iuf":
+            raise ValueError("timestamps must be 64-bit integers or floats")
+        rating = np.array(ratings, dtype=float)
+        unrated = np.isnan(rating)
+        order = np.lexsort((np.where(unrated, 0.0, rating), ~unrated, item_code, user_code, t))
+        t, user_code, item_code, rating, unrated = (
+            a[order] for a in (t, user_code, item_code, rating, unrated)
+        )
+        # Exact duplicates are neighbours now; keep the first of each run.
+        dup = (
+            (t[1:] == t[:-1])
+            & (user_code[1:] == user_code[:-1])
+            & (item_code[1:] == item_code[:-1])
+            & ((rating[1:] == rating[:-1]) | (unrated[1:] & unrated[:-1]))
+        )
+        if dup.any():
+            keep = np.concatenate(([True], ~dup))
+            t, user_code, item_code, rating = (a[keep] for a in (t, user_code, item_code, rating))
+        # Tables are sorted, so an empty id can only be code 0.
+        empty = np.zeros(len(t), dtype=bool)
+        if user_table[:1] == ("",):
+            empty |= user_code == 0
+        if item_table[:1] == ("",):
+            empty |= item_code == 0
+        if empty.any():
+            raise ValueError(f"event at t={t[empty.argmax()].item()} has an empty identifier")
+        if len(t):
+            first, last = t[0].item(), t[-1].item()
+            if time_span is None:
+                time_span = (float(first), float(last))
+            alpha, omega = time_span
+            if alpha > first or omega < last:
+                raise ValueError(
+                    f"time span [{alpha}, {omega}] does not cover events [{first}, {last}]"
+                )
+        return cls(StreamColumns(t, user_code, item_code, rating, user_table, item_table),
+                   time_span)
 
-    @property
-    def columns(self) -> StreamColumns:
-        """Sorted ``t`` with user and item codes per event, plus the id tables."""
-        if self._columns is None:
-            users, items = tuple(sorted(self.users)), tuple(sorted(self.items))
-            user_code = {u: c for c, u in enumerate(users)}
-            item_code = {i: c for c, i in enumerate(items)}
-            n = len(self.events)
-            cols = StreamColumns(
-                t=np.array([ev.t for ev in self.events]) if n else np.zeros(0, np.int64),
-                user_code=np.fromiter(
-                    (user_code[ev.user] for ev in self.events), np.int64, count=n
-                ),
-                item_code=np.fromiter(
-                    (item_code[ev.item] for ev in self.events), np.int64, count=n
-                ),
-                users=users,
-                items=items,
+    def __len__(self) -> int:
+        return len(self.columns.t)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinkStream):
+            return NotImplemented
+        return (self.time_span, self.events) == (other.time_span, other.events)
+
+    def __hash__(self) -> int:
+        return hash((self.time_span, len(self)))
+
+    def __repr__(self) -> str:
+        return f"LinkStream({len(self)} events over {self.time_span})"
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        """The events in stream order, rendered from the columns."""
+        cols = self.columns
+        users, items = cols.users, cols.items
+        return tuple(
+            Event(t, users[u], items[i], None if math.isnan(r) else r)
+            for t, u, i, r in zip(
+                cols.t.tolist(), cols.user_code.tolist(),
+                cols.item_code.tolist(), cols.rating.tolist(),
             )
-            object.__setattr__(self, "_columns", cols)
-        return self._columns
+        )
+
+    @cached_property
+    def users(self) -> frozenset[str]:
+        """Ids of the users with events in this stream."""
+        return frozenset(_compact(self.columns.users, self.columns.user_code)[0])
+
+    @cached_property
+    def items(self) -> frozenset[str]:
+        """Ids of the items with events in this stream."""
+        return frozenset(_compact(self.columns.items, self.columns.item_code)[0])
 
     def slice(self, lo: int, hi: int, time_span: tuple[float, float]) -> "LinkStream":
         """Events lo..hi-1 over ``time_span``, which must cover them.
 
-        Events, columns and id tables are slices and shares of this
-        stream's, so nothing is sorted again.
+        The columns are slices of this stream's and share its id tables,
+        so nothing is sorted again.
         """
-        cols = self.columns
-        sub = StreamColumns(
-            cols.t[lo:hi], cols.user_code[lo:hi], cols.item_code[lo:hi], cols.users, cols.items
-        )
+        c = self.columns
         return LinkStream(
-            events=self.events[lo:hi],
-            time_span=(float(time_span[0]), float(time_span[1])),
-            users=frozenset(cols.users[c] for c in np.unique(sub.user_code).tolist()),
-            items=frozenset(cols.items[c] for c in np.unique(sub.item_code).tolist()),
-            _columns=sub,
+            StreamColumns(c.t[lo:hi], c.user_code[lo:hi], c.item_code[lo:hi],
+                          c.rating[lo:hi], c.users, c.items),
+            time_span,
+        )
+
+    def _take(self, rows: np.ndarray) -> "LinkStream":
+        """The events at ``rows`` (a mask, or ascending indices) over this
+        stream's time span, with id tables cut to the ids they use."""
+        c = self.columns
+        users, user_code = _compact(c.users, c.user_code[rows])
+        items, item_code = _compact(c.items, c.item_code[rows])
+        return LinkStream(
+            StreamColumns(c.t[rows], user_code, item_code, c.rating[rows], users, items),
+            self.time_span,
         )
 
     @property
@@ -184,15 +262,21 @@ class LinkStream:
     def omega(self) -> float:
         return self.time_span[1]
 
+    def _pairs(self):
+        c = self.columns
+        return zip(c.user_code.tolist(), c.item_code.tolist())
+
     def distinct_pairs(self) -> set[tuple[str, str]]:
         """Distinct (user, item) pairs (dataset summaries report both
         this and the raw event count)."""
-        return {(ev.user, ev.item) for ev in self.events}
+        users, items = self.columns.users, self.columns.items
+        return {(users[u], items[i]) for u, i in self._pairs()}
 
     def items_by_user(self) -> dict[str, set[str]]:
+        users, items = self.columns.users, self.columns.items
         out: dict[str, set[str]] = {}
-        for ev in self.events:
-            out.setdefault(ev.user, set()).add(ev.item)
+        for u, i in self._pairs():
+            out.setdefault(users[u], set()).add(items[i])
         return out
 
 
@@ -237,14 +321,17 @@ def _parse_timestamp(text: str) -> int:
 
 
 def _read_lines(source) -> list[str]:
+    """Lines of a path, bytes, or text or binary file; a leading UTF-8
+    byte-order mark is dropped so it cannot hide a header."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8").splitlines()
+        return Path(source).read_text(encoding="utf-8-sig").splitlines()
     if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
+        return source.decode("utf-8-sig").splitlines()
     if isinstance(source, io.TextIOBase):
-        return source.read().splitlines()
+        text = source.read()
+        return text.removeprefix("\ufeff").splitlines()
     # binary file-like
-    return source.read().decode("utf-8").splitlines()
+    return source.read().decode("utf-8-sig").splitlines()
 
 
 def parse_link_stream(
@@ -264,14 +351,13 @@ def parse_link_stream(
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'csv')")
     delim = "\t" if fmt == "tsv" else ","
-    lines = _read_lines(source)
-    rows = [
-        (ln, row)
-        for ln, row in enumerate(csv.reader(lines, delimiter=delim), start=1)
-        if row and any(cell.strip() for cell in row)
-    ]
-    if not rows:
+    records = enumerate(csv.reader(_read_lines(source), delimiter=delim), start=1)
+    # Records whose cells are all blank are skipped; the first other one
+    # may be a header.
+    first = next(((ln, row) for ln, row in records if any(map(str.strip, row))), None)
+    if first is None:
         raise ValueError("empty stream")
+    rows = itertools.chain([first], records)
 
     mapping: dict[str, int] = {}
     if columns is not None:
@@ -282,9 +368,8 @@ def parse_link_stream(
                     raise ValueError(f"unknown column name {name!r}")
                 mapping[key] = pos
     else:
-        first = [cell.strip().lower() for cell in rows[0][1]]
         header = {}
-        for pos, cell in enumerate(first):
+        for pos, cell in enumerate(cell.strip().lower() for cell in first[1]):
             key = _HEADER_NAMES.get(cell)
             if key is not None:
                 header[key] = pos
@@ -292,42 +377,46 @@ def parse_link_stream(
         # required fields; otherwise short ids would shadow data rows.
         if all(key in header for key in ("user", "item", "timestamp")):
             mapping = header
-            rows = rows[1:]
+            rows = records
         else:
             mapping = {"user": 0, "item": 1, "timestamp": 2, "rating": 3}
     for required in ("user", "item", "timestamp"):
         if required not in mapping:
             raise ValueError(f"no column mapped to {required!r}")
 
-    events = []
+    pu, pi, pt = mapping["user"], mapping["item"], mapping["timestamp"]
+    pr = mapping.get("rating", math.inf)  # no rating column: past every row
+    ts, users, items, ratings = [], [], [], []
     for ln, row in rows:
-        def field(key: str) -> str | None:
-            pos = mapping.get(key)
-            if pos is None or pos >= len(row):
-                return None
-            return row[pos].strip()
-
-        user, item, ts = field("user"), field("item"), field("timestamp")
-        if not user or not item or not ts:
+        n = len(row)
+        user = row[pu].strip() if pu < n else None
+        item = row[pi].strip() if pi < n else None
+        text = row[pt].strip() if pt < n else None
+        if not user or not item or not text:
+            if not any(map(str.strip, row)):
+                continue
             raise ParseError(ln, "record needs user, item and timestamp fields")
         try:
-            t = _parse_timestamp(ts)
+            t = _parse_timestamp(text)
         except ValueError as exc:
             raise ParseError(ln, str(exc)) from None
-        rating_text = field("rating")
-        rating = None
-        if rating_text:
+        rating = math.nan
+        text = row[pr].strip() if pr < n else None
+        if text:
             try:
-                rating = float(rating_text)
+                rating = float(text)
             except ValueError:
-                raise ParseError(ln, f"unparseable rating {rating_text!r}") from None
+                raise ParseError(ln, f"unparseable rating {text!r}") from None
             if not 0.0 <= rating <= 5.0:
                 raise ParseError(ln, f"rating {rating} outside [0, 5]")
-        events.append(Event(t=t, user=user, item=item, rating=rating))
+        ts.append(t)
+        users.append(user)
+        items.append(item)
+        ratings.append(rating)
 
-    if not events:
+    if not ts:
         raise ValueError("empty stream")
-    return LinkStream.from_events(events, time_span=time_span)
+    return LinkStream._sorted(ts, users, items, ratings, time_span)
 
 
 def filter_positive(stream: LinkStream, rating_floor: float = 2.5) -> LinkStream:
@@ -336,20 +425,14 @@ def filter_positive(stream: LinkStream, rating_floor: float = 2.5) -> LinkStream
     The per-user mean is computed over the *input* stream. Every event
     must carry a rating. The result may be empty.
     """
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for ev in stream.events:
-        if ev.rating is None:
-            raise ValueError("rating required for positive filtering")
-        totals[ev.user] = totals.get(ev.user, 0.0) + ev.rating
-        counts[ev.user] = counts.get(ev.user, 0) + 1
-    means = {u: totals[u] / counts[u] for u in totals}
-    kept = [
-        ev
-        for ev in stream.events
-        if ev.rating >= rating_floor and ev.rating >= means[ev.user]
-    ]
-    return LinkStream.from_events(kept, time_span=stream.time_span)
+    c = stream.columns
+    if np.isnan(c.rating).any():
+        raise ValueError("rating required for positive filtering")
+    # bincount adds the weights one event at a time, in event order, so the
+    # sums (and means) equal those of a loop over the events.
+    totals = np.bincount(c.user_code, weights=c.rating)[c.user_code]
+    counts = np.bincount(c.user_code)[c.user_code]
+    return stream._take((c.rating >= rating_floor) & (c.rating >= totals / counts))
 
 
 def filter_min_activity(stream: LinkStream, cfg: FilterConfig) -> LinkStream:
@@ -359,23 +442,15 @@ def filter_min_activity(stream: LinkStream, cfg: FilterConfig) -> LinkStream:
     threshold and vice versa, so the rule is iterated to a fixed point.
     The result may be empty.
     """
-    events = list(stream.events)
-    while events:
-        user_counts: dict[str, int] = {}
-        item_counts: dict[str, int] = {}
-        for ev in events:
-            user_counts[ev.user] = user_counts.get(ev.user, 0) + 1
-            item_counts[ev.item] = item_counts.get(ev.item, 0) + 1
-        bad_users = {u for u, c in user_counts.items() if c < cfg.sigma_u}
-        bad_items = {i for i, c in item_counts.items() if c < cfg.sigma_i}
-        if not bad_users and not bad_items:
+    c = stream.columns
+    rows = np.arange(len(stream))
+    while len(rows):
+        user, item = c.user_code[rows], c.item_code[rows]
+        bad = (np.bincount(user) < cfg.sigma_u)[user] | (np.bincount(item) < cfg.sigma_i)[item]
+        if not bad.any():
             break
-        events = [
-            ev
-            for ev in events
-            if ev.user not in bad_users and ev.item not in bad_items
-        ]
-    return LinkStream.from_events(events, time_span=stream.time_span)
+        rows = rows[~bad]
+    return stream._take(rows)
 
 
 def window_index(t: float, alpha: float, omega: float, n: int) -> int:
@@ -411,9 +486,11 @@ def split_windows(stream: LinkStream, n: int) -> list[tuple[Window, LinkStream]]
     if not omega > alpha:
         raise ValueError("time span must have positive duration to split")
     # Events are sorted by t and window_index grows with t, so each
-    # window is a run of the stream's events.
+    # window is a run of the stream's events. ``item()`` hands
+    # window_index a Python int, which keeps its arithmetic exact.
+    t = stream.columns.t
     bounds = [
-        bisect_left(stream.events, k, key=lambda ev: window_index(ev.t, alpha, omega, n))
+        bisect_left(t, k, key=lambda x: window_index(x.item(), alpha, omega, n))
         for k in range(1, n + 1)
     ] + [len(stream)]
     out = []

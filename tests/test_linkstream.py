@@ -302,7 +302,7 @@ def test_split_windows_partitions_events(triples, n):
     splits = split_windows(stream, n)
     total = [ev for _, sub in splits for ev in sub.events]
     assert len(total) == len(stream)
-    assert sorted(total, key=Event.sort_key) == list(stream.events)
+    assert sorted(total, key=lambda ev: (ev.t, ev.user, ev.item)) == list(stream.events)
     for window, sub in splits:
         for ev in sub.events:
             assert window.start <= ev.t
@@ -325,5 +325,5 @@ def test_streams_always_sorted(triples):
     stream = LinkStream.from_events(
         Event(t, f"u{u}", f"i{i}") for t, u, i in triples
     )
-    keys = [ev.sort_key() for ev in stream.events]
+    keys = [(ev.t, ev.user, ev.item) for ev in stream.events]
     assert keys == sorted(keys)
