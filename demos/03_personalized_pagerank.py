@@ -1,6 +1,6 @@
 """Personalized PageRank over a recommender graph, step by step:
 transition matrix, restart vector, power iteration, per-item scores,
-top-N list.
+then the top-N list that recommend() returns.
 
 Run from the repository root:  python demos/03_personalized_pagerank.py
 """
@@ -15,7 +15,6 @@ from linkrec import (
     pagerank,
     personalization,
     recommend,
-    top_n,
     transition_matrix,
 )
 
@@ -44,10 +43,12 @@ print("restart vector:", d)
 for alpha in (0.15, 0.5, 0.9):
     pr = pagerank(tm, d, alpha=alpha)
     total = sum(pr.scores.values())
-    ranked = top_n(item_scores(graph, pr), exclude=set(), n=4)
-    print(f"alpha={alpha}: sum={total:.12f}, items={[(i, round(s, 4)) for i, s in ranked]}")
+    items = {item: round(s, 4) for item, s in item_scores(graph, pr).items()}
+    print(f"alpha={alpha}: sum={total:.12f}, item scores={items}")
 
-# recommend() chains the four steps and drops already-seen items.
+# recommend() runs the same steps for one user, as the evaluation protocol
+# does for a block of users, and keeps the best n items not yet seen
+# (ties go to the smaller item id).
 seen = stream.items_by_user()["u1"]
 recs = recommend(graph, "u1", t=6, params=ParamSetting(alpha=0.5, n=3), seen=seen)
 print("\nu1 already selected", sorted(seen))

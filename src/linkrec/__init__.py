@@ -34,7 +34,6 @@ from .ranker import (
     pagerank,
     personalization,
     recommend,
-    top_n,
     transition_matrix,
 )
 from .evaluation import (
@@ -83,7 +82,6 @@ __all__ = [
     "personalization",
     "pagerank",
     "item_scores",
-    "top_n",
     "recommend",
     "MetricComponents",
     "EvaluationReport",

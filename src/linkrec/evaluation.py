@@ -30,8 +30,7 @@ from .ranker import (
     TransitionMatrix,
     _restart_vectors,
     item_matrix,
-    pagerank_batch,
-    personalization_matrix,
+    rank_items,
     transition_matrix,
 )
 
@@ -244,7 +243,7 @@ class FoldGraph:
     ) -> "FoldGraph":
         graph = build_graph(flavor, fold.train, delta=delta, eta_s=eta_s)
         tm = transition_matrix(graph)
-        items, A = item_matrix(graph, tm)
+        items, A = item_matrix(graph)
         item_row = {item: r for r, item in enumerate(items)}
         users = sorted(fold.truth)
         seen = np.zeros((len(users), len(items)), dtype=bool)
@@ -263,26 +262,6 @@ class FoldGraph:
         return self._restarts[beta]
 
 
-def _rank_block(
-    shared: FoldGraph, params: "ParamSetting", start: int
-) -> tuple[np.ndarray, bool, int]:
-    """Rank items for the evaluated users start .. start + _BATCH_COLUMNS - 1.
-
-    Returns their top-n item rows, best first, with -1 past the last
-    item a user has not seen (ties go to the lower row, the smaller item
-    id), and whether their PageRank block converged, in how many steps.
-    """
-    restarts = shared.restarts(params.beta)[start : start + _BATCH_COLUMNS]
-    D = personalization_matrix(shared.tm, restarts)
-    X, converged, steps = pagerank_batch(shared.tm, D, params.alpha)
-    S = np.ascontiguousarray((shared.A @ X).T)
-    seen = shared.seen[start : start + len(restarts)]
-    S[seen] = -np.inf
-    top = np.argsort(-S, axis=1, kind="stable")[:, : params.n]
-    top[np.take_along_axis(seen, top, axis=1)] = -1
-    return top, converged, steps
-
-
 def _evaluate_fold(
     shared: FoldGraph, params: "ParamSetting"
 ) -> tuple[MetricComponents, bool, int]:
@@ -294,11 +273,15 @@ def _evaluate_fold(
     all_converged = True
     steps = 0
     for start in range(0, len(users), _BATCH_COLUMNS):
-        top, converged, steps = _rank_block(shared, params, start)
+        block = slice(start, start + _BATCH_COLUMNS)
+        restarts = shared.restarts(params.beta)[block]
+        top, _, converged, steps = rank_items(
+            shared.tm, shared.A, restarts, params.alpha, shared.seen[block], params.n
+        )
         all_converged = all_converged and converged
-        rows = np.arange(start, start + len(top))[:, None]
         # truth and seen items are disjoint, so hits stop where unseen items do
-        flags.extend((shared.truth[rows, top] & (top >= 0)).astype(int).tolist())
+        hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
+        flags.extend(hits.astype(int).tolist())
     hit_counts = [sum(h) for h in flags]
     new_counts = [len(fold.truth[user]) for user in users]
 

@@ -15,8 +15,8 @@ index the graph's sorted user and item id tables, so they sort like the
 ids, and the builders emit the table in the order of the sorted tagged
 tuples ("I", i) < ("S", u, k) < ("TI", t, i) < ("TU", t, u) < ("U", u).
 Those tuples are a rendered view in that same order: ``RecGraph.nodes``
-and ``RecGraph.edges`` render them on first read, for export, tests and
-the single-user API; building, ranking and evaluating never do.
+and ``RecGraph.edges`` render them on first read, for export and tests;
+building, ranking and evaluating never do.
 
 Edges pointing "into the past" (item->session, backward chains) carry
 the eta_s weight; eta_s = 0 omits them entirely so transition matrices

@@ -120,7 +120,8 @@ class LinkStream:
     both sort, drop exact duplicates (event sets, not multisets) and check
     the interval actually covers the events. An empty stream is legal only
     with an explicit time span (filters may empty a stream; parsing empty
-    input is an error).
+    input is an error). A span derived from the events keeps their type,
+    so integer timestamps past 2**53 (nanosecond epochs) stay exact.
 
     :attr:`columns` holds the stream. :attr:`events`, :attr:`users` and
     :attr:`items` are rendered from it on first read. Two streams are
@@ -129,7 +130,7 @@ class LinkStream:
 
     def __init__(self, columns: StreamColumns, time_span: tuple[float, float]):
         self.columns = columns
-        self.time_span = (float(time_span[0]), float(time_span[1]))
+        self.time_span = tuple(time_span)
 
     @classmethod
     def from_events(
@@ -184,7 +185,7 @@ class LinkStream:
         if len(t):
             first, last = t[0].item(), t[-1].item()
             if time_span is None:
-                time_span = (float(first), float(last))
+                time_span = (first, last)
             alpha, omega = time_span
             if alpha > first or omega < last:
                 raise ValueError(

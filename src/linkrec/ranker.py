@@ -14,6 +14,10 @@ Restart vectors depend on the graph flavor:
 * STG -- beta on the user node, 1 - beta on the most recent session.
 * LSG -- all mass on the user's latest temporal node at or before the
   recommendation time.
+
+:func:`rank_items` is the one ranking path. The evaluation protocol
+calls it per block of users; :func:`recommend` is the protocol's ranking
+for one user.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .graphs import ITEM, SESSION, TITEM, TUSER, USER, RecGraph
+from .graphs import SESSION, TUSER, USER, RecGraph
 
 if TYPE_CHECKING:
     from .tuning import ParamSetting
@@ -42,7 +46,7 @@ __all__ = [
     "certified_steps",
     "item_scores",
     "item_matrix",
-    "top_n",
+    "rank_items",
     "recommend",
 ]
 
@@ -77,19 +81,26 @@ class TransitionMatrix:
         return {node: i for i, node in enumerate(self.nodes)}
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoreVector:
-    """PageRank scores per node, plus convergence status.
+    """PageRank scores of one restart vector, plus convergence status.
 
+    ``x`` holds the scores in ``tm``'s node order; ``scores`` is the
+    rendered node -> score view of it, built on first read.
     ``iterations`` is the fixed step count of :func:`pagerank_batch`,
     after which the L1 error is at most 2 * alpha**iterations.
     ``converged`` is False when max_iter capped the steps before that
     bound reached tol; the scores are still usable.
     """
 
-    scores: dict
+    tm: TransitionMatrix
+    x: np.ndarray
     converged: bool
     iterations: int
+
+    @cached_property
+    def scores(self) -> dict:
+        return dict(zip(self.tm.nodes, self.x.tolist()))
 
 
 def transition_matrix(graph: RecGraph) -> TransitionMatrix:
@@ -170,25 +181,22 @@ def personalization_matrix(tm: TransitionMatrix, vectors: Iterable[Mapping]) -> 
     """Stack restart vectors as the columns of a sparse (n, columns) matrix.
 
     Vectors map nodes to mass; a node is its index in ``tm`` or its
-    tagged tuple.
+    tagged tuple. A tagged tuple that is not a node of ``tm`` raises
+    ValueError naming it.
     """
     rows, cols, mass = [], [], []
     width = 0
     for j, d in enumerate(vectors):
         width = j + 1
         for node, m in d.items():
-            rows.append(node if isinstance(node, (int, np.integer)) else tm.index[node])
+            if not isinstance(node, (int, np.integer)):
+                if node not in tm.index:
+                    raise ValueError(f"personalization references unknown node {node!r}")
+                node = tm.index[node]
+            rows.append(node)
             cols.append(j)
             mass.append(m)
     return sparse.coo_matrix((mass, (rows, cols)), shape=(tm.n, width), dtype=float)
-
-
-def _check_restart(tm: TransitionMatrix, d: Mapping) -> None:
-    if not d:
-        raise ValueError("personalization vector has empty support")
-    missing = [node for node in d if node not in tm.index]
-    if missing:
-        raise ValueError(f"personalization references unknown nodes: {missing!r}")
 
 
 def certified_steps(alpha: float, tol: float) -> int:
@@ -271,53 +279,57 @@ def pagerank(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ScoreVector:
     """Solve PR = alpha * M * PR + (1 - alpha) * d for one restart vector."""
-    _check_restart(tm, d)
     D = personalization_matrix(tm, [d])
     X, converged, iterations = pagerank_batch(tm, D, alpha, tol=tol, max_iter=max_iter)
-    scores = dict(zip(tm.nodes, X[:, 0].tolist()))
-    return ScoreVector(scores=scores, converged=converged, iterations=iterations)
+    return ScoreVector(tm, X[:, 0], converged, iterations)
 
 
-def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
-    """Collapse node scores to item scores.
-
-    BIP/STG read the item node directly; LSG sums the user's preference
-    over every temporal occurrence of the item.
-    """
-    out: dict[str, float] = {}
-    for node, score in pr.scores.items():
-        if node[0] == ITEM:
-            out[node[1]] = out.get(node[1], 0.0) + score
-        elif node[0] == TITEM:
-            out[node[2]] = out.get(node[2], 0.0) + score
-    return out
-
-
-def item_matrix(graph: RecGraph, tm: TransitionMatrix) -> tuple[list[str], sparse.csr_matrix]:
+def item_matrix(graph: RecGraph) -> tuple[list[str], sparse.csr_matrix]:
     """Sparse aggregation matrix A with A @ scores = per-item scores.
 
-    Items are sorted, so row order doubles as the ranking tie-break.
+    BIP/STG items are their item node; an LSG item sums every temporal
+    occurrence, in node order. Items are sorted, so row order doubles
+    as the ranking tie-break.
     """
     cols = graph.item_nodes()
     codes, rows = np.unique(graph.ident[cols], return_inverse=True)
     items = [graph.items[c] for c in codes.tolist()]
     A = sparse.csr_matrix(
-        (np.ones(len(cols)), (rows.ravel(), cols)), shape=(len(items), tm.n)
+        (np.ones(len(cols)), (rows.ravel(), cols)), shape=(len(items), graph.n_nodes)
     )
     return items, A
 
 
-def top_n(
-    scores: Mapping[str, float],
-    exclude: set[str],
+def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
+    """Per-item scores of ``pr``, collapsed through :func:`item_matrix`."""
+    items, A = item_matrix(graph)
+    return dict(zip(items, (A @ pr.x).tolist()))
+
+
+def rank_items(
+    tm: TransitionMatrix,
+    A: sparse.csr_matrix,
+    restarts: Sequence[Mapping],
+    alpha: float,
+    seen: np.ndarray,
     n: int,
-) -> list[tuple[str, float]]:
-    """Best n items by descending score, ties by ascending item id."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    candidates = [(item, s) for item, s in scores.items() if item not in exclude]
-    candidates.sort(key=lambda kv: (-kv[1], kv[0]))
-    return candidates[:n]
+) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """Rank items for a block of restart vectors, one row per vector.
+
+    ``A`` is the :func:`item_matrix` of ``tm``'s graph and ``seen`` a
+    restarts x items mask of the items each row must skip. Returns the
+    top-n item rows, best first, with -1 past the last unseen item (ties
+    go to the lower row, the smaller item id); the item scores, -inf at
+    seen items; and whether the PageRank block converged, in how many
+    steps.
+    """
+    D = personalization_matrix(tm, restarts)
+    X, converged, steps = pagerank_batch(tm, D, alpha)
+    S = np.ascontiguousarray((A @ X).T)
+    S[seen] = -np.inf
+    top = np.argsort(-S, axis=1, kind="stable")[:, :n]
+    top[np.take_along_axis(seen, top, axis=1)] = -1
+    return top, S, converged, steps
 
 
 def recommend(
@@ -328,10 +340,13 @@ def recommend(
     seen: set[str],
     tm: TransitionMatrix | None = None,
 ) -> list[tuple[str, float]]:
-    """personalization -> pagerank -> item_scores -> top_n, excluding seen."""
+    """The protocol's ranking for one user: :func:`rank_items` on a block
+    of one. Returns up to ``params.n`` (item, score) pairs not in
+    ``seen``, by descending score, ties by ascending item id."""
     if tm is None:
         tm = transition_matrix(graph)
-    d = personalization(graph, user, t=t, beta=params.beta)
-    pr = pagerank(tm, d, alpha=params.alpha)
-    scores = item_scores(graph, pr)
-    return top_n(scores, exclude=seen, n=params.n)
+    restarts = _restart_vectors(graph, [user], t, params.beta)
+    items, A = item_matrix(graph)
+    mask = np.array([[item in seen for item in items]], dtype=bool)
+    top, S, _, _ = rank_items(tm, A, restarts, params.alpha, mask, params.n)
+    return [(items[r], float(S[0, r])) for r in top[0].tolist() if r >= 0]

@@ -21,7 +21,7 @@ from linkrec.graphs import (
     slice_index,
 )
 from linkrec.linkstream import LinkStream
-from linkrec.ranker import item_matrix, transition_matrix
+from linkrec.ranker import item_matrix, recommend, transition_matrix
 from linkrec.tuning import GRID_ETA_S, ParamGrid, ParamSetting, search
 
 from conftest import make_stream
@@ -144,7 +144,7 @@ def assert_matches_reference(flavor, stream, delta=None, eta_s=None):
     for part in ("indptr", "indices", "data"):
         assert same_bits(getattr(tm.matrix, part), getattr(matrix, part)), part
     assert same_bits(tm.dangling, dangling)
-    items, A = item_matrix(graph, tm)
+    items, A = item_matrix(graph)
     ref_items, ref_A = reference_item_matrix(nodes)
     assert items == ref_items
     for part in ("indptr", "indices", "data"):
@@ -220,6 +220,9 @@ def test_protocol_and_search_render_no_tagged_tuples(flavor, monkeypatch):
     grid = ParamGrid(delta=(100.0,), beta=(0.5,), eta_s=(0.0, 0.5), alpha=(0.3, 0.5))
     result = search(stream, flavor, grid=grid, count=4, seed=0, n=3, n_windows=4)
     assert result.entries and not result.failed
+    graph = build_graph(flavor, stream, delta=100.0, eta_s=0.5)
+    user = min(stream.users)
+    assert recommend(graph, user, stream.omega, params, seen=set())
     with pytest.raises(AssertionError, match="rendered"):
         evaluation.FoldGraph.build(
             iter_folds(stream, 4)[-1], flavor, 100.0, 0.5

@@ -248,6 +248,44 @@ def test_split_windows_keeps_integer_arithmetic_on_int64_columns():
     assert [[ev.t for ev in sub.events] for _, sub in windows] == [[0, 2**53 + 1], [], [omega]]
 
 
+# An epoch in nanoseconds. It is a multiple of 256, the float64 spacing
+# at that size, so NS + 255 rounds up and NS + 256 * k + 1 rounds down.
+NS = 1_700_000_000_000_000_000
+
+
+def test_integer_span_past_2_53_stays_exact():
+    # 2**54 + 2 rounds down to 2**54 in float64
+    ts = [0, 2**53, 2**54 + 2]
+    stream = LinkStream.from_events(Event(t, "u", f"i{k}") for k, t in enumerate(ts))
+    assert stream.time_span == (0, 2**54 + 2)
+    assert [ev.t for ev in stream.events] == ts
+
+
+def test_nanosecond_tsv_loads():
+    ts = [NS + 255 + 1_000_000_007 * k for k in range(24)]
+    text = "".join(f"u{k % 3}\ti{k % 4}\t{t}\n" for k, t in enumerate(ts))
+    stream = parse_link_stream(io.StringIO(text))
+    assert float(ts[0]) > ts[0]
+    assert stream.time_span == (ts[0], ts[-1])
+    assert [ev.t for ev in stream.events] == ts
+
+
+@pytest.mark.parametrize("flavor", ["bip", "stg", "lsg"])
+def test_run_protocol_on_nanosecond_stream_with_inexact_ends(flavor):
+    first, last = NS + 255, NS + 256 * 10**9 + 1
+    assert float(first) > first and float(last) < last
+    rng = random.Random(5)
+    events = [Event(first, "u0", "i0"), Event(last, "u1", "i1")] + [
+        Event(rng.randrange(first, last), f"u{rng.randrange(6)}", f"i{rng.randrange(10)}")
+        for _ in range(200)
+    ]
+    stream = LinkStream.from_events(events)
+    assert stream.time_span == (first, last)
+    params = ParamSetting(alpha=0.3, n=3, delta=32e9, beta=0.5, eta_s=0.5)
+    report = run_protocol(stream, flavor, params, n_windows=4)
+    assert not report.nothing_evaluated and report.all_converged
+
+
 def test_stream_equality_compares_events_and_span():
     events = [Event(1, "u", "i", 4.0), Event(2, "u", "j")]
     a = LinkStream.from_events(events)

@@ -25,7 +25,7 @@ from linkrec.evaluation import (
 )
 from linkrec.graphs import build_bip, build_lsg, build_stg
 from linkrec.linkstream import Event, LinkStream
-from linkrec.ranker import personalization, recommend
+from linkrec.ranker import personalization, rank_items, recommend
 from linkrec.tuning import ParamSetting
 
 from conftest import make_stream
@@ -517,8 +517,12 @@ def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, pa
         if not fold.truth:
             continue
         shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
+        restarts = shared.restarts(params.beta)
         for start in range(0, len(shared.users), evaluation._BATCH_COLUMNS):
-            top, _, _ = evaluation._rank_block(shared, params, start)
+            block = slice(start, start + evaluation._BATCH_COLUMNS)
+            top, _, _, _ = rank_items(
+                shared.tm, shared.A, restarts[block], params.alpha, shared.seen[block], params.n
+            )
             for user, rows in zip(shared.users[start:], top.tolist()):
                 expected = recommend(
                     shared.graph, user, fold.rec_time, params,

@@ -17,7 +17,6 @@ from linkrec.graphs import (
     build_stg,
 )
 from linkrec.ranker import (
-    ScoreVector,
     item_matrix,
     item_scores,
     pagerank,
@@ -25,7 +24,6 @@ from linkrec.ranker import (
     personalization,
     personalization_matrix,
     recommend,
-    top_n,
     transition_matrix,
 )
 from linkrec.tuning import GRID_ALPHA, ParamSetting
@@ -252,9 +250,9 @@ def test_pagerank_nonconvergence_flagged():
 
 def test_pagerank_rejects_bad_restart():
     tm = transition_matrix(two_node_cycle())
-    with pytest.raises(ValueError, match="empty support"):
+    with pytest.raises(ValueError, match="restart column 0 mass sums to 0.0"):
         pagerank(tm, {}, alpha=0.5)
-    with pytest.raises(ValueError, match="unknown nodes"):
+    with pytest.raises(ValueError, match=r"unknown node \('U', 'zzz'\)"):
         pagerank(tm, {(USER, "zzz"): 1.0}, alpha=0.5)
     with pytest.raises(ValueError, match="sums to"):
         pagerank(tm, {(USER, "a"): 0.5}, alpha=0.5)
@@ -413,22 +411,21 @@ def test_personalization_lsg_requires_t(toy_stream):
         personalization(graph, "u1")
 
 
-# --- item scores and top-n --------------------------------------------------------
+# --- item scores -------------------------------------------------------------------
 
 
-def test_item_scores_lsg_sums_temporal_nodes():
-    scores = {
-        (TITEM, 1, "i3"): 0.1,
-        (TITEM, 2, "i3"): 0.05,
-        (TITEM, 4, "i3"): 0.05,
-        (TITEM, 3, "i4"): 0.2,
-        (TUSER, 1, "u1"): 0.6,
-    }
-    pr = ScoreVector(scores=scores, converged=True, iterations=1)
-    assert item_scores(None, pr) == {
-        "i3": pytest.approx(0.2),
-        "i4": pytest.approx(0.2),
-    }
+def test_item_scores_lsg_sums_temporal_nodes(toy_stream):
+    graph = build_lsg(toy_stream, eta_s=0.5)
+    tm = transition_matrix(graph)
+    assert sum(node[0] == TITEM and node[2] == "i3" for node in tm.nodes) == 3
+    for user, t in (("u1", 4), ("u2", 5)):
+        pr = pagerank(tm, personalization(graph, user, t=t), alpha=0.5)
+        # each item's TI node scores, added in node order
+        expected = {}
+        for node, score in pr.scores.items():
+            if node[0] == TITEM:
+                expected[node[2]] = expected.get(node[2], 0.0) + score
+        assert item_scores(graph, pr) == expected
 
 
 def test_item_scores_bip_is_identity_on_items(toy_stream):
@@ -445,7 +442,7 @@ def test_item_matrix_aggregates_like_item_scores(toy_stream):
     tm = transition_matrix(graph)
     d = personalization(graph, "u2", t=5)
     pr = pagerank(tm, d, alpha=0.5)
-    items, A = item_matrix(graph, tm)
+    items, A = item_matrix(graph)
     vec = np.array([pr.scores[node] for node in tm.nodes])
     agg = A @ vec
     direct = item_scores(graph, pr)
@@ -453,27 +450,37 @@ def test_item_matrix_aggregates_like_item_scores(toy_stream):
         assert agg[row] == pytest.approx(direct[item], abs=1e-15)
 
 
-def test_top_n_exclusion_and_order():
-    scores = {"a": 0.3, "b": 0.5, "c": 0.2}
-    assert top_n(scores, exclude={"b"}, n=2) == [("a", 0.3), ("c", 0.2)]
-
-
-def test_top_n_tie_breaks_by_item_id():
-    assert top_n({"b": 0.4, "a": 0.4}, exclude=set(), n=1) == [("a", 0.4)]
-
-
-def test_top_n_truncates_to_candidates():
-    scores = {"a": 0.1, "b": 0.2}
-    assert top_n(scores, exclude=set(), n=10) == [("b", 0.2), ("a", 0.1)]
-    assert top_n(scores, exclude={"a", "b"}, n=3) == []
-
-
-def test_top_n_requires_positive_n():
-    with pytest.raises(ValueError):
-        top_n({"a": 1.0}, exclude=set(), n=0)
-
-
 # --- recommend --------------------------------------------------------------------
+
+
+def bip_u1_item_scores(stream):
+    # u1 at alpha 0.5 on the toy BIP: i3 > i1 == i2 > i4
+    graph = build_bip(stream)
+    pr = pagerank(transition_matrix(graph), personalization(graph, "u1"), alpha=0.5)
+    return graph, item_scores(graph, pr)
+
+
+def test_recommend_exclusion_and_order(toy_stream):
+    graph, scores = bip_u1_item_scores(toy_stream)
+    recs = recommend(graph, "u1", 6, ParamSetting(alpha=0.5, n=2), seen={"i1"})
+    assert recs == [("i3", scores["i3"]), ("i2", scores["i2"])]
+
+
+def test_recommend_tie_breaks_by_item_id(toy_stream):
+    graph, scores = bip_u1_item_scores(toy_stream)
+    assert scores["i1"] == scores["i2"]
+    recs = recommend(graph, "u1", 6, ParamSetting(alpha=0.5, n=2), seen=set())
+    assert recs == [("i3", scores["i3"]), ("i1", scores["i1"])]
+
+
+def test_recommend_truncates_to_unseen_candidates(toy_stream):
+    graph, scores = bip_u1_item_scores(toy_stream)
+    recs = recommend(graph, "u1", 6, ParamSetting(alpha=0.5, n=10), seen={"i1", "i3"})
+    assert recs == [("i2", scores["i2"]), ("i4", scores["i4"])]
+    # items outside the graph neither count nor fail
+    recs = recommend(graph, "u1", 6, ParamSetting(alpha=0.5, n=3), seen={"i3", "zzz"})
+    assert [item for item, _ in recs] == ["i1", "i2", "i4"]
+
 
 
 def test_recommend_bip_toy_only_i4_left(toy_stream):

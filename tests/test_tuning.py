@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 import linkrec.evaluation as evaluation
+import linkrec.ranker as ranker
 import linkrec.tuning as tuning
 from linkrec.evaluation import MetricComponents, EvaluationReport, run_protocol
 from linkrec.linkstream import Event, LinkStream
@@ -359,14 +360,14 @@ def test_search_graph_build_error_fails_its_group_only(monkeypatch):
 
 def test_search_scoring_error_fails_one_setting_only(monkeypatch):
     reference = {e.sample_index: e for e in lsg_search().entries}
-    pagerank_batch = evaluation.pagerank_batch
+    pagerank_batch = ranker.pagerank_batch
 
     def failing(tm, D, alpha):
         if alpha == 0.5:
             raise ValueError("walk failed")
         return pagerank_batch(tm, D, alpha)
 
-    monkeypatch.setattr(evaluation, "pagerank_batch", failing)
+    monkeypatch.setattr(ranker, "pagerank_batch", failing)
     result = lsg_search()
     assert sorted(e.setting.eta_s for e in result.failed) == [0.0, 0.5]
     assert all(e.setting.alpha == 0.5 and e.error == "walk failed" for e in result.failed)
