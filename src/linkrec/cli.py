@@ -5,7 +5,8 @@ Options come from flags, an optional flat key=value config file
 (flags win), and defaults mirroring the experimental setup: 8 windows,
 N = 10, the predefined parameter grid. Every report embeds the full
 effective configuration, seed included, so a run can be reproduced
-from its own output.
+from its own output; ``--workers`` and ``--log-level`` are left out, as
+they cannot change a result.
 
 Exit codes: 0 success, 1 IO/runtime failure, 2 bad configuration,
 3 nothing evaluated.
@@ -156,10 +157,30 @@ def effective_config(args: argparse.Namespace) -> dict:
         if value is None:
             value = default
         cfg[key] = value
-    if cfg["workers"] is None:
-        cfg["workers"] = int(os.environ.get(WORKERS_ENV, "1"))
+    cfg["workers"] = _workers(cfg["workers"], args, file_values)
     cfg["command"] = args.command
     return cfg
+
+
+def _workers(value: int | None, args: argparse.Namespace, file_values: dict) -> int | None:
+    """The worker count from flag, config file or $LINKREC_WORKERS, in
+    that order; None when none sets it."""
+    if getattr(args, "workers", None) is not None:
+        source = "--workers"
+    elif "workers" in file_values:
+        source = f"workers in {args.config}"
+    else:
+        source = f"${WORKERS_ENV}"
+        text = os.environ.get(WORKERS_ENV, "").strip()
+        if not text:
+            return None
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"{source} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ConfigError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_common(p):
+    def add_common(p, workers_help):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--input", help="link stream file (TSV/CSV)")
         p.add_argument("--format", choices=("tsv", "csv"),
@@ -195,23 +216,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="recommendation list length (default 10)")
         p.add_argument("--seed", type=int, help="sampling seed (default 0)")
         p.add_argument("--out-dir", dest="out_dir", help="report directory (default ./out)")
-        p.add_argument("--workers", type=int,
-                       help=f"parallel protocol evaluations (default ${WORKERS_ENV} or 1)")
+        p.add_argument("--workers", type=int, help=workers_help)
         p.add_argument("--log-level", dest="log_level", choices=LOG_LEVELS,
                        default="warning", help="stderr logging threshold (default warning)")
 
     p_eval = sub.add_parser("evaluate", help="run the windowed protocol once")
-    add_common(p_eval)
+    add_common(p_eval, f"threads scoring each fold's user blocks "
+                       f"(default ${WORKERS_ENV} or every usable core)")
     p_eval.add_argument("--alpha", type=float, help="PageRank damping factor")
 
     p_search = sub.add_parser("search", help="randomized hyperparameter search")
-    add_common(p_search)
+    add_common(p_search, f"processes scoring the graph-key groups "
+                         f"(default ${WORKERS_ENV} or 1)")
     p_search.add_argument("--count", type=int, help="number of sampled settings (default 50)")
     p_search.add_argument("--objective", choices=OBJECTIVES,
                           help="ranking objective (default f1)")
 
     p_inspect = sub.add_parser("inspect", help="print stream and graph statistics")
-    add_common(p_inspect)
+    add_common(p_inspect, "unused by inspect")
 
     return parser
 
@@ -274,7 +296,11 @@ def _grid(cfg: dict) -> ParamGrid:
 
 
 def _config_json(cfg: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
+    """The configuration a report embeds: everything that can change a
+    result, so not the worker count."""
+    return {
+        k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items() if k != "workers"
+    }
 
 
 def cmd_evaluate(cfg: dict) -> int:
@@ -283,7 +309,9 @@ def cmd_evaluate(cfg: dict) -> int:
     if cfg["windows"] < 2:
         raise ConfigError("--windows must be at least 2")
     stream = _load_stream(cfg)
-    report = run_protocol(stream, flavor, params, n_windows=cfg["windows"])
+    report = run_protocol(
+        stream, flavor, params, n_windows=cfg["windows"], workers=cfg["workers"]
+    )
     json_path, csv_path = write_report_files(report, cfg["out_dir"], _config_json(cfg))
     print(f"wrote {json_path} and {csv_path}")
     if report.nothing_evaluated:
@@ -311,7 +339,7 @@ def cmd_search(cfg: dict) -> int:
         objective=cfg["objective"],
         n=cfg["n"],
         n_windows=cfg["windows"],
-        workers=cfg["workers"],
+        workers=cfg["workers"] or 1,
     )
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,9 @@ import csv
 import io
 import json
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -62,10 +65,20 @@ log = logging.getLogger(__name__)
 EVALUATED_USERS_RULE = "present in training with at least one new item in the test window"
 
 # Users are scored in column blocks so one sparse product serves many
-# walks. The width only trades per-call overhead against the size of the
-# n x width iterate (18 MB for 17.9k nodes at 128 columns, past a 4 MB
-# L2); results do not depend on it, as the step count is fixed by alpha.
-_BATCH_COLUMNS = 128
+# walks, and the blocks of a fold are spread over the worker threads.
+# Results do not depend on the width, as the step count is fixed by
+# alpha. 48 keeps two live blocks (one per thread on two cores) at about
+# the memory of one 128-column iterate (18 MB for 17.9k nodes), and
+# still scores a fold of up to 48 users, as in a small search campaign,
+# in one product per step; 32 split such folds and slowed the campaign.
+_BATCH_COLUMNS = 48
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -263,21 +276,28 @@ class FoldGraph:
 
 
 def _evaluate_fold(
-    shared: FoldGraph, params: "ParamSetting"
+    shared: FoldGraph, params: "ParamSetting", pool: ThreadPoolExecutor | None = None
 ) -> tuple[MetricComponents, bool, int]:
     """Components of one fold for one setting, whether every block
     converged, and the power-iteration steps per block (the same for
-    all: they depend on alpha alone)."""
+    all: they depend on alpha alone). The column blocks are ranked on
+    ``pool`` when one is given, and collected in block order."""
     fold, users = shared.fold, shared.users
+    restarts = shared.restarts(params.beta)
+    blocks = [
+        slice(start, start + _BATCH_COLUMNS) for start in range(0, len(users), _BATCH_COLUMNS)
+    ]
+
+    def rank(block: slice):
+        return rank_items(
+            shared.tm, shared.A, restarts[block], params.alpha, shared.seen[block], params.n
+        )
+
     flags: list[list[int]] = []
     all_converged = True
     steps = 0
-    for start in range(0, len(users), _BATCH_COLUMNS):
-        block = slice(start, start + _BATCH_COLUMNS)
-        restarts = shared.restarts(params.beta)[block]
-        top, _, converged, steps = rank_items(
-            shared.tm, shared.A, restarts, params.alpha, shared.seen[block], params.n
-        )
+    ranked = pool.map(rank, blocks) if pool else map(rank, blocks)
+    for block, (top, _, converged, steps) in zip(blocks, ranked):
         all_converged = all_converged and converged
         # truth and seen items are disjoint, so hits stop where unseen items do
         hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
@@ -296,7 +316,10 @@ def _evaluate_fold(
 
 
 def evaluate_settings(
-    folds: Sequence[Fold], flavor: str, settings: Sequence["ParamSetting"]
+    folds: Sequence[Fold],
+    flavor: str,
+    settings: Sequence["ParamSetting"],
+    workers: int | None = None,
 ) -> list["EvaluationReport | Exception"]:
     """Evaluate settings that share one graph key over the protocol folds.
 
@@ -309,7 +332,15 @@ def evaluate_settings(
     contribute (0, 0) components and are marked skipped. A fold whose
     power iteration was capped before its certified step count is logged
     as a WARNING with its L1 error bound.
+
+    ``workers`` threads (default: every usable core) rank the column
+    blocks of each fold; with one, no pool is made. Blocks are
+    collected in order, so the count cannot change a result.
     """
+    if workers is None:
+        workers = _usable_cores()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if not settings:
         return []
     first = settings[0]
@@ -318,45 +349,46 @@ def evaluate_settings(
     components: list[list[MetricComponents]] = [[] for _ in settings]
     all_converged = [True] * len(settings)
     errors: list[Exception | None] = [None] * len(settings)
-    for fold in folds:
-        running = [j for j, error in enumerate(errors) if error is None]
-        if not running:
-            break
-        if not fold.truth:
-            for j in running:
-                components[j].append(
-                    MetricComponents(
-                        window=fold.k,
-                        users=0,
-                        f1=(0.0, 0.0),
-                        hr=(0.0, 0.0),
-                        map=(0.0, 0.0),
-                        skipped=True,
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for fold in folds:
+            running = [j for j, error in enumerate(errors) if error is None]
+            if not running:
+                break
+            if not fold.truth:
+                for j in running:
+                    components[j].append(
+                        MetricComponents(
+                            window=fold.k,
+                            users=0,
+                            f1=(0.0, 0.0),
+                            hr=(0.0, 0.0),
+                            map=(0.0, 0.0),
+                            skipped=True,
+                        )
                     )
-                )
-            continue
-        try:
-            shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
-        except Exception as exc:  # the whole group stops; the caller reports it
-            for j in running:
-                errors[j] = exc
-            continue
-        for j in running:
-            params = settings[j]
-            try:
-                comp, converged, steps = _evaluate_fold(shared, params)
-            except Exception as exc:  # this setting stops; the others go on
-                errors[j] = exc
                 continue
-            if not converged:
-                log.warning(
-                    "%s fold %d: PageRank not converged at alpha=%g, capped at %d steps; "
-                    "L1 error bound 2*alpha^%d = %.2g",
-                    flavor, fold.k, params.alpha, steps, steps, 2.0 * params.alpha**steps,
-                )
-            all_converged[j] = all_converged[j] and converged
-            components[j].append(comp)
-        del shared  # free it before the next, larger, fold is built
+            try:
+                shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
+            except Exception as exc:  # the whole group stops; the caller reports it
+                for j in running:
+                    errors[j] = exc
+                continue
+            for j in running:
+                params = settings[j]
+                try:
+                    comp, converged, steps = _evaluate_fold(shared, params, pool)
+                except Exception as exc:  # this setting stops; the others go on
+                    errors[j] = exc
+                    continue
+                if not converged:
+                    log.warning(
+                        "%s fold %d: PageRank not converged at alpha=%g, capped at %d steps; "
+                        "L1 error bound 2*alpha^%d = %.2g",
+                        flavor, fold.k, params.alpha, steps, steps, 2.0 * params.alpha**steps,
+                    )
+                all_converged[j] = all_converged[j] and converged
+                components[j].append(comp)
+            del shared  # free it before the next, larger, fold is built
 
     outcomes: list[EvaluationReport | Exception] = []
     for params, comps, converged, error in zip(settings, components, all_converged, errors):
@@ -387,14 +419,19 @@ def run_protocol(
     flavor: str,
     params: "ParamSetting",
     n_windows: int = 8,
+    workers: int | None = None,
 ) -> EvaluationReport:
     """Evaluate one parameter setting over all folds of the protocol.
 
     The one-setting case of :func:`evaluate_settings`, raising what
-    stopped the setting. A report where every fold was skipped has None
-    for the time-averaged metrics and ``nothing_evaluated`` set.
+    stopped the setting; ``workers`` threads (default: every usable
+    core) rank each fold's column blocks. A report where every fold was
+    skipped has None for the time-averaged metrics and
+    ``nothing_evaluated`` set.
     """
-    (outcome,) = evaluate_settings(iter_folds(stream, n_windows), flavor, [params])
+    (outcome,) = evaluate_settings(
+        iter_folds(stream, n_windows), flavor, [params], workers=workers
+    )
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -236,7 +236,7 @@ def _evaluate_group(
     stream: LinkStream, flavor: str, settings: list[ParamSetting], n_windows: int
 ) -> list["EvaluationReport | Exception"]:
     """One group in a worker process, which computes the folds itself."""
-    return evaluate_settings(iter_folds(stream, n_windows), flavor, settings)
+    return evaluate_settings(iter_folds(stream, n_windows), flavor, settings, workers=1)
 
 
 def search(
@@ -260,7 +260,11 @@ def search(
     as failed and left out of the ranking; the campaign continues. An
     error in a fold or a graph build fails every setting of its group.
     Results are keyed by sample index, so worker parallelism cannot
-    change the output.
+    change the output. Each group is scored on one thread
+    (``evaluate_settings(..., workers=1)``): the processes already use
+    the cores, a campaign's small blocks hold the GIL, and a thread pool
+    that outlived a fork would leave the forked worker waiting on
+    threads it does not have.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -301,7 +305,9 @@ def search(
             for group in groups:
                 record(
                     group,
-                    evaluate_settings(folds, flavor, [settings[i] for i in group]),
+                    evaluate_settings(
+                        folds, flavor, [settings[i] for i in group], workers=1
+                    ),
                 )
 
     ordered = [outcomes[i] for i in range(len(settings))]

@@ -12,6 +12,7 @@ from linkrec.cli import (
     main,
     parse_duration,
 )
+from linkrec import evaluation
 from linkrec.evaluation import REPORT_SCHEMA
 
 
@@ -244,6 +245,56 @@ def test_workers_env_default(dataset, tmp_path, monkeypatch, capsys):
     assert code == EXIT_OK
     board = (out_dir / "leaderboard.csv").read_text()
     assert board.count("\n") >= 2
+    best = json.loads((out_dir / "best_f1.json").read_text())
+    assert "workers" not in best["config"]
+
+
+def evaluate_lsg(dataset, out_dir, *flags):
+    return main([
+        "evaluate", "--input", str(dataset), "--graph", "lsg",
+        "--alpha", "0.3", "--eta-s", "0.5", "--n", "5", "--windows", "4",
+        "--out-dir", str(out_dir), *flags,
+    ])
+
+
+def test_evaluate_report_identical_for_any_workers(dataset, tmp_path, monkeypatch):
+    # blocks of two users, so each fold's blocks are shared among threads
+    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 2)
+    monkeypatch.delenv("LINKREC_WORKERS", raising=False)
+    out_dir = tmp_path / "run"
+    reports = []
+    for flags in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"]):
+        assert evaluate_lsg(dataset, out_dir, *flags) == EXIT_OK
+        reports.append((out_dir / "report.json").read_text())
+    assert "workers" not in json.loads(reports[0])["config"]
+    assert max(w["users"] for w in json.loads(reports[0])["windows"]) > 2
+    assert reports[1:] == reports[:1] * 3
+
+
+@pytest.mark.parametrize("flags,env,message", [
+    (["--workers", "0"], None, "--workers must be at least 1, got 0"),
+    (["--workers", "-3"], None, "--workers must be at least 1, got -3"),
+    ([], "abc", "$LINKREC_WORKERS must be an integer, got 'abc'"),
+    ([], "0", "$LINKREC_WORKERS must be at least 1, got 0"),
+], ids=["flag-zero", "flag-negative", "env-not-integer", "env-zero"])
+def test_bad_worker_count_is_config_error(
+    dataset, tmp_path, monkeypatch, capsys, flags, env, message
+):
+    if env is None:
+        monkeypatch.delenv("LINKREC_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("LINKREC_WORKERS", env)
+    assert evaluate_lsg(dataset, tmp_path / "run", *flags) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_bad_worker_count_in_config_file_names_the_file(dataset, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LINKREC_WORKERS", "2")  # the file wins over the environment
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 0\n")
+    assert evaluate_lsg(dataset, tmp_path / "run", "--config", str(cfg)) == EXIT_CONFIG
+    assert f"config error: workers in {cfg} must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_no_command_prints_help(capsys):

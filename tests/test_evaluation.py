@@ -1,10 +1,12 @@
+import itertools
 import json
 import logging
+import sys
 
 import jsonschema
 import pytest
 
-from linkrec import evaluation
+from linkrec import evaluation, ranker
 from linkrec.evaluation import (
     EVALUATED_USERS_RULE,
     REPORT_SCHEMA,
@@ -379,6 +381,92 @@ def test_run_protocol_independent_of_block_width(monkeypatch, flavor, params):
         reports[width] = report_json(run_protocol(stream, flavor, params, n_windows=4))
     assert max(c["users"] for c in json.loads(reports[1])["windows"]) > 5
     assert reports[1] == reports[5] == reports[128]
+
+
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+def test_run_protocol_identical_for_1_2_3_workers(monkeypatch, flavor, params):
+    # narrow blocks, so each fold is several blocks spread over the threads
+    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    reports = {
+        workers: report_json(run_protocol(stream, flavor, params, n_windows=4, workers=workers))
+        for workers in (1, 2, 3)
+    }
+    assert max(c["users"] for c in json.loads(reports[1])["windows"]) > 3 * 3
+    assert reports[1] == reports[2] == reports[3]
+
+
+def test_run_protocol_identical_with_more_threads_than_cores(monkeypatch):
+    # more threads than blocks and a switch every microsecond, so blocks
+    # finish out of order; a lost or misplaced block changes the report
+    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 2)
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    params = ParamSetting(alpha=0.5, n=5, eta_s=0.2)
+    serial = report_json(run_protocol(stream, "lsg", params, n_windows=4, workers=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = report_json(run_protocol(stream, "lsg", params, n_windows=4, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_one_worker_makes_no_thread_pool(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("a thread pool was made for one worker")
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+    report = run_protocol(drifting_stream(), "lsg", ParamSetting(alpha=0.3, n=5, eta_s=0.2),
+                          n_windows=4, workers=1)
+    assert not report.nothing_evaluated
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    params = ParamSetting(alpha=0.3, n=5)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_protocol(drifting_stream(), "bip", params, n_windows=4, workers=workers)
+    folds = iter_folds(drifting_stream(), 4)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        evaluation.evaluate_settings(folds, "bip", [params], workers=workers)
+
+
+class BlockError(Exception):
+    pass
+
+
+def fail_third_block(monkeypatch, alpha=None):
+    """Patch ranker.pagerank_batch to raise BlockError on the third call
+    (at ``alpha`` only, when given)."""
+    pagerank_batch = ranker.pagerank_batch
+    calls = itertools.count()
+
+    def failing(tm, D, a):
+        if (alpha is None or a == alpha) and next(calls) == 2:
+            raise BlockError("block failed")
+        return pagerank_batch(tm, D, a)
+
+    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    monkeypatch.setattr(ranker, "pagerank_batch", failing)
+
+
+def test_block_error_propagates_from_threaded_protocol(monkeypatch):
+    fail_third_block(monkeypatch)
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    with pytest.raises(BlockError, match="block failed"):
+        run_protocol(stream, "lsg", ParamSetting(alpha=0.3, n=5, eta_s=0.2),
+                     n_windows=4, workers=2)
+
+
+def test_block_error_stops_only_its_setting(monkeypatch):
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    ok, bad = ParamSetting(alpha=0.3, n=5, eta_s=0.2), ParamSetting(alpha=0.5, n=5, eta_s=0.2)
+    reference = report_json(run_protocol(stream, "lsg", ok, n_windows=4, workers=1))
+    fail_third_block(monkeypatch, alpha=bad.alpha)
+    outcomes = evaluation.evaluate_settings(iter_folds(stream, 4), "lsg", [ok, bad], workers=2)
+    assert isinstance(outcomes[1], BlockError)
+    assert report_json(outcomes[0]) == reference
 
 
 def test_run_protocol_warns_once_per_capped_fold(caplog):

@@ -1,4 +1,9 @@
+import os
+import signal
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -141,7 +146,8 @@ def fake_report(flavor, params, scores, n_windows=8):
 def fake_group(scores_by_alpha):
     """evaluate_settings stand-in mapping alpha -> (f1, hr, map)."""
 
-    def fake(folds, flavor, settings):
+    def fake(folds, flavor, settings, workers):
+        assert workers == 1  # search scores each group on one thread
         return [fake_report(flavor, s, scores_by_alpha[s.alpha]) for s in settings]
 
     return fake
@@ -178,7 +184,7 @@ def test_search_objectives_can_disagree(monkeypatch):
 
 
 def test_search_records_failures_and_continues(monkeypatch):
-    def flaky(folds, flavor, settings):
+    def flaky(folds, flavor, settings, workers):
         return [
             ValueError("boom") if s.alpha == 0.5
             else fake_report(flavor, s, (0.5, 0.5, 0.5))
@@ -383,3 +389,39 @@ def test_search_fold_error_fails_every_setting(monkeypatch):
     result = lsg_search()
     assert result.entries == []
     assert [e.error for e in result.failed] == ["no folds"] * 6
+
+
+FORK_SCRIPT = """
+from conftest import make_stream
+from linkrec import evaluation
+from linkrec.tuning import ParamGrid, ParamSetting, search
+
+evaluation._BATCH_COLUMNS = 3
+stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+params = ParamSetting(alpha=0.3, n=5, eta_s=0.5)
+evaluation.run_protocol(stream, "lsg", params, n_windows=4, workers=2)
+grid = ParamGrid(eta_s=(0.0, 0.5), alpha=(0.3, 0.5))
+result = search(stream, "lsg", grid=grid, count=4, seed=0, n=5, n_windows=4, workers=2)
+print(len(result.entries))
+"""
+
+
+def test_threaded_protocol_then_forked_search_both_finish():
+    # search forks its worker processes after the protocol's threads ran
+    # in the same process; a thread pool that outlived the protocol would
+    # leave a forked worker waiting on threads it does not have.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    # its own session, so a hang is ended with the forked workers too
+    proc = subprocess.Popen(
+        [sys.executable, "-c", FORK_SCRIPT], cwd=root, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("threaded protocol then forked search did not finish in 120 s")
+    assert proc.returncode == 0, err
+    assert out.strip() == "4"
