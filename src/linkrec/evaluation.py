@@ -71,6 +71,10 @@ EVALUATED_USERS_RULE = "present in training with at least one new item in the te
 # the memory of one 128-column iterate (18 MB for 17.9k nodes), and
 # still scores a fold of up to 48 users, as in a small search campaign,
 # in one product per step; 32 split such folds and slowed the campaign.
+# Each thread holds one block live, so peak memory grows with the
+# thread count, hence with the core count by default: the last
+# protocol-lsg fold peaked at 82 MB on one thread, ~104 MB on two,
+# ~136 MB on four and ~210 MB on eight or sixteen.
 _BATCH_COLUMNS = 48
 
 

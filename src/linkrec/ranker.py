@@ -306,22 +306,6 @@ def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
     return dict(zip(items, (A @ pr.x).tolist()))
 
 
-def _top_n(S: np.ndarray, n: int) -> np.ndarray:
-    """``np.argsort(-S, axis=1, kind="stable")[:, :n]``, sorting only
-    the candidates of each row: every entry at least its n-th largest,
-    ties included, so the stable order among them is the same."""
-    rows, m = S.shape
-    k = min(n, m)
-    if k == m:
-        return np.argsort(-S, axis=1, kind="stable")
-    kth = np.take_along_axis(S, np.argpartition(-S, k - 1, axis=1)[:, k - 1 : k], axis=1)
-    r, c = np.nonzero(S >= kth)
-    order = np.lexsort((c, -S[r, c], r))
-    counts = np.bincount(r, minlength=rows)
-    start = np.cumsum(counts) - counts
-    return c[order][start[:, None] + np.arange(k)]
-
-
 def rank_items(
     tm: TransitionMatrix,
     A: sparse.csr_matrix,
@@ -343,7 +327,7 @@ def rank_items(
     X, converged, steps = pagerank_batch(tm, D, alpha)
     S = np.ascontiguousarray((A @ X).T)
     S[seen] = -np.inf
-    top = _top_n(S, n)
+    top = np.argsort(-S, axis=1, kind="stable")[:, :n]
     top[np.take_along_axis(seen, top, axis=1)] = -1
     return top, S, converged, steps
 

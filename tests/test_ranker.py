@@ -17,7 +17,6 @@ from linkrec.graphs import (
     build_stg,
 )
 from linkrec.ranker import (
-    _top_n,
     item_matrix,
     item_scores,
     pagerank,
@@ -482,21 +481,6 @@ def test_recommend_truncates_to_unseen_candidates(toy_stream):
     recs = recommend(graph, "u1", 6, ParamSetting(alpha=0.5, n=3), seen={"i3", "zzz"})
     assert [item for item, _ in recs] == ["i1", "i2", "i4"]
 
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_top_n_selection_matches_stable_argsort(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 40))
-    # four distinct scores, so ties are common; -inf marks seen items
-    S = rng.integers(0, 4, size=(8, m)) / 3.0
-    S[rng.random(S.shape) < 0.4] = -np.inf
-    S[0] = -np.inf  # nothing unseen
-    S[1, 1:] = -np.inf  # one unseen item, fewer than n
-    S[2] = 0.0  # one tie across the whole row
-    for n in sorted({1, 2, 3, 10, max(1, m - 1), m, m + 5}):
-        expected = np.argsort(-S, axis=1, kind="stable")[:, :n]
-        assert np.array_equal(_top_n(S, n), expected), n
 
 
 def test_recommend_bip_toy_only_i4_left(toy_stream):
