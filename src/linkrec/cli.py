@@ -34,7 +34,8 @@ from .linkstream import (
     filter_positive,
     parse_link_stream,
 )
-from .tuning import OBJECTIVES, ParamGrid, ParamSetting, leaderboard_csv, search
+from .tuning import OBJECTIVES, RELEVANT_FIELDS, ParamGrid, ParamSetting
+from .tuning import leaderboard_csv, search
 
 __all__ = ["main", "build_parser"]
 
@@ -46,6 +47,8 @@ EXIT_NOTHING_EVALUATED = 3
 WORKERS_ENV = "LINKREC_WORKERS"
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
+FORMATS = ("tsv", "csv")
+GRAPHS = tuple(RELEVANT_FIELDS)
 
 _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 
@@ -59,7 +62,8 @@ class NothingEvaluated(Exception):
 
 
 def parse_duration(text: str) -> float:
-    """Seconds from '3600', '1.5h', '7d', '2w' style strings."""
+    """Seconds from '3600', '1.5h', '7d', '2w' style strings. Anything else
+    raises ``ArgumentTypeError``, which argparse reports naming the flag."""
     text = str(text).strip().lower()
     unit = 1.0
     if text and text[-1] in _DURATION_UNITS:
@@ -68,9 +72,9 @@ def parse_duration(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"unparseable duration {text!r}") from None
+        raise argparse.ArgumentTypeError(f"unparseable duration {text!r}") from None
     if value <= 0:
-        raise ConfigError("duration must be positive")
+        raise argparse.ArgumentTypeError("duration must be positive")
     return value * unit
 
 
@@ -80,7 +84,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"unparseable boolean {text!r}")
+    raise ValueError(f"unparseable boolean {text!r}")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -91,12 +95,23 @@ def _duration_list(text: str) -> tuple[float, ...]:
     return tuple(parse_duration(part) for part in str(text).split(",") if part.strip())
 
 
+def _one_of(choices: tuple[str, ...]):
+    """Config-file coercion for a flag with ``choices``."""
+
+    def coerce(text: str) -> str:
+        if text not in choices:
+            raise ValueError(text)
+        return text
+
+    return coerce
+
+
 # key -> (coercion from config-file string, default)
 _OPTIONS: dict = {
     "input": (str, None),
-    "format": (str, None),
+    "format": (_one_of(FORMATS), None),
     "columns": (str, None),
-    "graph": (str, None),
+    "graph": (_one_of(GRAPHS), None),
     "sigma_u": (int, 1),
     "sigma_i": (int, 1),
     "rating_floor": (float, 2.5),
@@ -109,7 +124,7 @@ _OPTIONS: dict = {
     "eta_s": (float, None),
     "count": (int, 50),
     "seed": (int, 0),
-    "objective": (str, "f1"),
+    "objective": (_one_of(OBJECTIVES), "f1"),
     "out_dir": (str, "out"),
     "workers": (int, None),
     "grid_alpha": (_float_list, None),
@@ -150,7 +165,7 @@ def effective_config(args: argparse.Namespace) -> dict:
         if value is None and key in file_values:
             try:
                 value = coerce(file_values[key])
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
                 raise ConfigError(
                     f"bad value for {key!r} in config file: {file_values[key]!r}"
                 ) from None
@@ -193,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, workers_help):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--input", help="link stream file (TSV/CSV)")
-        p.add_argument("--format", choices=("tsv", "csv"),
+        p.add_argument("--format", choices=FORMATS,
                        help="input format (default: by file extension)")
         p.add_argument("--columns",
                        help="comma-separated column names, '-' to skip one")
@@ -206,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--positive-filter", dest="positive_filter",
                        action=argparse.BooleanOptionalAction, default=None,
                        help="drop events rated below the floor or the user mean")
-        p.add_argument("--graph", choices=("bip", "stg", "lsg"))
+        p.add_argument("--graph", choices=GRAPHS)
         p.add_argument("--delta", type=parse_duration,
                        help="STG slice duration (seconds, or e.g. '30d')")
         p.add_argument("--beta", type=float, help="STG long-term restart share")
@@ -250,31 +265,28 @@ def _load_stream(cfg: dict) -> LinkStream:
     if cfg["positive_filter"]:
         stream = filter_positive(stream, cfg["rating_floor"])
     stream = filter_min_activity(
-        stream, FilterConfig(sigma_u=cfg["sigma_u"], sigma_i=cfg["sigma_i"])
+        stream, _checked(FilterConfig, sigma_u=cfg["sigma_u"], sigma_i=cfg["sigma_i"])
     )
     if len(stream) == 0:
         raise NothingEvaluated("no events survive the filters")
     return stream
 
 
+def _checked(make, **kwargs):
+    """``make(**kwargs)``, the ValueError of its checks a ConfigError."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _param_setting(cfg: dict) -> ParamSetting:
     flavor = cfg["graph"]
-    if cfg["alpha"] is None:
-        raise ConfigError("--alpha is required for evaluate")
-    if flavor == "stg":
-        if cfg["delta"] is None:
-            raise ConfigError("--delta is required for --graph stg")
-        if cfg["beta"] is None:
-            raise ConfigError("--beta is required for --graph stg")
-        if cfg["eta_s"] is None:
-            raise ConfigError("--eta-s is required for --graph stg")
-        return ParamSetting(alpha=cfg["alpha"], n=cfg["n"], delta=cfg["delta"],
-                            beta=cfg["beta"], eta_s=cfg["eta_s"])
-    if flavor == "lsg":
-        if cfg["eta_s"] is None:
-            raise ConfigError("--eta-s is required for --graph lsg")
-        return ParamSetting(alpha=cfg["alpha"], n=cfg["n"], eta_s=cfg["eta_s"])
-    return ParamSetting(alpha=cfg["alpha"], n=cfg["n"])
+    fields = RELEVANT_FIELDS[flavor]
+    for name in fields:
+        if cfg[name] is None:
+            raise ConfigError(f"--{name.replace('_', '-')} is required for --graph {flavor}")
+    return _checked(ParamSetting, n=cfg["n"], **{name: cfg[name] for name in fields})
 
 
 def _require_graph(cfg: dict) -> str:
@@ -289,10 +301,7 @@ def _grid(cfg: dict) -> ParamGrid:
                             ("grid_eta_s", "eta_s"), ("grid_alpha", "alpha")):
         if cfg[grid_key]:
             overrides[field] = tuple(cfg[grid_key])
-    try:
-        return ParamGrid(**overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _checked(ParamGrid, **overrides)
 
 
 def _config_json(cfg: dict) -> dict:
@@ -327,6 +336,8 @@ def cmd_search(cfg: dict) -> int:
     flavor = _require_graph(cfg)
     if cfg["count"] < 1:
         raise ConfigError("--count must be at least 1")
+    if cfg["n"] < 1:
+        raise ConfigError("--n must be at least 1")
     if cfg["windows"] < 2:
         raise ConfigError("--windows must be at least 2")
     stream = _load_stream(cfg)

@@ -323,7 +323,7 @@ def evaluate_settings(
     folds: Sequence[Fold],
     flavor: str,
     settings: Sequence["ParamSetting"],
-    workers: int | None = None,
+    pool: ThreadPoolExecutor | None = None,
 ) -> list["EvaluationReport | Exception"]:
     """Evaluate settings that share one graph key over the protocol folds.
 
@@ -335,16 +335,10 @@ def evaluate_settings(
     setting stops only that one. Folds without evaluable users
     contribute (0, 0) components and are marked skipped. A fold whose
     power iteration was capped before its certified step count is logged
-    as a WARNING with its L1 error bound.
-
-    ``workers`` threads (default: every usable core) rank the column
-    blocks of each fold; with one, no pool is made. Blocks are
-    collected in order, so the count cannot change a result.
+    as a WARNING with its L1 error bound. The column blocks of each fold
+    are ranked on ``pool`` when one is given, and collected in order, so
+    the pool cannot change a result.
     """
-    if workers is None:
-        workers = _usable_cores()
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if not settings:
         return []
     first = settings[0]
@@ -353,46 +347,45 @@ def evaluate_settings(
     components: list[list[MetricComponents]] = [[] for _ in settings]
     all_converged = [True] * len(settings)
     errors: list[Exception | None] = [None] * len(settings)
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for fold in folds:
-            running = [j for j, error in enumerate(errors) if error is None]
-            if not running:
-                break
-            if not fold.truth:
-                for j in running:
-                    components[j].append(
-                        MetricComponents(
-                            window=fold.k,
-                            users=0,
-                            f1=(0.0, 0.0),
-                            hr=(0.0, 0.0),
-                            map=(0.0, 0.0),
-                            skipped=True,
-                        )
-                    )
-                continue
-            try:
-                shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
-            except Exception as exc:  # the whole group stops; the caller reports it
-                for j in running:
-                    errors[j] = exc
-                continue
+    for fold in folds:
+        running = [j for j, error in enumerate(errors) if error is None]
+        if not running:
+            break
+        if not fold.truth:
             for j in running:
-                params = settings[j]
-                try:
-                    comp, converged, steps = _evaluate_fold(shared, params, pool)
-                except Exception as exc:  # this setting stops; the others go on
-                    errors[j] = exc
-                    continue
-                if not converged:
-                    log.warning(
-                        "%s fold %d: PageRank not converged at alpha=%g, capped at %d steps; "
-                        "L1 error bound 2*alpha^%d = %.2g",
-                        flavor, fold.k, params.alpha, steps, steps, 2.0 * params.alpha**steps,
+                components[j].append(
+                    MetricComponents(
+                        window=fold.k,
+                        users=0,
+                        f1=(0.0, 0.0),
+                        hr=(0.0, 0.0),
+                        map=(0.0, 0.0),
+                        skipped=True,
                     )
-                all_converged[j] = all_converged[j] and converged
-                components[j].append(comp)
-            del shared  # free it before the next, larger, fold is built
+                )
+            continue
+        try:
+            shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
+        except Exception as exc:  # the whole group stops; the caller reports it
+            for j in running:
+                errors[j] = exc
+            continue
+        for j in running:
+            params = settings[j]
+            try:
+                comp, converged, steps = _evaluate_fold(shared, params, pool)
+            except Exception as exc:  # this setting stops; the others go on
+                errors[j] = exc
+                continue
+            if not converged:
+                log.warning(
+                    "%s fold %d: PageRank not converged at alpha=%g, capped at %d steps; "
+                    "L1 error bound 2*alpha^%d = %.2g",
+                    flavor, fold.k, params.alpha, steps, steps, 2.0 * params.alpha**steps,
+                )
+            all_converged[j] = all_converged[j] and converged
+            components[j].append(comp)
+        del shared  # free it before the next, larger, fold is built
 
     outcomes: list[EvaluationReport | Exception] = []
     for params, comps, converged, error in zip(settings, components, all_converged, errors):
@@ -428,14 +421,19 @@ def run_protocol(
     """Evaluate one parameter setting over all folds of the protocol.
 
     The one-setting case of :func:`evaluate_settings`, raising what
-    stopped the setting; ``workers`` threads (default: every usable
-    core) rank each fold's column blocks. A report where every fold was
-    skipped has None for the time-averaged metrics and
-    ``nothing_evaluated`` set.
+    stopped the setting. ``workers`` threads (default: every usable
+    core; below 1: ``ValueError``) rank each fold's column blocks on one
+    pool that lives for this call; with one, no pool is made. A report
+    where every fold was skipped has None for the time-averaged metrics
+    and ``nothing_evaluated`` set.
     """
-    (outcome,) = evaluate_settings(
-        iter_folds(stream, n_windows), flavor, [params], workers=workers
-    )
+    if workers is None:
+        workers = _usable_cores()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    folds = iter_folds(stream, n_windows)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        (outcome,) = evaluate_settings(folds, flavor, [params], pool)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

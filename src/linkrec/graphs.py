@@ -67,8 +67,6 @@ _KIND = {tag: k for k, tag in enumerate(TAGS)}
 
 Node = tuple  # ("U", u) | ("I", i) | ("S", u, k) | ("TU", t, u) | ("TI", t, i)
 
-FLAVORS = ("bip", "stg", "lsg")
-
 
 class RecGraph:
     """Weighted directed graph over an integer-coded node table.

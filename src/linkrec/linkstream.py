@@ -289,8 +289,9 @@ class FilterConfig:
     sigma_i: int = 1
 
     def __post_init__(self):
-        if self.sigma_u < 0 or self.sigma_i < 0:
-            raise ValueError("activity thresholds must be non-negative")
+        for name in ("sigma_u", "sigma_i"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)

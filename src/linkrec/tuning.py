@@ -20,7 +20,8 @@ import csv
 import io
 import logging
 import random
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 
@@ -232,11 +233,14 @@ def _split_groups(groups: list[list[int]], workers: int) -> list[list[int]]:
     return tasks
 
 
-def _evaluate_group(
-    stream: LinkStream, flavor: str, settings: list[ParamSetting], n_windows: int
-) -> list["EvaluationReport | Exception"]:
-    """One group in a worker process, which computes the folds itself."""
-    return evaluate_settings(iter_folds(stream, n_windows), flavor, settings, workers=1)
+def _run_here(fn, *args) -> Future:
+    """``fn(*args)`` run in this process, as a finished future."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def search(
@@ -252,65 +256,47 @@ def search(
 ) -> SearchResult:
     """Score sampled settings with the windowed protocol and rank them.
 
-    Settings are evaluated in groups sharing a graph key; with
-    ``workers > 1`` each worker process takes one group at a time, and
-    groups are split by setting while there are fewer groups than
-    workers (each part then builds its own graphs). A
-    setting whose evaluation raises (or evaluates nobody) is recorded
-    as failed and left out of the ranking; the campaign continues. An
-    error in a fold or a graph build fails every setting of its group.
-    Results are keyed by sample index, so worker parallelism cannot
-    change the output. Each group is scored on one thread
-    (``evaluate_settings(..., workers=1)``): the processes already use
-    the cores, a campaign's small blocks hold the GIL, and a thread pool
-    that outlived a fork would leave the forked worker waiting on
-    threads it does not have.
+    The folds are computed once. Settings are evaluated in tasks, one
+    per graph key, and the largest task is split by setting while there
+    are fewer tasks than ``workers`` (each part then builds its own
+    graphs). With one worker the tasks run in this process; with more,
+    on a pool of that many processes that lives for this call; with
+    fewer, ``ValueError``. A setting whose evaluation raises (or
+    evaluates nobody) is recorded as failed and left out of the ranking;
+    the campaign continues. An error in the folds fails every setting,
+    and one in a fold's graph build or in a task's process every setting
+    of its task. Results are keyed by sample index, so the worker count
+    cannot change the output.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if grid is None:
         grid = ParamGrid()
     settings = sample_settings(grid, flavor, count, seed, n=n)
-    groups = _graph_groups(settings)
-
-    outcomes: dict[int, SearchEntry] = {}
-
-    def record(group: list[int], results) -> None:
-        for index, outcome in zip(group, results):
-            outcomes[index] = _entry(index, settings[index], outcome)
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _evaluate_group, stream, flavor, [settings[i] for i in group],
-                    n_windows,
-                ): group
-                for group in _split_groups(groups, workers)
-            }
-            for future in as_completed(futures):
-                group = futures[future]
+    tasks = _split_groups(_graph_groups(settings), workers)
+    outcomes: list = [None] * len(settings)
+    try:
+        folds = iter_folds(stream, n_windows)
+    except Exception as exc:  # without folds, every setting fails
+        outcomes = [exc] * len(settings)
+    else:
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            submit = pool.submit if pool else _run_here
+            futures = [
+                submit(evaluate_settings, folds, flavor, [settings[i] for i in task])
+                for task in tasks
+            ]
+            for task, future in zip(tasks, futures):
                 try:
                     results = future.result()
-                except Exception as exc:
-                    results = [exc] * len(group)
-                record(group, results)
-    else:
-        try:
-            folds = iter_folds(stream, n_windows)
-        except Exception as exc:
-            for group in groups:
-                record(group, [exc] * len(group))
-        else:
-            for group in groups:
-                record(
-                    group,
-                    evaluate_settings(
-                        folds, flavor, [settings[i] for i in group], workers=1
-                    ),
-                )
+                except Exception as exc:  # every setting of the task fails
+                    results = [exc] * len(task)
+                for index, outcome in zip(task, results):
+                    outcomes[index] = outcome
 
-    ordered = [outcomes[i] for i in range(len(settings))]
+    ordered = [_entry(i, settings[i], outcome) for i, outcome in enumerate(outcomes)]
     ok = [e for e in ordered if e.status == "ok"]
     failed = [e for e in ordered if e.status != "ok"]
     ok.sort(key=lambda e: (-e.objective_value(objective), e.sample_index))

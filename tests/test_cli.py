@@ -334,3 +334,82 @@ def test_log_level_error_silences_capped_fold_warnings(dataset, tmp_path, capsys
 def test_log_level_rejects_unknown_level(dataset, tmp_path, capsys):
     assert capped_evaluate(dataset, tmp_path, "--log-level", "loud") == EXIT_CONFIG
     assert "--log-level" in capsys.readouterr().err
+
+
+STG = ["--graph", "stg", "--alpha", "0.3", "--beta", "0.5", "--eta-s", "0.5", "--delta", "80"]
+
+
+def test_evaluate_stg_happy_path(dataset, tmp_path, capsys):
+    out_dir = tmp_path / "stg"
+    code = main(["evaluate", "--input", str(dataset), *STG, "--n", "5", "--windows", "4",
+                 "--out-dir", str(out_dir)])
+    assert code == EXIT_OK
+    assert "graph=stg" in capsys.readouterr().out
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["params"] == {"delta": 80.0, "beta": 0.5, "eta_s": 0.5, "alpha": 0.3, "n": 5}
+    assert report["time_averaged"]["f1"] is not None
+
+
+@pytest.mark.parametrize("value,message", [
+    ("0", "argument --delta: duration must be positive"),
+    ("abc", "argument --delta: unparseable duration 'abc'"),
+], ids=["zero", "text"])
+def test_bad_delta_flag_is_usage_error(dataset, capsys, value, message):
+    code = main(["evaluate", "--input", str(dataset), *STG, "--delta", value])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,config,message", [
+    (["evaluate", *STG, "--n", "0"], None, "n must be at least 1"),
+    (["evaluate", *STG, "--alpha", "2"], None, "alpha must lie in (0, 1)"),
+    (["evaluate", *STG, "--beta", "2"], None, "beta must lie in [0, 1]"),
+    (["evaluate", *STG, "--eta-s", "-1"], None, "eta_s must be non-negative"),
+    (["evaluate", *STG, "--sigma-u", "-1"], None, "sigma_u must be non-negative"),
+    (["search", "--graph", "bip", "--n", "0"], None, "--n must be at least 1"),
+    (["evaluate", "--alpha", "0.3"], "graph = xyz",
+     "bad value for 'graph' in config file: 'xyz'"),
+    (["evaluate", "--graph", "bip", "--alpha", "0.3"], "format = xml",
+     "bad value for 'format' in config file: 'xml'"),
+    (["search", "--graph", "bip"], "objective = foo",
+     "bad value for 'objective' in config file: 'foo'"),
+    (["evaluate", "--graph", "bip", "--alpha", "0.3"], "positive_filter = maybe",
+     "bad value for 'positive_filter' in config file: 'maybe'"),
+    (["evaluate", "--graph", "stg", "--alpha", "0.3", "--beta", "0.5", "--eta-s", "0.5"],
+     "delta = 0", "bad value for 'delta' in config file: '0'"),
+], ids=["n", "alpha", "beta", "eta-s", "sigma-u", "search-n", "config-graph",
+        "config-format", "config-objective", "config-bool", "config-delta"])
+def test_bad_value_is_config_error(dataset, tmp_path, capsys, args, config, message):
+    flags = ["--input", str(dataset), "--out-dir", str(tmp_path / "run")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        flags += ["--config", str(tmp_path / "run.cfg")]
+    assert main([*args, *flags]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value,expected", [("yes", True), ("off", False)])
+def test_config_file_boolean(rated_dataset, tmp_path, value, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"positive_filter = {value}\n")
+    code = main([
+        "evaluate", "--config", str(cfg), "--input", str(rated_dataset), "--graph", "bip",
+        "--alpha", "0.3", "--windows", "4", "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["config"]["positive_filter"] is expected
+
+
+def test_config_grid_delta_durations(dataset, tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid_delta = 30d,60d\ngrid_beta = 0.5\ngrid_eta_s = 0\ngrid_alpha = 0.3\n")
+    out_dir = tmp_path / "gridrun"
+    code = main([
+        "search", "--config", str(cfg), "--input", str(dataset), "--graph", "stg",
+        "--count", "10", "--windows", "4", "--n", "5", "--out-dir", str(out_dir),
+    ])
+    assert code == EXIT_OK
+    board = (out_dir / "leaderboard.csv").read_text().splitlines()
+    assert sorted(line.split(",")[2] for line in board[1:]) == ["2592000.0", "5184000.0"]

@@ -2,6 +2,7 @@ import itertools
 import json
 import logging
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import pytest
@@ -28,7 +29,7 @@ from linkrec.evaluation import (
 from linkrec.graphs import build_bip, build_lsg, build_stg
 from linkrec.linkstream import Event, LinkStream
 from linkrec.ranker import personalization, rank_items, recommend
-from linkrec.tuning import ParamSetting
+from linkrec.tuning import ParamGrid, ParamSetting, search
 
 from conftest import make_stream
 
@@ -427,9 +428,9 @@ def test_workers_below_one_rejected(workers):
     params = ParamSetting(alpha=0.3, n=5)
     with pytest.raises(ValueError, match="workers must be at least 1"):
         run_protocol(drifting_stream(), "bip", params, n_windows=4, workers=workers)
-    folds = iter_folds(drifting_stream(), 4)
     with pytest.raises(ValueError, match="workers must be at least 1"):
-        evaluation.evaluate_settings(folds, "bip", [params], workers=workers)
+        search(drifting_stream(), "bip", grid=ParamGrid(alpha=(0.3,)), count=1, n=5,
+               n_windows=4, workers=workers)
 
 
 class BlockError(Exception):
@@ -464,7 +465,8 @@ def test_block_error_stops_only_its_setting(monkeypatch):
     ok, bad = ParamSetting(alpha=0.3, n=5, eta_s=0.2), ParamSetting(alpha=0.5, n=5, eta_s=0.2)
     reference = report_json(run_protocol(stream, "lsg", ok, n_windows=4, workers=1))
     fail_third_block(monkeypatch, alpha=bad.alpha)
-    outcomes = evaluation.evaluate_settings(iter_folds(stream, 4), "lsg", [ok, bad], workers=2)
+    with ThreadPoolExecutor(2) as pool:
+        outcomes = evaluation.evaluate_settings(iter_folds(stream, 4), "lsg", [ok, bad], pool)
     assert isinstance(outcomes[1], BlockError)
     assert report_json(outcomes[0]) == reference
 

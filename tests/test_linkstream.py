@@ -281,6 +281,25 @@ def test_window_index_exact_on_fractional_widths():
     assert window_index(10, 0, 10, 3) == 3
 
 
+
+# In float64, 3 * THIRD rounds up to 2**60, so float arithmetic would put
+# THIRD into the second of three windows; exactly it is in the first.
+THIRD = 384307168202282304
+
+
+@pytest.mark.parametrize("times,omega,n", [
+    (range(101), 100, 7),
+    ((0, THIRD, 2**60), 2**60, 3),
+], ids=["span-100", "span-2**60"])
+def test_split_windows_integral_float_span_bins_like_int_span(times, omega, n):
+    # integral float times and ends are binned in exact integer
+    # arithmetic, like the ints they equal
+    events = [Event(float(t), "u", f"i{k}") for k, t in enumerate(times)]
+    exact = [[t for t in times if min(t * n // omega + 1, n) == k] for k in range(1, n + 1)]
+    for span in [(0.0, float(omega)), (0, omega)]:
+        stream = LinkStream.from_events(events, time_span=span)
+        assert [[ev.t for ev in sub.events] for _, sub in split_windows(stream, n)] == exact
+
 @given(
     st.lists(
         st.tuples(

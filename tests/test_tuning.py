@@ -146,8 +146,7 @@ def fake_report(flavor, params, scores, n_windows=8):
 def fake_group(scores_by_alpha):
     """evaluate_settings stand-in mapping alpha -> (f1, hr, map)."""
 
-    def fake(folds, flavor, settings, workers):
-        assert workers == 1  # search scores each group on one thread
+    def fake(folds, flavor, settings):
         return [fake_report(flavor, s, scores_by_alpha[s.alpha]) for s in settings]
 
     return fake
@@ -184,7 +183,7 @@ def test_search_objectives_can_disagree(monkeypatch):
 
 
 def test_search_records_failures_and_continues(monkeypatch):
-    def flaky(folds, flavor, settings, workers):
+    def flaky(folds, flavor, settings):
         return [
             ValueError("boom") if s.alpha == 0.5
             else fake_report(flavor, s, (0.5, 0.5, 0.5))
