@@ -3,13 +3,17 @@ run a search campaign, or print dataset/graph statistics.
 
 Options come from flags, an optional flat key=value config file
 (flags win), and defaults mirroring the experimental setup: 8 windows,
-N = 10, the predefined parameter grid. Every report embeds the full
+N = 10, the predefined parameter grid. ``OPTIONS`` defines each option
+once: its parsing, default, help and the commands that take its flag.
+Any key may be set in a config file, but each command has flags only
+for the options it reads. Every report embeds the full
 effective configuration, seed included, so a run can be reproduced
 from its own output; ``--workers`` and ``--log-level`` are left out, as
 they cannot change a result.
 
-Exit codes: 0 success, 1 IO/runtime failure, 2 bad configuration,
-3 nothing evaluated.
+Exit codes: 0 success, 1 IO/runtime failure (such as malformed input
+data), 2 bad configuration (such as a bad ``--columns`` name), reported
+before any output, 3 nothing evaluated (or no event left by the filters).
 
 Log records of the ``linkrec`` loggers (such as capped power
 iterations) go to stderr at ``--log-level`` and above, default warning.
@@ -32,6 +36,7 @@ from .linkstream import (
     LinkStream,
     filter_min_activity,
     filter_positive,
+    map_columns,
     parse_link_stream,
 )
 from .tuning import OBJECTIVES, RELEVANT_FIELDS, ParamGrid, ParamSetting
@@ -47,8 +52,6 @@ EXIT_NOTHING_EVALUATED = 3
 WORKERS_ENV = "LINKREC_WORKERS"
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
-FORMATS = ("tsv", "csv")
-GRAPHS = tuple(RELEVANT_FIELDS)
 
 _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 
@@ -87,51 +90,58 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"unparseable boolean {text!r}")
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
+def _list_of(parse):
+    """Config-file coercion for a comma-separated list of ``parse`` values."""
+    return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
 
 
-def _duration_list(text: str) -> tuple[float, ...]:
-    return tuple(parse_duration(part) for part in str(text).split(",") if part.strip())
+_RUNS = ("evaluate", "search")
+_ALL = ("evaluate", "search", "inspect")
+
+# Every key of the effective configuration, in the order reports embed it:
+# key -> (kind, default, help, commands that take the flag). ``kind``
+# parses the flag and the config-file text alike: a tuple is the list of
+# choices, ``bool`` an on/off switch, anything else a callable from text.
+# ``help`` may hold one text per command. A key that no command takes as
+# a flag is set in the config file only.
+OPTIONS: dict[str, tuple] = {
+    "input": (str, None, "link stream file (TSV/CSV)", _ALL),
+    "format": (("tsv", "csv"), None, "input format (default: by file extension)", _ALL),
+    "columns": (str, None, "comma-separated column names, '-' to skip one", _ALL),
+    "graph": (tuple(RELEVANT_FIELDS), None, None, _RUNS),
+    "sigma_u": (int, 1, "min events per user (default 1)", _ALL),
+    "sigma_i": (int, 1, "min events per item (default 1)", _ALL),
+    "rating_floor": (float, 2.5, "positive-rating floor (default 2.5)", _ALL),
+    "positive_filter": (bool, False, "drop events rated below the floor or the user mean", _ALL),
+    "windows": (int, 8, "number of time windows (default 8)", _RUNS),
+    "n": (int, 10, "recommendation list length (default 10)", _RUNS),
+    "alpha": (float, None, "PageRank damping factor", ("evaluate",)),
+    "beta": (float, None, "STG long-term restart share", _RUNS),
+    "delta": (parse_duration, None, "STG slice duration (seconds, or e.g. '30d')", _ALL),
+    "eta_s": (float, None, "weight of edges into the past", _ALL),
+    "count": (int, 50, "number of sampled settings (default 50)", ("search",)),
+    "seed": (int, 0, "sampling seed (default 0)", _RUNS),
+    "objective": (OBJECTIVES, "f1", "ranking objective (default f1)", ("search",)),
+    "out_dir": (str, "out", "report directory (default ./out)", _RUNS),
+    "workers": (int, None, {
+        "evaluate": f"threads scoring each fold's user blocks "
+                    f"(default ${WORKERS_ENV} or every usable core)",
+        "search": f"processes scoring the graph-key groups (default ${WORKERS_ENV} or 1)",
+    }, _RUNS),
+    "grid_alpha": (_list_of(float), None, None, ()),
+    "grid_beta": (_list_of(float), None, None, ()),
+    "grid_delta": (_list_of(parse_duration), None, None, ()),
+    "grid_eta_s": (_list_of(float), None, None, ()),
+}
 
 
-def _one_of(choices: tuple[str, ...]):
-    """Config-file coercion for a flag with ``choices``."""
-
-    def coerce(text: str) -> str:
-        if text not in choices:
+def _from_text(kind, text: str):
+    """A config-file value parsed as its flag would be."""
+    if isinstance(kind, tuple):
+        if text not in kind:
             raise ValueError(text)
         return text
-
-    return coerce
-
-
-# key -> (coercion from config-file string, default)
-_OPTIONS: dict = {
-    "input": (str, None),
-    "format": (_one_of(FORMATS), None),
-    "columns": (str, None),
-    "graph": (_one_of(GRAPHS), None),
-    "sigma_u": (int, 1),
-    "sigma_i": (int, 1),
-    "rating_floor": (float, 2.5),
-    "positive_filter": (_parse_bool, False),
-    "windows": (int, 8),
-    "n": (int, 10),
-    "alpha": (float, None),
-    "beta": (float, None),
-    "delta": (parse_duration, None),
-    "eta_s": (float, None),
-    "count": (int, 50),
-    "seed": (int, 0),
-    "objective": (_one_of(OBJECTIVES), "f1"),
-    "out_dir": (str, "out"),
-    "workers": (int, None),
-    "grid_alpha": (_float_list, None),
-    "grid_beta": (_float_list, None),
-    "grid_delta": (_duration_list, None),
-    "grid_eta_s": (_float_list, None),
-}
+    return _parse_bool(text) if kind is bool else kind(text)
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -146,7 +156,7 @@ def read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _OPTIONS:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{ln}: unknown option {key!r}")
         out[key] = value
     return out
@@ -160,11 +170,11 @@ def effective_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file not found: {args.config}")
         file_values = read_config_file(args.config)
     cfg: dict = {}
-    for key, (coerce, default) in _OPTIONS.items():
+    for key, (kind, default, _, _) in OPTIONS.items():
         value = getattr(args, key, None)
         if value is None and key in file_values:
             try:
-                value = coerce(file_values[key])
+                value = _from_text(kind, file_values[key])
             except (ValueError, TypeError, argparse.ArgumentTypeError):
                 raise ConfigError(
                     f"bad value for {key!r} in config file: {file_values[key]!r}"
@@ -204,52 +214,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal recommender graphs over user-item link streams",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add_common(p, workers_help):
+    for command, (summary, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--input", help="link stream file (TSV/CSV)")
-        p.add_argument("--format", choices=FORMATS,
-                       help="input format (default: by file extension)")
-        p.add_argument("--columns",
-                       help="comma-separated column names, '-' to skip one")
-        p.add_argument("--sigma-u", dest="sigma_u", type=int,
-                       help="min events per user (default 1)")
-        p.add_argument("--sigma-i", dest="sigma_i", type=int,
-                       help="min events per item (default 1)")
-        p.add_argument("--rating-floor", dest="rating_floor", type=float,
-                       help="positive-rating floor (default 2.5)")
-        p.add_argument("--positive-filter", dest="positive_filter",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="drop events rated below the floor or the user mean")
-        p.add_argument("--graph", choices=GRAPHS)
-        p.add_argument("--delta", type=parse_duration,
-                       help="STG slice duration (seconds, or e.g. '30d')")
-        p.add_argument("--beta", type=float, help="STG long-term restart share")
-        p.add_argument("--eta-s", dest="eta_s", type=float,
-                       help="weight of edges into the past")
-        p.add_argument("--windows", type=int, help="number of time windows (default 8)")
-        p.add_argument("--n", type=int, help="recommendation list length (default 10)")
-        p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-        p.add_argument("--out-dir", dest="out_dir", help="report directory (default ./out)")
-        p.add_argument("--workers", type=int, help=workers_help)
+        for key, (kind, _, text, commands) in OPTIONS.items():
+            if command not in commands:
+                continue
+            if isinstance(kind, tuple):
+                kwargs = {"choices": kind}
+            elif kind is bool:
+                kwargs = {"action": argparse.BooleanOptionalAction}
+            else:
+                kwargs = {"type": kind}
+            if isinstance(text, dict):
+                text = text[command]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **kwargs)
         p.add_argument("--log-level", dest="log_level", choices=LOG_LEVELS,
                        default="warning", help="stderr logging threshold (default warning)")
-
-    p_eval = sub.add_parser("evaluate", help="run the windowed protocol once")
-    add_common(p_eval, f"threads scoring each fold's user blocks "
-                       f"(default ${WORKERS_ENV} or every usable core)")
-    p_eval.add_argument("--alpha", type=float, help="PageRank damping factor")
-
-    p_search = sub.add_parser("search", help="randomized hyperparameter search")
-    add_common(p_search, f"processes scoring the graph-key groups "
-                         f"(default ${WORKERS_ENV} or 1)")
-    p_search.add_argument("--count", type=int, help="number of sampled settings (default 50)")
-    p_search.add_argument("--objective", choices=OBJECTIVES,
-                          help="ranking objective (default f1)")
-
-    p_inspect = sub.add_parser("inspect", help="print stream and graph statistics")
-    add_common(p_inspect, "unused by inspect")
-
     return parser
 
 
@@ -260,7 +241,10 @@ def _load_stream(cfg: dict) -> LinkStream:
     if not Path(path).exists():
         raise ConfigError(f"input file not found: {path}")
     fmt = cfg["format"] or ("csv" if str(path).endswith(".csv") else "tsv")
-    columns = [c.strip() for c in cfg["columns"].split(",")] if cfg["columns"] else None
+    columns = None
+    if cfg["columns"]:
+        columns = [c.strip() for c in cfg["columns"].split(",")]
+        _checked(map_columns, columns=columns)
     stream = parse_link_stream(path, fmt=fmt, columns=columns)
     if cfg["positive_filter"]:
         stream = filter_positive(stream, cfg["rating_floor"])
@@ -297,10 +281,9 @@ def _require_graph(cfg: dict) -> str:
 
 def _grid(cfg: dict) -> ParamGrid:
     overrides = {}
-    for grid_key, field in (("grid_delta", "delta"), ("grid_beta", "beta"),
-                            ("grid_eta_s", "eta_s"), ("grid_alpha", "alpha")):
-        if cfg[grid_key]:
-            overrides[field] = tuple(cfg[grid_key])
+    for field in ("delta", "beta", "eta_s", "alpha"):
+        if cfg["grid_" + field]:
+            overrides[field] = cfg["grid_" + field]
     return _checked(ParamGrid, **overrides)
 
 
@@ -385,6 +368,18 @@ def _iso(ts: float) -> str:
 
 def cmd_inspect(cfg: dict) -> int:
     stream = _load_stream(cfg)
+
+    def describe(flavor: str, **kwargs) -> str:
+        graph = _checked(build_graph, flavor=flavor, stream=stream, **kwargs)
+        extra = ", ".join(f"{k}={v}" for k, v in kwargs.items())
+        label = f"{flavor}({extra})" if extra else flavor
+        return f"{label}: {graph.n_nodes} nodes, {graph.n_edges} directed edges"
+
+    # Every graph is built, and its parameters checked, before any output.
+    graphs = [describe("bip")]
+    if cfg["delta"] is not None:
+        graphs.append(describe("stg", delta=cfg["delta"], eta_s=cfg["eta_s"] or 0.0))
+    graphs.append(describe("lsg", eta_s=cfg["eta_s"] or 0.0))
     pairs = len(stream.distinct_pairs())
     n_users, n_items = len(stream.users), len(stream.items)
     print(f"events (links):     {len(stream)}")
@@ -393,24 +388,15 @@ def cmd_inspect(cfg: dict) -> int:
     print(f"span:               {_iso(stream.alpha)} .. {_iso(stream.omega)}")
     print(f"duration (days):    {(stream.omega - stream.alpha) / 86400.0:.2f}")
     print(f"sparsity:           {1.0 - pairs / (n_users * n_items):.4%}")
-
-    def show(flavor: str, **kwargs) -> None:
-        graph = build_graph(flavor, stream, **kwargs)
-        extra = ", ".join(f"{k}={v}" for k, v in kwargs.items() if v is not None)
-        label = f"{flavor}({extra})" if extra else flavor
-        print(f"{label}: {graph.n_nodes} nodes, {graph.n_edges} directed edges")
-
-    show("bip")
-    if cfg["delta"] is not None:
-        show("stg", delta=cfg["delta"], eta_s=cfg["eta_s"] or 0.0)
-    show("lsg", eta_s=cfg["eta_s"] or 0.0)
+    print("\n".join(graphs))
     return EXIT_OK
 
 
-_HANDLERS = {
-    "evaluate": cmd_evaluate,
-    "search": cmd_search,
-    "inspect": cmd_inspect,
+# command -> (help summary, handler)
+_COMMANDS = {
+    "evaluate": ("run the windowed protocol once", cmd_evaluate),
+    "search": ("randomized hyperparameter search", cmd_search),
+    "inspect": ("print stream and graph statistics", cmd_inspect),
 }
 
 
@@ -433,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     logger.setLevel(args.log_level.upper())
     try:
         cfg = effective_config(args)
-        return _HANDLERS[args.command](cfg)
+        return _COMMANDS[args.command][1](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

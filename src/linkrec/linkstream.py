@@ -38,6 +38,7 @@ __all__ = [
     "FilterConfig",
     "Window",
     "ParseError",
+    "map_columns",
     "parse_link_stream",
     "filter_positive",
     "filter_min_activity",
@@ -336,6 +337,22 @@ def _read_lines(source) -> list[str]:
     return source.read().decode("utf-8-sig").splitlines()
 
 
+def map_columns(columns: Sequence[str]) -> dict[str, int]:
+    """Field -> position for column names, ``"-"`` skipping a column; a
+    ``ValueError`` names an unknown name or a required field left out."""
+    mapping: dict[str, int] = {}
+    for pos, name in enumerate(columns):
+        if name and name != "-":
+            key = _HEADER_NAMES.get(name.strip().lower())
+            if key is None:
+                raise ValueError(f"unknown column name {name!r}")
+            mapping[key] = pos
+    for required in ("user", "item", "timestamp"):
+        if required not in mapping:
+            raise ValueError(f"no column mapped to {required!r}")
+    return mapping
+
+
 def parse_link_stream(
     source,
     fmt: str = "tsv",
@@ -361,14 +378,8 @@ def parse_link_stream(
         raise ValueError("empty stream")
     rows = itertools.chain([first], records)
 
-    mapping: dict[str, int] = {}
     if columns is not None:
-        for pos, name in enumerate(columns):
-            if name and name != "-":
-                key = _HEADER_NAMES.get(name.strip().lower())
-                if key is None:
-                    raise ValueError(f"unknown column name {name!r}")
-                mapping[key] = pos
+        mapping = map_columns(columns)
     else:
         header = {}
         for pos, cell in enumerate(cell.strip().lower() for cell in first[1]):
@@ -382,9 +393,6 @@ def parse_link_stream(
             rows = records
         else:
             mapping = {"user": 0, "item": 1, "timestamp": 2, "rating": 3}
-    for required in ("user", "item", "timestamp"):
-        if required not in mapping:
-            raise ValueError(f"no column mapped to {required!r}")
 
     pu, pi, pt = mapping["user"], mapping["item"], mapping["timestamp"]
     pr = mapping.get("rating", math.inf)  # no rating column: past every row

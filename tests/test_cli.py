@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import jsonschema
 import pytest
@@ -9,6 +10,9 @@ from linkrec.cli import (
     EXIT_NOTHING_EVALUATED,
     EXIT_OK,
     EXIT_RUNTIME,
+    OPTIONS,
+    build_parser,
+    effective_config,
     main,
     parse_duration,
 )
@@ -413,3 +417,125 @@ def test_config_grid_delta_durations(dataset, tmp_path):
     assert code == EXIT_OK
     board = (out_dir / "leaderboard.csv").read_text().splitlines()
     assert sorted(line.split(",")[2] for line in board[1:]) == ["2592000.0", "5184000.0"]
+
+
+# key -> (flag arguments, config-file line) spelling the same value
+SPELLINGS = {
+    "input": (["--input", "x.tsv"], "input = x.tsv"),
+    "format": (["--format", "csv"], "format = csv"),
+    "columns": (["--columns", "timestamp,user,item"], "columns = timestamp,user,item"),
+    "graph": (["--graph", "stg"], "graph = stg"),
+    "sigma_u": (["--sigma-u", "3"], "sigma_u = 3"),
+    "sigma_i": (["--sigma-i", "2"], "sigma_i = 2"),
+    "rating_floor": (["--rating-floor", "3.5"], "rating_floor = 3.5"),
+    "positive_filter": (["--positive-filter"], "positive_filter = yes"),
+    "windows": (["--windows", "4"], "windows = 4"),
+    "n": (["--n", "5"], "n = 5"),
+    "alpha": (["--alpha", "0.3"], "alpha = 0.3"),
+    "beta": (["--beta", "0.5"], "beta = 0.5"),
+    "delta": (["--delta", "30d"], "delta = 30d"),
+    "eta_s": (["--eta-s", "0.1"], "eta_s = 0.1"),
+    "count": (["--count", "7"], "count = 7"),
+    "seed": (["--seed", "3"], "seed = 3"),
+    "objective": (["--objective", "map"], "objective = map"),
+    "out_dir": (["--out-dir", "runs"], "out_dir = runs"),
+    "workers": (["--workers", "2"], "workers = 2"),
+}
+
+
+def test_spellings_cover_every_flag():
+    assert sorted(SPELLINGS) == sorted(key for key, (*_, commands) in OPTIONS.items() if commands)
+
+
+@pytest.mark.parametrize("key", sorted(SPELLINGS))
+def test_flag_and_config_key_give_same_config(tmp_path, monkeypatch, key):
+    monkeypatch.delenv("LINKREC_WORKERS", raising=False)
+    flag, line = SPELLINGS[key]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    parser = build_parser()
+    _, default, _, commands = OPTIONS[key]
+    for command in commands:
+        from_flag = effective_config(parser.parse_args([command, *flag]))
+        from_file = effective_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        assert from_flag == from_file
+        assert from_flag[key] != default
+
+
+@pytest.mark.parametrize("flag", [
+    ["--graph", "lsg"], ["--beta", "0.5"], ["--windows", "4"], ["--n", "5"],
+    ["--seed", "1"], ["--out-dir", "run"], ["--workers", "2"],
+], ids=lambda flag: flag[0])
+def test_inspect_rejects_flags_it_does_not_read(dataset, capsys, flag):
+    assert main(["inspect", "--input", str(dataset), *flag]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments:" in captured.err
+
+
+INPUT_FLAGS = [
+    "--columns", "--config", "--format", "--help", "--input", "--log-level",
+    "--no-positive-filter", "--positive-filter", "--rating-floor", "--sigma-i", "--sigma-u",
+]
+RUN_FLAGS = INPUT_FLAGS + [
+    "--beta", "--delta", "--eta-s", "--graph", "--n", "--out-dir", "--seed", "--windows",
+    "--workers",
+]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("evaluate", RUN_FLAGS + ["--alpha"]),
+    ("search", RUN_FLAGS + ["--count", "--objective"]),
+    ("inspect", INPUT_FLAGS + ["--delta", "--eta-s"]),
+], ids=["evaluate", "search", "inspect"])
+def test_help_lists_the_command_flags(capsys, command, flags):
+    assert main([command, "--help"]) == EXIT_OK
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert sorted(listed) == sorted(flags)
+
+
+@pytest.mark.parametrize("args,config", [
+    (["--eta-s", "-1"], None),
+    (["--delta", "10", "--eta-s", "-2"], None),
+    ([], "eta_s = -1"),
+], ids=["flag", "flag-with-delta", "config"])
+def test_inspect_bad_eta_s_is_config_error_before_output(dataset, tmp_path, capsys, args, config):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        args = [*args, "--config", str(tmp_path / "run.cfg")]
+    assert main(["inspect", "--input", str(dataset), *args]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: eta_s must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("command,columns,config,message", [
+    ("evaluate", "user,item,when", False, "unknown column name 'when'"),
+    ("evaluate", "user,item", False, "no column mapped to 'timestamp'"),
+    ("evaluate", "user,item,when", True, "unknown column name 'when'"),
+    ("inspect", "user,item,when", False, "unknown column name 'when'"),
+    ("inspect", "user,item", True, "no column mapped to 'timestamp'"),
+], ids=["evaluate-unknown", "evaluate-missing", "evaluate-config-unknown",
+        "inspect-unknown", "inspect-config-missing"])
+def test_bad_columns_are_config_error(dataset, tmp_path, capsys, command, columns, config,
+                                      message):
+    args = [command, "--input", str(dataset)]
+    if command == "evaluate":
+        args += ["--graph", "bip", "--alpha", "0.3", "--out-dir", str(tmp_path / "run")]
+    if config:
+        (tmp_path / "run.cfg").write_text(f"columns = {columns}\n")
+        args += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        args += ["--columns", columns]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+def test_filters_leaving_no_events_is_nothing_evaluated(dataset, capsys):
+    assert main(["inspect", "--input", str(dataset), "--sigma-u", "11"]) == EXIT_NOTHING_EVALUATED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nothing evaluated: no events survive the filters" in captured.err
