@@ -212,10 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkrec",
         description="Temporal recommender graphs over user-item link streams",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command, (summary, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value config file")
         for key, (kind, _, text, commands) in OPTIONS.items():
             if command not in commands:

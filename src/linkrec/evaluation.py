@@ -33,7 +33,9 @@ from .ranker import (
     TransitionMatrix,
     _restart_vectors,
     item_matrix,
+    personalization_matrix,
     rank_items,
+    step_count,
     transition_matrix,
 )
 
@@ -240,8 +242,8 @@ class FoldGraph:
     Settings with the same graph key (flavor, delta, eta_s) build the
     graph, transition matrix and item aggregation matrix of a fold
     once, with users x items masks of the evaluated users' training
-    items (``seen``) and new test-window items (``truth``); restart
-    vectors are kept per beta on first use.
+    items (``seen``) and new test-window items (``truth``); the restart
+    matrix is kept per beta on first use.
     """
 
     fold: Fold
@@ -270,53 +272,49 @@ class FoldGraph:
             truth[r, [item_row[i] for i in fold.truth[user] if i in item_row]] = True
         return cls(fold, graph, tm, items, A, users, seen, truth)
 
-    def restarts(self, beta: float | None) -> list[dict]:
-        """Restart vectors of the evaluated users, built once per beta."""
+    def restarts(self, beta: float | None) -> sparse.csc_matrix:
+        """The evaluated users' restart vectors as the columns of a
+        (nodes, users) matrix, built once per beta; every alpha of the
+        fold ranks column blocks of it."""
         if beta not in self._restarts:
-            self._restarts[beta] = _restart_vectors(
-                self.graph, self.users, self.fold.rec_time, beta
-            )
+            vectors = _restart_vectors(self.graph, self.users, self.fold.rec_time, beta)
+            self._restarts[beta] = personalization_matrix(self.tm, vectors).tocsc()
         return self._restarts[beta]
 
 
 def _evaluate_fold(
     shared: FoldGraph, params: "ParamSetting", pool: ThreadPoolExecutor | None = None
-) -> tuple[MetricComponents, bool, int]:
-    """Components of one fold for one setting, whether every block
-    converged, and the power-iteration steps per block (the same for
-    all: they depend on alpha alone). The column blocks are ranked on
-    ``pool`` when one is given, and collected in block order."""
+) -> MetricComponents:
+    """Components of one fold for one setting. The restart matrix is
+    cut into column blocks here, the blocks are ranked on ``pool`` when
+    one is given, and collected in block order."""
     fold, users = shared.fold, shared.users
-    restarts = shared.restarts(params.beta)
     blocks = [
         slice(start, start + _BATCH_COLUMNS) for start in range(0, len(users), _BATCH_COLUMNS)
     ]
+    restarts = shared.restarts(params.beta)
+    columns = [restarts[:, block] for block in blocks]
 
-    def rank(block: slice):
-        return rank_items(
-            shared.tm, shared.A, restarts[block], params.alpha, shared.seen[block], params.n
-        )
+    def rank(D, block: slice) -> np.ndarray:
+        top, _ = rank_items(shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n)
+        return top
 
     flags: list[list[int]] = []
-    all_converged = True
-    steps = 0
-    ranked = pool.map(rank, blocks) if pool else map(rank, blocks)
-    for block, (top, _, converged, steps) in zip(blocks, ranked):
-        all_converged = all_converged and converged
+    ranked = pool.map(rank, columns, blocks) if pool else map(rank, columns, blocks)
+    for block, top in zip(blocks, ranked):
         # truth and seen items are disjoint, so hits stop where unseen items do
         hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
         flags.extend(hits.astype(int).tolist())
     hit_counts = [sum(h) for h in flags]
     new_counts = [len(fold.truth[user]) for user in users]
 
-    components = MetricComponents(
+    return MetricComponents(
         window=fold.k,
         users=len(users),
         f1=f1_components(hit_counts, new_counts, params.n),
         hr=hit_ratio_components(hit_counts),
         map=map_components(flags, params.n),
     )
-    return components, all_converged, steps
 
 
 def evaluate_settings(
@@ -333,11 +331,12 @@ def evaluate_settings(
     the exception that stopped it. An error building a fold's shared
     graph stops every setting still running; an error scoring one
     setting stops only that one. Folds without evaluable users
-    contribute (0, 0) components and are marked skipped. A fold whose
-    power iteration was capped before its certified step count is logged
-    as a WARNING with its L1 error bound. The column blocks of each fold
-    are ranked on ``pool`` when one is given, and collected in order, so
-    the pool cannot change a result.
+    contribute (0, 0) components and are marked skipped. Each setting's
+    step count is decided once, by :func:`step_count`; when max_iter
+    caps it before the certified count, every fold scored with it is
+    logged as a WARNING with its L1 error bound. The column blocks of
+    each fold are ranked on ``pool`` when one is given, and collected in
+    order, so the pool cannot change a result.
     """
     if not settings:
         return []
@@ -345,7 +344,7 @@ def evaluate_settings(
     if any((s.delta, s.eta_s) != (first.delta, first.eta_s) for s in settings):
         raise ValueError("settings evaluated together must share delta and eta_s")
     components: list[list[MetricComponents]] = [[] for _ in settings]
-    all_converged = [True] * len(settings)
+    steps = [step_count(s.alpha) for s in settings]
     errors: list[Exception | None] = [None] * len(settings)
     for fold in folds:
         running = [j for j, error in enumerate(errors) if error is None]
@@ -373,29 +372,28 @@ def evaluate_settings(
         for j in running:
             params = settings[j]
             try:
-                comp, converged, steps = _evaluate_fold(shared, params, pool)
+                comp = _evaluate_fold(shared, params, pool)
             except Exception as exc:  # this setting stops; the others go on
                 errors[j] = exc
                 continue
+            iterations, converged = steps[j]
             if not converged:
                 log.warning(
                     "%s fold %d: PageRank not converged at alpha=%g, capped at %d steps; "
                     "L1 error bound 2*alpha^%d = %.2g",
-                    flavor, fold.k, params.alpha, steps, steps, 2.0 * params.alpha**steps,
+                    flavor, fold.k, params.alpha, iterations, iterations,
+                    2.0 * params.alpha**iterations,
                 )
-            all_converged[j] = all_converged[j] and converged
             components[j].append(comp)
         del shared  # free it before the next, larger, fold is built
 
     outcomes: list[EvaluationReport | Exception] = []
-    for params, comps, converged, error in zip(settings, components, all_converged, errors):
+    for params, comps, (_, converged), error in zip(settings, components, steps, errors):
         if error is not None:
             outcomes.append(error)
             continue
-        if all(c.skipped for c in comps):
-            ta = (None, None, None)
-        else:
-            ta = time_average(comps)
+        scored = not all(c.skipped for c in comps)
+        ta = time_average(comps) if scored else (None, None, None)
         outcomes.append(
             EvaluationReport(
                 flavor=flavor,
@@ -405,7 +403,7 @@ def evaluate_settings(
                 ta_f1=ta[0],
                 ta_hr=ta[1],
                 ta_map=ta[2],
-                all_converged=converged,
+                all_converged=converged or not scored,
             )
         )
     return outcomes

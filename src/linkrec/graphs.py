@@ -204,31 +204,6 @@ class RecGraph:
         """Indices of the item-side nodes (I or TI), ascending."""
         return np.flatnonzero((self.kind == _KIND[ITEM]) | (self.kind == _KIND[TITEM]))
 
-    @cached_property
-    def _user_code(self) -> dict[str, int]:
-        return {u: c for c, u in enumerate(self.users)}
-
-    @cached_property
-    def _by_user(self) -> dict:
-        """Per user-side kind: its node indices sorted by (user code, time)."""
-        out = {}
-        for tag in (USER, SESSION, TUSER):
-            idx = np.flatnonzero(self.kind == _KIND[tag])
-            idx = idx[np.lexsort((self.time[idx], self.ident[idx]))]
-            out[tag] = (idx, self.ident[idx])
-        return out
-
-    def user_nodes(self, tag: str, user: str) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and times of ``user``'s nodes of kind ``tag`` (U, S or
-        TU), by ascending time; empty when the user has none."""
-        idx, codes = self._by_user[tag]
-        code = self._user_code.get(user)
-        if code is None:
-            return idx[:0], self.time[:0]
-        lo, hi = np.searchsorted(codes, [code, code + 1])
-        found = idx[lo:hi]
-        return found, self.time[found]
-
 
 def _columns(stream: LinkStream) -> StreamColumns:
     if len(stream) == 0:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .graphs import SESSION, TUSER, USER, RecGraph
+from .graphs import SESSION, TAGS, TUSER, USER, RecGraph
 
 if TYPE_CHECKING:
     from .tuning import ParamSetting
@@ -44,6 +44,7 @@ __all__ = [
     "pagerank",
     "pagerank_batch",
     "certified_steps",
+    "step_count",
     "item_scores",
     "item_matrix",
     "rank_items",
@@ -122,45 +123,49 @@ def _restart_vectors(
 ) -> list[dict[int, float]]:
     """Restart vectors of ``users`` as node index -> mass maps.
 
-    Each user's nodes are found with a searchsorted on the node table:
-    BIP the user node; STG the user node and the user's latest session;
-    LSG the latest temporal user node at or before t. A user absent
-    from the graph (for LSG, also one with no node at or before t)
-    raises ValueError naming the user.
+    Each node kind is looked up for all users in one pass over the node
+    table: its nodes (LSG: temporal user nodes at or before t), sorted
+    by (user code, time), keep the last node of each code. Of several
+    faults, the first of these raises ValueError: an unknown flavor; LSG
+    without t; STG without beta in [0, 1]; the first user, in the order
+    given, absent from the graph; for LSG, the first with no node at or
+    before t. No users and valid arguments give [].
     """
     if graph.flavor not in ("bip", "stg", "lsg"):
         raise ValueError(f"unknown graph flavor {graph.flavor!r}")
     if graph.flavor == "lsg" and t is None:
         raise ValueError("lsg personalization requires the query time t")
-    out = []
-    for user in users:
-        if graph.flavor == "lsg":
-            nodes, times = graph.user_nodes(TUSER, user)
-            if not len(nodes):
-                raise ValueError(f"user {user!r} not in training graph")
-            last = int(np.searchsorted(times, t, side="right")) - 1
-            if last < 0:
-                raise ValueError(f"user {user!r} not in training graph at or before t={t}")
-            out.append({int(nodes[last]): 1.0})
-            continue
-        node, _ = graph.user_nodes(USER, user)
-        if not len(node):
-            raise ValueError(f"user {user!r} not in training graph")
-        if graph.flavor == "bip":
-            out.append({int(node[0]): 1.0})
-            continue
-        if beta is None or not 0.0 <= beta <= 1.0:
-            raise ValueError("stg personalization requires beta in [0, 1]")
-        sessions, _ = graph.user_nodes(SESSION, user)
-        if not len(sessions):  # unreachable: active users always have a session
-            raise ValueError(f"user {user!r} has no session node")
-        d = {}
-        if beta > 0.0:
-            d[int(node[0])] = beta
-        if beta < 1.0:
-            d[int(sessions[-1])] = 1.0 - beta
-        out.append(d)
-    return out
+    if graph.flavor == "stg" and (beta is None or not 0.0 <= beta <= 1.0):
+        raise ValueError("stg personalization requires beta in [0, 1]")
+    user_code = {u: c for c, u in enumerate(graph.users)}
+    codes = np.array([user_code.get(u, -1) for u in users], dtype=np.int64)
+
+    def latest(tag: str, message: str, t: float | None = None) -> list[int]:
+        idx = np.flatnonzero(graph.kind == TAGS.index(tag))
+        if t is not None:
+            idx = idx[graph.time[idx] <= t]
+        idx = idx[np.lexsort((graph.time[idx], graph.ident[idx]))]
+        last = np.diff(graph.ident[idx], append=-1) != 0
+        node = np.full(len(graph.users) + 1, -1)  # the last slot answers code -1
+        node[graph.ident[idx[last]]] = idx[last]
+        found = node[codes]
+        for j in np.flatnonzero(found < 0)[:1].tolist():
+            raise ValueError(message.format(user=users[j], t=t))
+        return found.tolist()
+
+    absent = "user {user!r} not in training graph"
+    if graph.flavor == "lsg":
+        latest(TUSER, absent)
+        return [{n: 1.0} for n in latest(TUSER, absent + " at or before t={t}", t)]
+    nodes = latest(USER, absent)
+    if graph.flavor == "bip":
+        return [{n: 1.0} for n in nodes]
+    # unreachable: active users always have a session
+    sessions = latest(SESSION, "user {user!r} has no session node")
+    return [
+        {n: m for n, m in ((u, beta), (s, 1.0 - beta)) if m > 0.0}
+        for u, s in zip(nodes, sessions)
+    ]
 
 
 def personalization(
@@ -210,6 +215,23 @@ def certified_steps(alpha: float, tol: float) -> int:
     return max(1, math.ceil(math.log(tol / 2.0) / math.log(alpha)))
 
 
+def step_count(
+    alpha: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> tuple[int, bool]:
+    """(steps, converged) of :func:`pagerank_batch` at alpha, known
+    before any iteration: ``min(certified_steps(alpha, tol), max_iter)``
+    steps, not converged when the cap cut them short (the L1 bound is
+    then 2 * alpha**max_iter, e.g. 5.3e-5 at alpha = 0.9 after 100)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    steps = certified_steps(alpha, tol)
+    return min(steps, max_iter), steps <= max_iter
+
+
 def pagerank_batch(
     tm: TransitionMatrix,
     D: np.ndarray,
@@ -225,19 +247,12 @@ def pagerank_batch(
     to all columns in one sparse product per step, starting from X = D.
 
     The recurrence is an alpha-contraction in L1, so after k steps each
-    column is within 2 * alpha**k of its fixed point. The step count is
-    fixed in advance by :func:`certified_steps` rather than by watching
-    the change per step: exactly ``min(certified_steps(alpha, tol),
-    max_iter)`` steps run, and ``converged`` is False when the cap cut
-    them short (the bound is then 2 * alpha**max_iter, e.g. 5.3e-5 at
-    alpha = 0.9 after 100 steps). Returns (scores, converged, iterations).
+    column is within 2 * alpha**k of its fixed point. The step count and
+    ``converged`` are fixed in advance by :func:`step_count` rather than
+    by watching the change per step. Returns (scores, converged,
+    iterations).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    iterations, converged = step_count(alpha, tol, max_iter)
     if D.ndim != 2 or D.shape[0] != tm.n:
         raise ValueError(f"restart matrix must have shape ({tm.n}, columns), got {D.shape}")
     # D has one or two nonzeros per column; its terms are scatter-adds
@@ -256,8 +271,6 @@ def pagerank_batch(
         raise ValueError(f"restart column {j} mass sums to {float(totals[j])}, expected 1")
     restart = (1.0 - alpha) * mass
     dangling = np.flatnonzero(tm.dangling)
-    steps = certified_steps(alpha, tol)
-    iterations = min(steps, max_iter)
     M = tm.matrix
     X = np.zeros(D.shape)
     X[rows, cols] = mass
@@ -268,7 +281,7 @@ def pagerank_batch(
         X_next *= alpha
         X_next[rows, cols] += restart
         X = X_next
-    return X, steps <= max_iter, iterations
+    return X, converged, iterations
 
 
 def pagerank(
@@ -309,27 +322,27 @@ def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
 def rank_items(
     tm: TransitionMatrix,
     A: sparse.csr_matrix,
-    restarts: Sequence[Mapping],
+    D: sparse.spmatrix,
     alpha: float,
     seen: np.ndarray,
     n: int,
-) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    """Rank items for a block of restart vectors, one row per vector.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank items for a block of restart vectors, one row per column of D.
 
-    ``A`` is the :func:`item_matrix` of ``tm``'s graph and ``seen`` a
-    restarts x items mask of the items each row must skip. Returns the
-    top-n item rows, best first, with -1 past the last unseen item (ties
-    go to the lower row, the smaller item id); the item scores, -inf at
-    seen items; and whether the PageRank block converged, in how many
-    steps.
+    ``D`` is a (nodes, columns) restart matrix as :func:`pagerank_batch`
+    takes it, ``A`` the :func:`item_matrix` of ``tm``'s graph and
+    ``seen`` a columns x items mask of the items each row must skip.
+    Returns the top-n item rows, best first, with -1 past the last
+    unseen item (ties go to the lower row, the smaller item id), and the
+    item scores, -inf at seen items. Whether the scores are certified is
+    ``step_count(alpha)``'s to say.
     """
-    D = personalization_matrix(tm, restarts)
-    X, converged, steps = pagerank_batch(tm, D, alpha)
+    X, _, _ = pagerank_batch(tm, D, alpha)
     S = np.ascontiguousarray((A @ X).T)
     S[seen] = -np.inf
     top = np.argsort(-S, axis=1, kind="stable")[:, :n]
     top[np.take_along_axis(seen, top, axis=1)] = -1
-    return top, S, converged, steps
+    return top, S
 
 
 def recommend(
@@ -345,8 +358,8 @@ def recommend(
     ``seen``, by descending score, ties by ascending item id."""
     if tm is None:
         tm = transition_matrix(graph)
-    restarts = _restart_vectors(graph, [user], t, params.beta)
+    D = personalization_matrix(tm, _restart_vectors(graph, [user], t, params.beta))
     items, A = item_matrix(graph)
     mask = np.array([[item in seen for item in items]], dtype=bool)
-    top, S, _, _ = rank_items(tm, A, restarts, params.alpha, mask, params.n)
+    top, S = rank_items(tm, A, D, params.alpha, mask, params.n)
     return [(items[r], float(S[0, r])) for r in top[0].tolist() if r >= 0]

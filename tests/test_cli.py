@@ -539,3 +539,52 @@ def test_filters_leaving_no_events_is_nothing_evaluated(dataset, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nothing evaluated: no events survive the filters" in captured.err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["inspect", "--n"], "unrecognized arguments: --n"),
+    (["inspect", "--n", "5"], "unrecognized arguments: --n 5"),
+    (["evaluate", "--graph", "bip", "--alpha", "0.3", "--win", "4"],
+     "unrecognized arguments: --win 4"),
+], ids=["inspect-n", "inspect-n-5", "evaluate-win"])
+def test_abbreviated_flags_are_rejected(dataset, tmp_path, capsys, args, message):
+    command, *flags = args
+    if command == "evaluate":
+        flags += ["--out-dir", str(tmp_path / "run")]
+    assert main([command, "--input", str(dataset), *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+FLAT = "".join(f"u\ti\t{t}\n" for t in range(0, 100, 10))  # never a new test item
+
+
+@pytest.mark.parametrize("args,config,code,message", [
+    (["evaluate", "--input", "{data}", "--graph", "bip", "--alpha", "0.3", "--windows", "1"],
+     None, EXIT_CONFIG, "config error: --windows must be at least 2"),
+    (["search", "--input", "{data}", "--graph", "bip", "--windows", "1"],
+     None, EXIT_CONFIG, "config error: --windows must be at least 2"),
+    (["evaluate", "--graph", "bip", "--alpha", "0.3"],
+     None, EXIT_CONFIG, "config error: --input is required"),
+    (["evaluate", "--input", "{data}", "--graph", "bip", "--alpha", "0.3", "--config", "{cfg}"],
+     None, EXIT_CONFIG, "config error: config file not found: {cfg}"),
+    (["evaluate", "--input", "{data}", "--graph", "bip", "--alpha", "0.3", "--config", "{cfg}"],
+     "n = 5\nwindows 4", EXIT_CONFIG, "config error: {cfg}:2: expected 'key = value'"),
+    (["search", "--input", "{data}"],
+     None, EXIT_CONFIG, "config error: --graph is required (bip, stg or lsg)"),
+    (["search", "--input", "{flat}", "--graph", "bip", "--count", "2"],
+     None, EXIT_NOTHING_EVALUATED, "nothing evaluated: every sampled setting failed"),
+], ids=["evaluate-windows", "search-windows", "no-input", "no-config-file", "config-line",
+        "search-no-graph", "search-all-failed"])
+def test_cli_errors(dataset, tmp_path, capsys, args, config, code, message):
+    (tmp_path / "flat.tsv").write_text(FLAT)
+    names = {"data": dataset, "flat": tmp_path / "flat.tsv", "cfg": tmp_path / "run.cfg"}
+    if config is not None:
+        names["cfg"].write_text(config + "\n")
+    argv = [arg.format(**names) for arg in args] + ["--out-dir", str(tmp_path / "run")]
+    assert main(argv) == code
+    assert message.format(**names) in capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert not (tmp_path / "run").exists()

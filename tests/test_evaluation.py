@@ -1,6 +1,7 @@
 import itertools
 import json
 import logging
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -245,7 +246,10 @@ def test_iter_folds_train_test_hygiene(stream_factory):
 def test_restart_vectors_match_personalization(seed):
     stream = make_stream(seed, n_events=40, t_max=300)
     t = stream.omega
+    rng = random.Random(seed)
+    # shuffled, with repeats
     users = sorted(stream.users)
+    users = rng.sample(users, len(users)) + rng.choices(users, k=6)
 
     def rendered(graph, vectors):
         # batched vectors are keyed by node index
@@ -265,6 +269,17 @@ def test_restart_vectors_match_personalization(seed):
     assert rendered(lsg, _restart_vectors(lsg, users, t, None)) == [
         personalization(lsg, u, t=t) for u in users
     ]
+    # query times strictly between node times, for the users active by then
+    times = sorted({ev.t for ev in stream.events})
+    first = {u: min(ev.t for ev in stream.events if ev.user == u) for u in users}
+    for k in (len(times) // 4, len(times) // 2, len(times) - 2):
+        mid = (times[k] + times[k + 1]) / 2
+        assert times[k] < mid < times[k + 1]
+        active = [u for u in users if first[u] < mid]
+        assert active
+        assert rendered(lsg, _restart_vectors(lsg, active, mid, None)) == [
+            personalization(lsg, u, t=mid) for u in active
+        ]
 
 
 @pytest.mark.parametrize(
@@ -344,13 +359,18 @@ def test_run_protocol_all_flavors_agree_on_shape():
         assert not report.nothing_evaluated
 
 
-def test_run_protocol_stream_confined_to_first_window():
+def test_run_protocol_stream_confined_to_first_window(caplog):
     events = [Event(t, "u", f"i{t}") for t in range(5)]
     stream = LinkStream.from_events(events, time_span=(0, 100))
-    report = run_protocol(stream, "bip", ParamSetting(alpha=0.3, n=5), n_windows=8)
-    assert report.nothing_evaluated
-    assert report.ta_f1 is None
-    assert all(c.skipped for c in report.windows)
+    # alpha 0.9 is capped below its certified steps, but no fold is scored
+    for alpha in (0.3, 0.9):
+        with caplog.at_level(logging.DEBUG, logger="linkrec"):
+            report = run_protocol(stream, "bip", ParamSetting(alpha=alpha, n=5), n_windows=8)
+        assert report.nothing_evaluated
+        assert report.ta_f1 is None
+        assert all(c.skipped for c in report.windows)
+        assert report.all_converged
+    assert caplog.records == []
 
 
 def test_run_protocol_user_without_new_items_excluded(toy_stream):
@@ -610,8 +630,9 @@ def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, pa
         restarts = shared.restarts(params.beta)
         for start in range(0, len(shared.users), evaluation._BATCH_COLUMNS):
             block = slice(start, start + evaluation._BATCH_COLUMNS)
-            top, _, _, _ = rank_items(
-                shared.tm, shared.A, restarts[block], params.alpha, shared.seen[block], params.n
+            top, _ = rank_items(
+                shared.tm, shared.A, restarts[:, block], params.alpha, shared.seen[block],
+                params.n,
             )
             for user, rows in zip(shared.users[start:], top.tolist()):
                 expected = recommend(

@@ -17,6 +17,8 @@ from linkrec.graphs import (
     build_stg,
 )
 from linkrec.ranker import (
+    DEFAULT_TOL,
+    certified_steps,
     item_matrix,
     item_scores,
     pagerank,
@@ -24,6 +26,7 @@ from linkrec.ranker import (
     personalization,
     personalization_matrix,
     recommend,
+    step_count,
     transition_matrix,
 )
 from linkrec.tuning import GRID_ALPHA, ParamSetting
@@ -287,6 +290,19 @@ def test_pagerank_batch_certified_step_count_and_bound(alpha, tol):
         assert iterations == math.ceil(math.log(tol / 2) / math.log(alpha))
         for j, d in enumerate(ds):
             assert np.abs(X[:, j] - dense_pagerank(tm, d, alpha)).sum() <= tol
+
+
+# certified steps at tol 1e-10: 0.5 needs 35, 0.7 needs 67, 0.9 needs 226
+@pytest.mark.parametrize("max_iter,capped", [(100, [0.9]), (30, [0.5, 0.7, 0.9])])
+def test_step_count_matches_pagerank_batch(max_iter, capped):
+    tm = transition_matrix(two_node_cycle())
+    D = np.array([[1.0], [0.0]])
+    for alpha in GRID_ALPHA:
+        iterations, converged = step_count(alpha, max_iter=max_iter)
+        _, batch_converged, batch_iterations = pagerank_batch(tm, D, alpha, max_iter=max_iter)
+        assert (converged, iterations) == (batch_converged, batch_iterations)
+        assert iterations == min(certified_steps(alpha, DEFAULT_TOL), max_iter)
+    assert [a for a in GRID_ALPHA if not step_count(a, max_iter=max_iter)[1]] == capped
 
 
 def differential_cases(rng: random.Random):

@@ -380,6 +380,23 @@ def test_search_scoring_error_fails_one_setting_only(monkeypatch):
     assert all(e == reference[e.sample_index] for e in result.entries)
 
 
+def test_search_task_error_fails_its_group_only(monkeypatch):
+    # one worker: each graph-key group is one task run in this process
+    reference = [e for e in lsg_search().entries if e.setting.eta_s == 0.0]
+    evaluate_settings = tuning.evaluate_settings
+
+    def failing(folds, flavor, settings):
+        if settings[0].eta_s == 0.5:
+            raise RuntimeError("group lost")
+        return evaluate_settings(folds, flavor, settings)
+
+    monkeypatch.setattr(tuning, "evaluate_settings", failing)
+    result = lsg_search()
+    assert sorted(e.setting.alpha for e in result.failed) == [0.1, 0.5, 0.9]
+    assert all(e.setting.eta_s == 0.5 and e.error == "group lost" for e in result.failed)
+    assert result.entries == reference
+
+
 def test_search_fold_error_fails_every_setting(monkeypatch):
     def failing(stream, n_windows):
         raise ValueError("no folds")
