@@ -30,6 +30,7 @@ from scipy import sparse
 from .graphs import RecGraph, build_graph
 from .linkstream import LinkStream, Window, split_windows
 from .ranker import (
+    RestartBlock,
     TransitionMatrix,
     _restart_vectors,
     item_matrix,
@@ -272,13 +273,13 @@ class FoldGraph:
             truth[r, [item_row[i] for i in fold.truth[user] if i in item_row]] = True
         return cls(fold, graph, tm, items, A, users, seen, truth)
 
-    def restarts(self, beta: float | None) -> sparse.csc_matrix:
+    def restarts(self, beta: float | None) -> RestartBlock:
         """The evaluated users' restart vectors as the columns of a
-        (nodes, users) matrix, built once per beta; every alpha of the
-        fold ranks column blocks of it."""
+        (nodes, users) block, built and checked once per beta; every
+        alpha of the fold ranks column slices of it."""
         if beta not in self._restarts:
             vectors = _restart_vectors(self.graph, self.users, self.fold.rec_time, beta)
-            self._restarts[beta] = personalization_matrix(self.tm, vectors).tocsc()
+            self._restarts[beta] = RestartBlock.checked(personalization_matrix(self.tm, vectors))
         return self._restarts[beta]
 
 

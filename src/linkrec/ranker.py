@@ -37,6 +37,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TransitionMatrix",
+    "RestartBlock",
     "ScoreVector",
     "transition_matrix",
     "personalization",
@@ -54,6 +55,21 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 
+# pagerank_batch starts a block sparse only when one dense product of
+# it is at least this large (M.nnz * columns). A sparse step costs about
+# 0.2 ms in scipy overhead alone, more than a whole dense product of a
+# search-campaign graph (at most 1,400 nodes; M.nnz * columns up to
+# 162k on campaign-lsg): without the gate, PageRank of a campaign-lsg
+# search took 1.63 s instead of 1.32 s. 221 of 230 protocol-lsg blocks
+# (seeds 1-4) measure 262k-2.4M.
+_SPARSE_MIN_WORK = 2**18
+# It hands over to the dense loop once the iterate holds one nonzero in
+# this many entries of the block. On protocol-lsg (alpha = 0.3, 20
+# steps) a column of the last fold's first block holds 1, 3, 7, 14, 26,
+# 50, 93, 172, 320 of 17,860 entries after steps 0-8, and blocks hand
+# over after 6-8 steps; 32 and 128 were no faster.
+_SPARSE_FILL = 64
+
 
 @dataclass(eq=False)
 class TransitionMatrix:
@@ -61,13 +77,15 @@ class TransitionMatrix:
 
     ``matrix[y, x]`` is w(x, y) / out_weight(x); columns of dangling
     nodes (zero out-weight) are empty and flagged in ``dangling``.
-    ``nodes`` and ``index`` are the rendered tagged-tuple view of that
-    order, built on first read.
+    ``transposed`` is ``matrix.T`` in CSR, built with it for the sparse
+    start of :func:`pagerank_batch`. ``nodes`` and ``index`` are the
+    rendered tagged-tuple view of that order, built on first read.
     """
 
     graph: RecGraph
     matrix: sparse.csr_matrix
     dangling: np.ndarray  # bool mask over node indices
+    transposed: sparse.csr_matrix
 
     @property
     def n(self) -> int:
@@ -107,7 +125,11 @@ class ScoreVector:
 def transition_matrix(graph: RecGraph) -> TransitionMatrix:
     """Out-weight-normalize the graph's edges into column convention.
 
-    Out-weights are summed per source node in edge-array order.
+    Out-weights are summed per source node in edge-array order. The CSR
+    matrix is canonical, whatever the edge order: each row's entries are
+    stored by ascending column, without duplicates. The dense product
+    adds a row's terms in that order, which is what makes the sparse
+    start of :func:`pagerank_batch` exact.
     """
     n = graph.n_nodes
     if n == 0:
@@ -115,7 +137,9 @@ def transition_matrix(graph: RecGraph) -> TransitionMatrix:
     out_weight = np.bincount(graph.src, weights=graph.weight, minlength=n)
     data = graph.weight / out_weight[graph.src]
     matrix = sparse.csr_matrix((data, (graph.dst, graph.src)), shape=(n, n))
-    return TransitionMatrix(graph=graph, matrix=matrix, dangling=out_weight == 0.0)
+    return TransitionMatrix(
+        graph=graph, matrix=matrix, dangling=out_weight == 0.0, transposed=matrix.T.tocsr()
+    )
 
 
 def _restart_vectors(
@@ -204,6 +228,55 @@ def personalization_matrix(tm: TransitionMatrix, vectors: Iterable[Mapping]) -> 
     return sparse.coo_matrix((mass, (rows, cols)), shape=(tm.n, width), dtype=float)
 
 
+@dataclass(frozen=True, eq=False)
+class RestartBlock:
+    """Checked restart vectors as the columns of a (nodes, columns) block.
+
+    Entry e puts ``mass[e]`` on node ``row[e]`` of column ``col[e]``;
+    entries are sorted by column, then row, without duplicates, and
+    every column is non-negative and sums to 1. ``block[:, a:b]`` is
+    columns a to b - 1 as a block of their own, cut by slicing.
+    """
+
+    shape: tuple[int, int]
+    row: np.ndarray
+    col: np.ndarray
+    mass: np.ndarray
+    ndim = 2
+
+    @classmethod
+    def checked(cls, D) -> "RestartBlock":
+        """The block of a sparse or dense (nodes, columns) array, with
+        duplicates summed. Raises ValueError naming the columns with
+        negative mass, or else the first column whose mass does not sum
+        to 1."""
+        D = sparse.coo_matrix(D)
+        D.sum_duplicates()
+        rows, cols, mass = D.row, D.col, np.asarray(D.data, dtype=float)
+        # the bound of pagerank_batch holds only for probability columns
+        negative = np.unique(cols[mass < 0.0])
+        if negative.size:
+            raise ValueError(f"restart columns {negative.tolist()} have negative mass")
+        totals = np.bincount(cols, weights=mass, minlength=D.shape[1])
+        bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-12))  # NaN is bad too
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"restart column {j} mass sums to {float(totals[j])}, expected 1")
+        order = np.lexsort((rows, cols))
+        return cls(D.shape, rows[order], cols[order], mass[order])
+
+    def __getitem__(self, key: tuple[slice, slice]) -> "RestartBlock":
+        rows, cols = key
+        if rows != slice(None) or not isinstance(cols, slice) or cols.step not in (None, 1):
+            raise IndexError("a restart block is cut only as block[:, start:stop]")
+        start, stop, _ = cols.indices(self.shape[1])
+        stop = max(start, stop)
+        a, b = np.searchsorted(self.col, [start, stop]).tolist()
+        return RestartBlock(
+            (self.shape[0], stop - start), self.row[a:b], self.col[a:b] - start, self.mass[a:b]
+        )
+
+
 def certified_steps(alpha: float, tol: float) -> int:
     """Power-iteration steps after which every column is within tol in L1.
 
@@ -234,7 +307,7 @@ def step_count(
 
 def pagerank_batch(
     tm: TransitionMatrix,
-    D: np.ndarray,
+    D: RestartBlock | np.ndarray | sparse.spmatrix,
     alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -242,7 +315,8 @@ def pagerank_batch(
     """Power iteration for many restart vectors at once.
 
     ``D`` holds one restart vector per column, each non-negative and
-    summing to 1, as a sparse or a dense array; the recurrence
+    summing to 1: a :class:`RestartBlock`, or a sparse or dense array
+    that is checked into one. The recurrence
     X <- alpha * (M X + D * dangling_mass) + (1 - alpha) * D is applied
     to all columns in one sparse product per step, starting from X = D.
 
@@ -251,30 +325,35 @@ def pagerank_batch(
     ``converged`` are fixed in advance by :func:`step_count` rather than
     by watching the change per step. Returns (scores, converged,
     iterations).
+
+    A large block without dangling nodes starts sparse: while its
+    iterate is mostly zeros, a step is ``X.T @ M.T`` on the sparse
+    transpose, its rows kept sorted. The dense product sums
+    M[i, j] * X[j, c] from +0.0 by ascending j, as ``tm.matrix`` is
+    canonical CSR; the sparse one adds the nonzero terms of that sum in
+    the same order, and the others only add +0.0 to finite non-negative
+    values, so the iterates are bitwise equal (the restart mass is
+    added as alpha * y + r, or r where y is not stored, as the dense
+    scatter does). The dense loop takes over for the remaining steps.
     """
     iterations, converged = step_count(alpha, tol, max_iter)
     if D.ndim != 2 or D.shape[0] != tm.n:
         raise ValueError(f"restart matrix must have shape ({tm.n}, columns), got {D.shape}")
+    if not isinstance(D, RestartBlock):
+        D = RestartBlock.checked(D)
     # D has one or two nonzeros per column; its terms are scatter-adds
     # there, which equal the dense adds because adding +0.0 is exact.
-    D = sparse.coo_matrix(D)
-    D.sum_duplicates()
-    rows, cols, mass = D.row, D.col, np.asarray(D.data, dtype=float)
-    # the bound holds only for probability columns
-    negative = np.unique(cols[mass < 0.0])
-    if negative.size:
-        raise ValueError(f"restart columns {negative.tolist()} have negative mass")
-    totals = np.bincount(cols, weights=mass, minlength=D.shape[1])
-    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-12))  # NaN is bad too
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(f"restart column {j} mass sums to {float(totals[j])}, expected 1")
+    rows, cols, mass = D.row, D.col, D.mass
     restart = (1.0 - alpha) * mass
     dangling = np.flatnonzero(tm.dangling)
     M = tm.matrix
-    X = np.zeros(D.shape)
-    X[rows, cols] = mass
-    for _ in range(iterations):
+    if dangling.size or M.nnz * D.shape[1] < _SPARSE_MIN_WORK:
+        X = np.zeros(D.shape)
+        X[rows, cols] = mass
+        done = 0
+    else:
+        X, done = _sparse_start(tm, D, alpha, restart, iterations)
+    for _ in range(iterations - done):
         X_next = M @ X
         if dangling.size:
             X_next[rows, cols] += mass * X[dangling].sum(axis=0)[cols]
@@ -282,6 +361,30 @@ def pagerank_batch(
         X_next[rows, cols] += restart
         X = X_next
     return X, converged, iterations
+
+
+def _sparse_start(
+    tm: TransitionMatrix, D: RestartBlock, alpha: float, restart: np.ndarray, iterations: int
+) -> tuple[np.ndarray, int]:
+    """The first steps of :func:`pagerank_batch` on the sparse
+    (columns, nodes) transpose of the iterate, until it fills one entry
+    in ``_SPARSE_FILL`` or the steps run out. Returns the dense iterate
+    and the number of steps taken. Each row of the transpose is kept in
+    ascending node order, the order in which the product adds terms."""
+    n, width = D.shape
+    starts = np.searchsorted(D.col, np.arange(width + 1))
+    XT = sparse.csr_matrix((D.mass, D.row, starts), shape=(width, n))
+    RT = sparse.csr_matrix((restart, D.row, starts), shape=(width, n))
+    done = 0
+    while done < iterations and XT.nnz * _SPARSE_FILL < n * width:
+        XT = XT @ tm.transposed
+        XT.sort_indices()
+        XT.data *= alpha
+        XT = XT + RT
+        done += 1
+    X = np.zeros(D.shape)
+    X[XT.indices, np.repeat(np.arange(width), np.diff(XT.indptr))] = XT.data
+    return X, done
 
 
 def pagerank(
@@ -322,7 +425,7 @@ def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
 def rank_items(
     tm: TransitionMatrix,
     A: sparse.csr_matrix,
-    D: sparse.spmatrix,
+    D: RestartBlock | sparse.spmatrix,
     alpha: float,
     seen: np.ndarray,
     n: int,

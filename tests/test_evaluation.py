@@ -1,6 +1,7 @@
 import itertools
 import json
 import logging
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -644,3 +645,28 @@ def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, pa
                 ]
                 compared += 1
     assert compared > 10
+
+
+def test_sparse_start_leaves_protocol_report_unchanged(monkeypatch):
+    # large enough that blocks pass the sparse start's size gate as is
+    stream = make_stream(7, n_users=120, n_items=200, n_events=5000, t_max=1_000_000)
+    params = ParamSetting(alpha=0.3, n=10, eta_s=0.5)
+    sparse_starts = []
+    sparse_start = ranker._sparse_start
+
+    def spy(*args):
+        X, done = sparse_start(*args)
+        sparse_starts.append(done)
+        return X, done
+
+    monkeypatch.setattr(ranker, "_sparse_start", spy)
+    reports = {}
+    for workers in (1, 2):
+        reports[workers] = report_json(run_protocol(stream, "lsg", params, workers=workers), {})
+        assert sparse_starts and all(done > 0 for done in sparse_starts)
+        sparse_starts.clear()
+    monkeypatch.setattr(ranker, "_SPARSE_MIN_WORK", math.inf)
+    for workers in (1, 2):
+        dense = report_json(run_protocol(stream, "lsg", params, workers=workers), {})
+        assert not sparse_starts
+        assert dense == reports[workers] == reports[1]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from linkrec import ranker
 from linkrec.graphs import (
     ITEM,
     SESSION,
@@ -18,6 +19,7 @@ from linkrec.graphs import (
 )
 from linkrec.ranker import (
     DEFAULT_TOL,
+    RestartBlock,
     certified_steps,
     item_matrix,
     item_scores,
@@ -163,6 +165,31 @@ def test_transition_matrix_columns_stochastic(seed):
             assert sums[j] == 0.0
         else:
             assert abs(sums[j] - 1.0) <= 1e-12
+
+
+def shuffled(graph: RecGraph, seed: int) -> RecGraph:
+    """The same graph with its edge arrays in a random order."""
+    order = np.random.default_rng(seed).permutation(graph.n_edges)
+    return RecGraph.coded(
+        graph.flavor, graph.kind, graph.ident, graph.time, graph.src[order], graph.dst[order],
+        graph.weight[order], graph.users, graph.items, graph.delta, graph.eta_s,
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_transition_matrix_rows_sorted_without_duplicates(seed):
+    # the sparse start of pagerank_batch is exact only if each row's
+    # entries are stored by ascending column, once each
+    stream = make_stream(seed, n_users=8, n_items=12, n_events=80)
+    built = [build_bip(stream), build_stg(stream, delta=200, eta_s=0.5), build_lsg(stream, 0.5)]
+    for graph in built + [shuffled(g, seed) for g in built]:
+        tm = transition_matrix(graph)
+        m = tm.matrix
+        row = np.repeat(np.arange(tm.n), np.diff(m.indptr))
+        same_row = row[1:] == row[:-1]
+        assert (np.diff(m.indices)[same_row] > 0).all()
+        assert m.nnz == graph.n_edges
+        assert (tm.transposed != m.T).nnz == 0
 
 
 # --- pagerank -------------------------------------------------------------------
@@ -373,6 +400,94 @@ def test_pagerank_batch_rejects_restart_not_summing_to_one():
         pagerank_batch(tm, np.zeros((2, 1)), alpha=0.5)
     with pytest.raises(ValueError, match="mass sums to nan"):
         pagerank_batch(tm, np.array([[np.nan], [1.0]]), alpha=0.5)
+
+
+def test_restart_block_column_slices():
+    D = np.array([[0.5, 0.0, 1.0, 0.0], [0.5, 1.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.75]])
+    block = RestartBlock.checked(sparse.csr_matrix(D))
+    assert (block.shape, block.ndim) == ((3, 4), 2)
+    for start, stop in ((0, 4), (1, 3), (3, 4), (2, None), (None, 1), (4, 4), (3, 1)):
+        part = block[:, start:stop]
+        dense = np.zeros(part.shape)
+        dense[part.row, part.col] = part.mass
+        assert np.array_equal(dense, D[:, start:stop])
+        assert np.array_equal(np.lexsort((part.row, part.col)), np.arange(len(part.row)))
+    with pytest.raises(IndexError):
+        block[:, ::2]
+    with pytest.raises(IndexError):
+        block[1:, :]
+
+
+def sparse_start_cases(flavor):
+    """(transition matrix, every user's restart block) of one graph
+    without dangling nodes, built from a stream of 60 users."""
+    stream = make_stream(5, n_users=60, n_items=80, n_events=400, t_max=10_000)
+    graph, t, beta = {
+        "lsg-0.5": (build_lsg(stream, 0.5), stream.omega, None),
+        "lsg-0": (build_lsg(stream, 0.0), stream.omega, None),
+        "bip": (build_bip(stream), None, None),
+        "stg-0.1": (build_stg(stream, delta=1000, eta_s=0.5), None, 0.1),
+        "stg-0.9": (build_stg(stream, delta=1000, eta_s=0.5), None, 0.9),
+    }[flavor]
+    tm = transition_matrix(graph)
+    assert not tm.dangling.any()
+    ds = [personalization(graph, u, t=t, beta=beta) for u in sorted(stream.users)]
+    return tm, RestartBlock.checked(personalization_matrix(tm, ds))
+
+
+def spy_sparse_start(monkeypatch) -> list:
+    """Record (steps taken, steps in all) of every sparse start."""
+    calls = []
+    sparse_start = ranker._sparse_start
+
+    def spy(tm, D, alpha, restart, iterations):
+        X, done = sparse_start(tm, D, alpha, restart, iterations)
+        calls.append((done, iterations))
+        return X, done
+
+    monkeypatch.setattr(ranker, "_sparse_start", spy)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.9])
+@pytest.mark.parametrize("flavor", ["lsg-0.5", "lsg-0", "bip", "stg-0.1", "stg-0.9"])
+def test_sparse_start_is_bitwise_equal_to_dense_loop(monkeypatch, flavor, alpha):
+    tm, restarts = sparse_start_cases(flavor)
+    calls = spy_sparse_start(monkeypatch)
+    # the narrow widths cut the first 12 users, 48 all of them
+    for width, users in ((1, 12), (3, 12), (48, restarts.shape[1])):
+        blocks = [restarts[:, s:s + width] for s in range(0, users, width)]
+        monkeypatch.setattr(ranker, "_SPARSE_MIN_WORK", math.inf)
+        sparse_starts = len(calls)
+        dense = [pagerank_batch(tm, D, alpha) for D in blocks]
+        assert len(calls) == sparse_starts
+        # fill 1 stays sparse while any entry is zero; 8 hands over early
+        for fill in (1, 8):
+            monkeypatch.setattr(ranker, "_SPARSE_MIN_WORK", 0)
+            monkeypatch.setattr(ranker, "_SPARSE_FILL", fill)
+            for D, (X_dense, converged, iterations) in zip(blocks, dense):
+                X, got_converged, got_iterations = pagerank_batch(tm, D, alpha)
+                assert (got_converged, got_iterations) == (converged, iterations)
+                assert np.array_equal(X, X_dense)
+                assert X.tobytes() == X_dense.tobytes()
+    assert len(calls) == 2 * (12 + 4 + -(-restarts.shape[1] // 48))
+    assert all(done >= 1 for done, _ in calls)
+    handed_over = any(done < steps for done, steps in calls)
+    # the forward-only walk of lsg-0 never fills an eighth of a block
+    assert handed_over == (flavor != "lsg-0")
+
+
+def test_dangling_graph_skips_sparse_start(monkeypatch):
+    rng = random.Random(3)
+    graph = random_digraph_with_dangling(rng)
+    tm = transition_matrix(graph)
+    ds = [random_restart(rng, tm) for _ in range(3)]
+    calls = spy_sparse_start(monkeypatch)
+    monkeypatch.setattr(ranker, "_SPARSE_MIN_WORK", 0)
+    X, converged, _ = pagerank_batch(tm, personalization_matrix(tm, ds), 0.5)
+    assert converged and not calls
+    for j, d in enumerate(ds):
+        assert np.abs(X[:, j] - dense_pagerank(tm, d, 0.5)).sum() <= DEFAULT_TOL
 
 
 # --- personalization -------------------------------------------------------------
