@@ -6,7 +6,7 @@ Run from the repository root:  python demos/04_windowed_evaluation.py
 """
 
 from linkrec import Event, LinkStream, ParamSetting, iter_folds, run_protocol
-from linkrec.evaluation import report_csv
+from linkrec.evaluation import FoldGraph, report_csv
 
 # A synthetic stream with drift: every user keeps moving on to new items,
 # so each fold has something to predict.
@@ -14,15 +14,22 @@ events = []
 for u in range(6):
     for step in range(12):
         events.append(Event(1 + step * 33 + u, f"u{u}", f"i{(u + step) % 10}"))
+# u6 shows up once, then picks only an item nobody had picked before.
+events += [Event(5, "u6", "i0"), Event(150, "u6", "fresh")]
 stream = LinkStream.from_events(events, time_span=(0, 400))
 
 # Folds pair a growing training stream with the next window as test set.
 # A user is evaluated only if they were seen in training AND picked at
-# least one new item in the test window.
+# least one new item in the test window. Only items of the training
+# graph can be recommended, so an evaluated user whose new items are all
+# absent from it (u6 in fold 1) scores no hit: the protocol counts them
+# with zero hits and ranks only the others.
 for fold in iter_folds(stream, 4):
+    ranked = FoldGraph.build(fold, "lsg", None, 0.2).users
     print(
         f"fold {fold.k}: train={len(fold.train)} events, "
-        f"test={len(fold.test)} events, evaluated users={sorted(fold.truth)}"
+        f"test={len(fold.test)} events, evaluated users={sorted(fold.truth)}, "
+        f"ranked users={ranked}"
     )
 
 # run_protocol scores every fold for one setting and one graph flavor.

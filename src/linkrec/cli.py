@@ -364,7 +364,12 @@ def cmd_search(cfg: dict) -> int:
 
 
 def _iso(ts: float) -> str:
-    return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
+    """``ts`` as a UTC date, or as given when it is past what a date can
+    show (a nanosecond epoch, for one)."""
+    try:
+        return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
+    except (OverflowError, OSError, ValueError):
+        return str(ts)
 
 
 def cmd_inspect(cfg: dict) -> int:
@@ -376,20 +381,24 @@ def cmd_inspect(cfg: dict) -> int:
         label = f"{flavor}({extra})" if extra else flavor
         return f"{label}: {graph.n_nodes} nodes, {graph.n_edges} directed edges"
 
-    # Every graph is built, and its parameters checked, before any output.
+    # Every line is computed, and every graph's parameters checked,
+    # before any output.
     graphs = [describe("bip")]
     if cfg["delta"] is not None:
         graphs.append(describe("stg", delta=cfg["delta"], eta_s=cfg["eta_s"] or 0.0))
     graphs.append(describe("lsg", eta_s=cfg["eta_s"] or 0.0))
     pairs = len(stream.distinct_pairs())
     n_users, n_items = len(stream.users), len(stream.items)
-    print(f"events (links):     {len(stream)}")
-    print(f"distinct user-item: {pairs}")
-    print(f"users / items:      {n_users} / {n_items}")
-    print(f"span:               {_iso(stream.alpha)} .. {_iso(stream.omega)}")
-    print(f"duration (days):    {(stream.omega - stream.alpha) / 86400.0:.2f}")
-    print(f"sparsity:           {1.0 - pairs / (n_users * n_items):.4%}")
-    print("\n".join(graphs))
+    lines = [
+        f"events (links):     {len(stream)}",
+        f"distinct user-item: {pairs}",
+        f"users / items:      {n_users} / {n_items}",
+        f"span:               {_iso(stream.alpha)} .. {_iso(stream.omega)}",
+        f"duration (days):    {(stream.omega - stream.alpha) / 86400.0:.2f}",
+        f"sparsity:           {1.0 - pairs / (n_users * n_items):.4%}",
+        *graphs,
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -242,9 +242,16 @@ class FoldGraph:
 
     Settings with the same graph key (flavor, delta, eta_s) build the
     graph, transition matrix and item aggregation matrix of a fold
-    once, with users x items masks of the evaluated users' training
-    items (``seen``) and new test-window items (``truth``); the restart
+    once, with users x items masks of the ranked users' training items
+    (``seen``) and new test-window items (``truth``); the restart
     matrix is kept per beta on first use.
+
+    ``users`` are the ranked users: the evaluated users, sorted, with at
+    least one new item among the graph's items. Only graph items can be
+    ranked, so an evaluated user whose new items all first appear in the
+    test window scores no hit under any setting and is not ranked. The
+    rows of ``seen`` and ``truth`` and the columns of ``restarts(beta)``
+    follow ``users``.
     """
 
     fold: Fold
@@ -265,7 +272,7 @@ class FoldGraph:
         tm = transition_matrix(graph)
         items, A = item_matrix(graph)
         item_row = {item: r for r, item in enumerate(items)}
-        users = sorted(fold.truth)
+        users = [u for u in sorted(fold.truth) if not fold.truth[u].isdisjoint(item_row)]
         seen = np.zeros((len(users), len(items)), dtype=bool)
         truth = np.zeros_like(seen)
         for r, user in enumerate(users):
@@ -274,9 +281,12 @@ class FoldGraph:
         return cls(fold, graph, tm, items, A, users, seen, truth)
 
     def restarts(self, beta: float | None) -> RestartBlock:
-        """The evaluated users' restart vectors as the columns of a
+        """The ranked users' restart vectors as the columns of a
         (nodes, users) block, built and checked once per beta; every
-        alpha of the fold ranks column slices of it."""
+        alpha of the fold ranks column slices of it. Ranked users are
+        evaluated users, and every evaluated user has training nodes at
+        or before ``rec_time``, so leaving the others out removes no
+        error that building their vectors could raise."""
         if beta not in self._restarts:
             vectors = _restart_vectors(self.graph, self.users, self.fold.rec_time, beta)
             self._restarts[beta] = RestartBlock.checked(personalization_matrix(self.tm, vectors))
@@ -286,15 +296,21 @@ class FoldGraph:
 def _evaluate_fold(
     shared: FoldGraph, params: "ParamSetting", pool: ThreadPoolExecutor | None = None
 ) -> MetricComponents:
-    """Components of one fold for one setting. The restart matrix is
-    cut into column blocks here, the blocks are ranked on ``pool`` when
-    one is given, and collected in block order."""
+    """Components of one fold for one setting. The ranked users' restart
+    matrix is cut into column blocks here, the blocks are ranked on
+    ``pool`` when one is given, and collected in block order.
+
+    Every other evaluated user has no new item in the graph, so their
+    hit flags are all zero; they are appended after the ranked users'.
+    The users and denominators still count every evaluated user. The
+    integer sums do not depend on order and the AP sum only adds +0.0
+    for them, which is exact, so the components equal ranking them all.
+    """
     fold, users = shared.fold, shared.users
     blocks = [
         slice(start, start + _BATCH_COLUMNS) for start in range(0, len(users), _BATCH_COLUMNS)
     ]
-    restarts = shared.restarts(params.beta)
-    columns = [restarts[:, block] for block in blocks]
+    columns = [shared.restarts(params.beta)[:, block] for block in blocks]
 
     def rank(D, block: slice) -> np.ndarray:
         top, _ = rank_items(shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n)
@@ -306,12 +322,13 @@ def _evaluate_fold(
         # truth and seen items are disjoint, so hits stop where unseen items do
         hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
         flags.extend(hits.astype(int).tolist())
+    flags.extend([0] * params.n for _ in range(len(fold.truth) - len(users)))
     hit_counts = [sum(h) for h in flags]
-    new_counts = [len(fold.truth[user]) for user in users]
+    new_counts = [len(items) for items in fold.truth.values()]
 
     return MetricComponents(
         window=fold.k,
-        users=len(users),
+        users=len(fold.truth),
         f1=f1_components(hit_counts, new_counts, params.n),
         hr=hit_ratio_components(hit_counts),
         map=map_components(flags, params.n),
@@ -332,7 +349,9 @@ def evaluate_settings(
     the exception that stopped it. An error building a fold's shared
     graph stops every setting still running; an error scoring one
     setting stops only that one. Folds without evaluable users
-    contribute (0, 0) components and are marked skipped. Each setting's
+    contribute (0, 0) components and are marked skipped. Each fold whose
+    graph is built is logged once as a DEBUG record with its node, edge,
+    evaluated-user and ranked-user counts. Each setting's
     step count is decided once, by :func:`step_count`; when max_iter
     caps it before the certified count, every fold scored with it is
     logged as a WARNING with its L1 error bound. The column blocks of
@@ -370,6 +389,11 @@ def evaluate_settings(
             for j in running:
                 errors[j] = exc
             continue
+        log.debug(
+            "%s fold %d: %d nodes, %d edges, %d evaluated users, %d ranked",
+            flavor, fold.k, shared.graph.n_nodes, shared.graph.n_edges,
+            len(fold.truth), len(shared.users),
+        )
         for j in running:
             params = settings[j]
             try:

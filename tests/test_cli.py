@@ -180,6 +180,24 @@ def test_inspect_prints_stream_and_graph_stats(dataset, capsys):
     assert "distinct user-item:" in out
     assert "sparsity:" in out
     assert "bip:" in out and "stg(" in out and "lsg(" in out
+    assert "span:               1970-01-01 00:00:01 .. 1970-01-01 00:06:05" in out
+
+
+def test_inspect_prints_raw_span_of_nanosecond_epochs(tmp_path, capsys):
+    # 1.7e18 ns is past the dates a timestamp in seconds can show
+    start = 1_700_000_000_000_000_000
+    lines = [f"u{k % 7}\ti{k % 11}\t{start + k * 10**12}" for k in range(300)]
+    path = tmp_path / "ns.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["inspect", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_OK, "")
+    out = captured.out.splitlines()
+    assert out[3] == f"span:               {start} .. {start + 299 * 10**12}"
+    assert out[0] == "events (links):     300"
+    assert out[-2].startswith("bip: ") and out[-1].startswith("lsg(eta_s=0.0): ")
+    assert main(["evaluate", "--input", str(path), "--graph", "bip", "--alpha", "0.3",
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_OK
 
 
 def test_config_file_provides_defaults_flags_override(dataset, tmp_path):

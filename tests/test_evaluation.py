@@ -28,7 +28,7 @@ from linkrec.evaluation import (
     time_average,
     write_report_files,
 )
-from linkrec.graphs import build_bip, build_lsg, build_stg
+from linkrec.graphs import build_bip, build_graph, build_lsg, build_stg
 from linkrec.linkstream import Event, LinkStream
 from linkrec.ranker import personalization, rank_items, recommend
 from linkrec.tuning import ParamGrid, ParamSetting, search
@@ -670,3 +670,122 @@ def test_sparse_start_leaves_protocol_report_unchanged(monkeypatch):
         dense = report_json(run_protocol(stream, "lsg", params, workers=workers), {})
         assert not sparse_starts
         assert dense == reports[workers] == reports[1]
+
+
+# --- evaluated users whose new items are all outside the training graph -------------
+
+
+def cold_item_stream() -> LinkStream:
+    """Four windows of 250 over six core users and warm items i0-i14.
+    From the second window on, each window brings items no earlier one
+    has (cold in the fold that tests on it). After their first event, uc
+    picks only cold items, uw only items already in the graph, um both."""
+    rng = random.Random(11)
+    events = {Event(t, "core", f"i{t}") for t in range(15)}
+    while len(events) < 215:
+        events.add(Event(rng.randrange(1000), f"u{rng.randrange(6)}", f"i{rng.randrange(15)}"))
+    events |= {Event(20, user, "i0") for user in ("uc", "uw", "um")}
+    for w in range(1, 4):
+        t = 250 * w + 10
+        cold = [f"new{w}_{j}" for j in range(3)]
+        events |= {Event(t + j, f"u{j}", item) for j, item in enumerate(cold)}
+        events |= {Event(t, "uc", cold[0]), Event(t + 1, "uc", cold[1])}
+        events |= {Event(t, "uw", f"i{w}"), Event(t + 1, "uw", f"i{w + 5}")}
+        events |= {Event(t, "um", cold[2]), Event(t + 1, "um", f"i{w + 9}")}
+    return LinkStream.from_events(events, time_span=(0, 1000))
+
+
+def reference_components(fold, flavor: str, params: ParamSetting) -> MetricComponents:
+    """One fold's components from the public ranking of each evaluated user."""
+    graph = build_graph(flavor, fold.train, delta=params.delta, eta_s=params.eta_s)
+    flags, hit_counts, new_counts = [], [], []
+    for user in sorted(fold.truth):
+        ranked = recommend(graph, user, fold.rec_time, params, seen=fold.train_items[user])
+        h, hit_k = hits_at_n(ranked, fold.truth[user])
+        flags.append(h)
+        hit_counts.append(hit_k[-1] if hit_k else 0)
+        new_counts.append(len(fold.truth[user]))
+    return comp(
+        fold.k,
+        len(fold.truth),
+        f1_components(hit_counts, new_counts, params.n),
+        hit_ratio_components(hit_counts),
+        map_components(flags, params.n),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+def test_protocol_with_cold_new_items_matches_per_user_reference(
+    monkeypatch, flavor, params, workers
+):
+    # narrow blocks, so each fold's ranked users span several blocks
+    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 2)
+    stream = cold_item_stream()
+    folds = iter_folds(stream, 4)
+    kinds = set()
+    for fold in folds:
+        train_items = fold.train.items
+        for items in fold.truth.values():
+            warm = len(items & train_items)
+            kinds.add("warm" if warm == len(items) else "mixed" if warm else "cold")
+    assert kinds == {"cold", "warm", "mixed"}
+    report = run_protocol(stream, flavor, params, n_windows=4, workers=workers)
+    assert report.windows == [reference_components(fold, flavor, params) for fold in folds]
+    assert any(c.hr[0] > 0 for c in report.windows)
+
+
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+def test_fold_with_only_cold_new_items_is_scored_without_pagerank(
+    monkeypatch, flavor, params
+):
+    # fold 1: a and b pick only items the training windows lack; fold 2:
+    # a, b and c pick items the graph has
+    stream = LinkStream.from_events(
+        [
+            Event(1, "a", "x"), Event(2, "a", "y"), Event(3, "b", "y"), Event(4, "b", "z"),
+            Event(5, "c", "x"),
+            Event(110, "a", "cold1"), Event(120, "b", "cold2"), Event(121, "b", "cold3"),
+            Event(210, "a", "z"), Event(220, "c", "cold1"), Event(230, "b", "x"),
+        ],
+        time_span=(0, 300),
+    )
+    shared_of, ranked_on = {}, []
+    evaluate_fold, pagerank_batch = evaluation._evaluate_fold, ranker.pagerank_batch
+
+    def fold_spy(shared, *args):
+        shared_of[shared.fold.k] = shared
+        return evaluate_fold(shared, *args)
+
+    def pagerank_spy(tm, *args, **kwargs):
+        ranked_on.append(tm)
+        return pagerank_batch(tm, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_evaluate_fold", fold_spy)
+    monkeypatch.setattr(ranker, "pagerank_batch", pagerank_spy)
+    report = run_protocol(stream, flavor, params, n_windows=3, workers=1)
+    cold, warm = report.windows
+    n = params.n
+    assert cold == comp(1, 2, (0.0, float(1 + n + 2 + n)), (0.0, 2.0), (0.0, 2.0))
+    assert shared_of[1].users == [] and shared_of[1].seen.shape == (0, 3)
+    assert shared_of[2].users == ["a", "b", "c"] and warm.users == 3
+    assert all(tm is shared_of[2].tm for tm in ranked_on) and ranked_on
+
+
+def test_fold_debug_record_counts_evaluated_and_ranked_users(caplog):
+    stream = cold_item_stream()
+    folds = iter_folds(stream, 4)
+    settings = [ParamSetting(alpha=0.3, n=5, eta_s=0.2), ParamSetting(alpha=0.5, n=3, eta_s=0.2)]
+    with caplog.at_level(logging.DEBUG, logger="linkrec.evaluation"):
+        evaluation.evaluate_settings(folds, "lsg", settings)
+    records = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(records) == len(folds)  # one per fold, not one per setting
+    for record, fold in zip(records, folds):
+        graph = build_graph("lsg", fold.train, eta_s=0.2)
+        train_items = fold.train.items
+        ranked = sum(1 for items in fold.truth.values() if items & train_items)
+        assert ranked < len(fold.truth)
+        assert record.getMessage() == (
+            f"lsg fold {fold.k}: {graph.n_nodes} nodes, {graph.n_edges} edges, "
+            f"{len(fold.truth)} evaluated users, {ranked} ranked"
+        )
