@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -65,8 +66,9 @@ class NothingEvaluated(Exception):
 
 
 def parse_duration(text: str) -> float:
-    """Seconds from '3600', '1.5h', '7d', '2w' style strings. Anything else
-    raises ``ArgumentTypeError``, which argparse reports naming the flag."""
+    """Seconds from '3600', '1.5h', '7d', '2w' style strings. Anything else,
+    or a duration that is not positive and finite, raises
+    ``ArgumentTypeError``, which argparse reports naming the flag."""
     text = str(text).strip().lower()
     unit = 1.0
     if text and text[-1] in _DURATION_UNITS:
@@ -76,9 +78,10 @@ def parse_duration(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"unparseable duration {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("duration must be positive")
-    return value * unit
+    seconds = value * unit
+    if not 0.0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError("duration must be positive and finite")
+    return seconds
 
 
 def _parse_bool(text: str) -> bool:
@@ -363,13 +366,13 @@ def cmd_search(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _iso(ts: float) -> str:
-    """``ts`` as a UTC date, or as given when it is past what a date can
-    show (a nanosecond epoch, for one)."""
+def _iso(ts: float) -> str | None:
+    """``ts`` as a UTC date, or None when it is past what a date can show
+    (a nanosecond epoch, for one)."""
     try:
         return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%S")
     except (OverflowError, OSError, ValueError):
-        return str(ts)
+        return None
 
 
 def cmd_inspect(cfg: dict) -> int:
@@ -389,12 +392,18 @@ def cmd_inspect(cfg: dict) -> int:
     graphs.append(describe("lsg", eta_s=cfg["eta_s"] or 0.0))
     pairs = len(stream.distinct_pairs())
     n_users, n_items = len(stream.users), len(stream.items)
+    start, end, span = _iso(stream.alpha), _iso(stream.omega), stream.omega - stream.alpha
+    if start is None or end is None:
+        # not seconds: the ends and their difference are shown as given
+        start, end, duration = stream.alpha, stream.omega, f"duration:           {span}"
+    else:
+        duration = f"duration (days):    {span / 86400.0:.2f}"
     lines = [
         f"events (links):     {len(stream)}",
         f"distinct user-item: {pairs}",
         f"users / items:      {n_users} / {n_items}",
-        f"span:               {_iso(stream.alpha)} .. {_iso(stream.omega)}",
-        f"duration (days):    {(stream.omega - stream.alpha) / 86400.0:.2f}",
+        f"span:               {start} .. {end}",
+        duration,
         f"sparsity:           {1.0 - pairs / (n_users * n_items):.4%}",
         *graphs,
     ]

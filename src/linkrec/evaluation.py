@@ -289,7 +289,7 @@ class FoldGraph:
         error that building their vectors could raise."""
         if beta not in self._restarts:
             vectors = _restart_vectors(self.graph, self.users, self.fold.rec_time, beta)
-            self._restarts[beta] = RestartBlock.checked(personalization_matrix(self.tm, vectors))
+            self._restarts[beta] = personalization_matrix(self.tm, vectors)
         return self._restarts[beta]
 
 

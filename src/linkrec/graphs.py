@@ -276,10 +276,10 @@ def slice_index(t: float, alpha: float, omega: float, delta: float) -> int:
 
 def build_stg(stream: LinkStream, delta: float, eta_s: float) -> RecGraph:
     """Session-based temporal graph: BIP plus (user, slice) session nodes."""
-    if delta <= 0:
-        raise ValueError("slice duration delta must be positive")
-    if eta_s < 0:
-        raise ValueError("eta_s must be non-negative")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("slice duration delta must be positive and finite")
+    if not 0.0 <= eta_s < math.inf:
+        raise ValueError("eta_s must be non-negative and finite")
     cols = _columns(stream)
     item_codes, item_rank, user_codes, u, i = _bip(cols)
     n_items = len(item_codes)
@@ -318,8 +318,8 @@ def _chains(node_ident: np.ndarray, node_time: np.ndarray, offset: int):
 
 def build_lsg(stream: LinkStream, eta_s: float) -> RecGraph:
     """Link stream graph: temporal nodes, event edges and chain edges."""
-    if eta_s < 0:
-        raise ValueError("eta_s must be non-negative")
+    if not 0.0 <= eta_s < math.inf:
+        raise ValueError("eta_s must be non-negative and finite")
     cols = _columns(stream)
     times, t_rank = _ranks(cols.t)
     # (t, item) and (t, user) occurrences, sorted like their tuples

@@ -206,12 +206,15 @@ def personalization(
     return dict(zip(graph.render(list(d)), d.values()))
 
 
-def personalization_matrix(tm: TransitionMatrix, vectors: Iterable[Mapping]) -> sparse.coo_matrix:
-    """Stack restart vectors as the columns of a sparse (n, columns) matrix.
+def personalization_matrix(tm: TransitionMatrix, vectors: Iterable[Mapping]) -> RestartBlock:
+    """The restart block of ``vectors``, one column each, in order: the
+    one place a :class:`RestartBlock` is built and checked.
 
     Vectors map nodes to mass; a node is its index in ``tm`` or its
-    tagged tuple. A tagged tuple that is not a node of ``tm`` raises
-    ValueError naming it.
+    tagged tuple, and masses that land on the same node are summed.
+    Raises ValueError naming a tagged tuple that is not a node of
+    ``tm``, or else the columns with negative mass, or else the first
+    column whose mass does not sum to 1 (NaN included).
     """
     rows, cols, mass = [], [], []
     width = 0
@@ -225,12 +228,25 @@ def personalization_matrix(tm: TransitionMatrix, vectors: Iterable[Mapping]) -> 
             rows.append(node)
             cols.append(j)
             mass.append(m)
-    return sparse.coo_matrix((mass, (rows, cols)), shape=(tm.n, width), dtype=float)
+    D = sparse.coo_matrix((mass, (rows, cols)), shape=(tm.n, width), dtype=float)
+    D.sum_duplicates()
+    # the bound of pagerank_batch holds only for probability columns
+    negative = np.unique(D.col[D.data < 0.0])
+    if negative.size:
+        raise ValueError(f"restart columns {negative.tolist()} have negative mass")
+    totals = np.bincount(D.col, weights=D.data, minlength=width)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-12))  # NaN is bad too
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"restart column {j} mass sums to {float(totals[j])}, expected 1")
+    order = np.lexsort((D.row, D.col))
+    return RestartBlock(D.shape, D.row[order], D.col[order], D.data[order])
 
 
 @dataclass(frozen=True, eq=False)
 class RestartBlock:
-    """Checked restart vectors as the columns of a (nodes, columns) block.
+    """Checked restart vectors as the columns of a (nodes, columns) block,
+    as :func:`personalization_matrix` builds them.
 
     Entry e puts ``mass[e]`` on node ``row[e]`` of column ``col[e]``;
     entries are sorted by column, then row, without duplicates, and
@@ -242,28 +258,6 @@ class RestartBlock:
     row: np.ndarray
     col: np.ndarray
     mass: np.ndarray
-    ndim = 2
-
-    @classmethod
-    def checked(cls, D) -> "RestartBlock":
-        """The block of a sparse or dense (nodes, columns) array, with
-        duplicates summed. Raises ValueError naming the columns with
-        negative mass, or else the first column whose mass does not sum
-        to 1."""
-        D = sparse.coo_matrix(D)
-        D.sum_duplicates()
-        rows, cols, mass = D.row, D.col, np.asarray(D.data, dtype=float)
-        # the bound of pagerank_batch holds only for probability columns
-        negative = np.unique(cols[mass < 0.0])
-        if negative.size:
-            raise ValueError(f"restart columns {negative.tolist()} have negative mass")
-        totals = np.bincount(cols, weights=mass, minlength=D.shape[1])
-        bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-12))  # NaN is bad too
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"restart column {j} mass sums to {float(totals[j])}, expected 1")
-        order = np.lexsort((rows, cols))
-        return cls(D.shape, rows[order], cols[order], mass[order])
 
     def __getitem__(self, key: tuple[slice, slice]) -> "RestartBlock":
         rows, cols = key
@@ -307,16 +301,15 @@ def step_count(
 
 def pagerank_batch(
     tm: TransitionMatrix,
-    D: RestartBlock | np.ndarray | sparse.spmatrix,
+    D: RestartBlock,
     alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, bool, int]:
     """Power iteration for many restart vectors at once.
 
-    ``D`` holds one restart vector per column, each non-negative and
-    summing to 1: a :class:`RestartBlock`, or a sparse or dense array
-    that is checked into one. The recurrence
+    ``D`` holds one restart vector per column, as
+    :func:`personalization_matrix` builds and checks it. The recurrence
     X <- alpha * (M X + D * dangling_mass) + (1 - alpha) * D is applied
     to all columns in one sparse product per step, starting from X = D.
 
@@ -337,10 +330,8 @@ def pagerank_batch(
     scatter does). The dense loop takes over for the remaining steps.
     """
     iterations, converged = step_count(alpha, tol, max_iter)
-    if D.ndim != 2 or D.shape[0] != tm.n:
+    if D.shape[0] != tm.n:
         raise ValueError(f"restart matrix must have shape ({tm.n}, columns), got {D.shape}")
-    if not isinstance(D, RestartBlock):
-        D = RestartBlock.checked(D)
     # D has one or two nonzeros per column; its terms are scatter-adds
     # there, which equal the dense adds because adding +0.0 is exact.
     rows, cols, mass = D.row, D.col, D.mass
@@ -425,16 +416,17 @@ def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
 def rank_items(
     tm: TransitionMatrix,
     A: sparse.csr_matrix,
-    D: RestartBlock | sparse.spmatrix,
+    D: RestartBlock,
     alpha: float,
     seen: np.ndarray,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank items for a block of restart vectors, one row per column of D.
 
-    ``D`` is a (nodes, columns) restart matrix as :func:`pagerank_batch`
-    takes it, ``A`` the :func:`item_matrix` of ``tm``'s graph and
-    ``seen`` a columns x items mask of the items each row must skip.
+    ``D`` is a restart block built by :func:`personalization_matrix`, or
+    a column slice of one, ``A`` the :func:`item_matrix` of ``tm``'s
+    graph and ``seen`` a columns x items mask of the items each row must
+    skip.
     Returns the top-n item rows, best first, with -1 past the last
     unseen item (ties go to the lower row, the smaller item id), and the
     item scores, -inf at seen items. Whether the scores are certified is

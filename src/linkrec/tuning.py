@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import random
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
@@ -79,17 +80,18 @@ class ParamSetting:
             raise ValueError("alpha must lie in (0, 1)")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if self.delta is not None and not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.eta_s is not None and self.eta_s < 0:
-            raise ValueError("eta_s must be non-negative")
+        if self.eta_s is not None and not 0.0 <= self.eta_s < math.inf:
+            raise ValueError("eta_s must be non-negative and finite")
 
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Ordered candidate lists per parameter; defaults are the predefined grid."""
+    """Ordered lists of distinct candidates per parameter; defaults are
+    the predefined grid."""
 
     delta: tuple[float, ...] = GRID_DELTA
     beta: tuple[float, ...] = GRID_BETA
@@ -98,14 +100,18 @@ class ParamGrid:
 
     def __post_init__(self):
         for name in ("delta", "beta", "eta_s", "alpha"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"grid list {name!r} is empty")
-        if any(d <= 0 for d in self.delta):
-            raise ValueError("delta candidates must be positive")
+            repeated = [v for k, v in enumerate(values) if v in values[:k]]
+            if repeated:
+                raise ValueError(f"grid list {name!r} repeats {repeated[0]!r}")
+        if any(not 0.0 < d < math.inf for d in self.delta):
+            raise ValueError("delta candidates must be positive and finite")
         if any(not 0.0 <= b <= 1.0 for b in self.beta):
             raise ValueError("beta candidates must lie in [0, 1]")
-        if any(e < 0 for e in self.eta_s):
-            raise ValueError("eta_s candidates must be non-negative")
+        if any(not 0.0 <= e < math.inf for e in self.eta_s):
+            raise ValueError("eta_s candidates must be non-negative and finite")
         if any(not 0.0 < a < 1.0 for a in self.alpha):
             raise ValueError("alpha candidates must lie in (0, 1)")
 

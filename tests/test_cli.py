@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import re
@@ -53,6 +54,12 @@ def test_parse_duration_forms():
     assert parse_duration("2h") == 7200.0
     assert parse_duration("7d") == 7 * 86400.0
     assert parse_duration("1.5m") == 90.0
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e308w"])
+def test_parse_duration_rejects_non_finite(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="duration must be positive and finite"):
+        parse_duration(text)
 
 
 def test_evaluate_happy_path(dataset, tmp_path, capsys):
@@ -194,6 +201,7 @@ def test_inspect_prints_raw_span_of_nanosecond_epochs(tmp_path, capsys):
     assert (code, captured.err) == (EXIT_OK, "")
     out = captured.out.splitlines()
     assert out[3] == f"span:               {start} .. {start + 299 * 10**12}"
+    assert out[4] == f"duration:           {299 * 10**12}"
     assert out[0] == "events (links):     300"
     assert out[-2].startswith("bip: ") and out[-1].startswith("lsg(eta_s=0.0): ")
     assert main(["evaluate", "--input", str(path), "--graph", "bip", "--alpha", "0.3",
@@ -359,6 +367,7 @@ def test_log_level_rejects_unknown_level(dataset, tmp_path, capsys):
 
 
 STG = ["--graph", "stg", "--alpha", "0.3", "--beta", "0.5", "--eta-s", "0.5", "--delta", "80"]
+LSG = ["--graph", "lsg", "--alpha", "0.3"]
 
 
 def test_evaluate_stg_happy_path(dataset, tmp_path, capsys):
@@ -375,11 +384,15 @@ def test_evaluate_stg_happy_path(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("value,message", [
     ("0", "argument --delta: duration must be positive"),
     ("abc", "argument --delta: unparseable duration 'abc'"),
-], ids=["zero", "text"])
+    ("nan", "argument --delta: duration must be positive and finite"),
+    ("inf", "argument --delta: duration must be positive and finite"),
+], ids=["zero", "text", "nan", "inf"])
 def test_bad_delta_flag_is_usage_error(dataset, capsys, value, message):
     code = main(["evaluate", "--input", str(dataset), *STG, "--delta", value])
     assert code == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("args,config,message", [
@@ -399,8 +412,19 @@ def test_bad_delta_flag_is_usage_error(dataset, capsys, value, message):
      "bad value for 'positive_filter' in config file: 'maybe'"),
     (["evaluate", "--graph", "stg", "--alpha", "0.3", "--beta", "0.5", "--eta-s", "0.5"],
      "delta = 0", "bad value for 'delta' in config file: '0'"),
+    (["evaluate", *LSG, "--eta-s", "nan"], None, "eta_s must be non-negative and finite"),
+    (["evaluate", *LSG, "--eta-s", "inf"], None, "eta_s must be non-negative and finite"),
+    (["evaluate", *STG, "--eta-s", "nan"], None, "eta_s must be non-negative and finite"),
+    (["search", "--graph", "bip", "--count", "2"], "grid_alpha = 0.3,0.3",
+     "grid list 'alpha' repeats 0.3"),
+    (["search", "--graph", "lsg"], "grid_eta_s = 0,0.5,0.0", "grid list 'eta_s' repeats 0.0"),
+    (["search", "--graph", "stg"], "grid_delta = 1d,24h", "grid list 'delta' repeats 86400.0"),
+    (["search", "--graph", "lsg"], "grid_eta_s = 0,nan",
+     "eta_s candidates must be non-negative and finite"),
 ], ids=["n", "alpha", "beta", "eta-s", "sigma-u", "search-n", "config-graph",
-        "config-format", "config-objective", "config-bool", "config-delta"])
+        "config-format", "config-objective", "config-bool", "config-delta", "lsg-eta-s-nan",
+        "lsg-eta-s-inf", "stg-eta-s-nan", "grid-alpha-repeat", "grid-eta-s-repeat",
+        "grid-delta-repeat", "grid-eta-s-nan"])
 def test_bad_value_is_config_error(dataset, tmp_path, capsys, args, config, message):
     flags = ["--input", str(dataset), "--out-dir", str(tmp_path / "run")]
     if config is not None:
@@ -516,7 +540,10 @@ def test_help_lists_the_command_flags(capsys, command, flags):
     (["--eta-s", "-1"], None),
     (["--delta", "10", "--eta-s", "-2"], None),
     ([], "eta_s = -1"),
-], ids=["flag", "flag-with-delta", "config"])
+    (["--eta-s", "nan"], None),
+    (["--eta-s", "inf"], None),
+    ([], "eta_s = nan"),
+], ids=["flag", "flag-with-delta", "config", "flag-nan", "flag-inf", "config-nan"])
 def test_inspect_bad_eta_s_is_config_error_before_output(dataset, tmp_path, capsys, args, config):
     if config is not None:
         (tmp_path / "run.cfg").write_text(config + "\n")

@@ -164,6 +164,16 @@ def test_stg_rejects_bad_delta(toy_stream):
         build_stg(toy_stream, delta=0, eta_s=1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_graphs_reject_non_finite_delta_and_eta_s(toy_stream, value):
+    with pytest.raises(ValueError, match="slice duration delta must be positive and finite"):
+        build_stg(toy_stream, delta=value, eta_s=1.0)
+    with pytest.raises(ValueError, match="eta_s must be non-negative and finite"):
+        build_stg(toy_stream, delta=10, eta_s=value)
+    with pytest.raises(ValueError, match="eta_s must be non-negative and finite"):
+        build_lsg(toy_stream, eta_s=value)
+
+
 def test_slice_index_clamps_omega_into_last_slice():
     assert slice_index(6, 0, 6, 3) == 2
     assert slice_index(5, 0, 6, 3) == 2

@@ -3,7 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from linkrec import ranker
 from linkrec.graphs import (
@@ -19,7 +18,6 @@ from linkrec.graphs import (
 )
 from linkrec.ranker import (
     DEFAULT_TOL,
-    RestartBlock,
     certified_steps,
     item_matrix,
     item_scores,
@@ -89,10 +87,17 @@ def dense_pagerank(tm, d: dict, alpha: float) -> np.ndarray:
     return np.linalg.solve(np.eye(n) - alpha * A, (1.0 - alpha) * d_vec)
 
 
+def dense(block) -> np.ndarray:
+    """A restart block as a dense (nodes, columns) array."""
+    D = np.zeros(block.shape)
+    D[block.row, block.col] = block.mass
+    return D
+
+
 def adaptive_pagerank_batch(tm, D, alpha, tol=1e-10, max_iter=100):
     """Reference: the earlier loop, which stopped at the first step whose
-    largest per-column L1 change fell below tol. It steps a dense D."""
-    D = D.toarray() if sparse.issparse(D) else D
+    largest per-column L1 change fell below tol. It steps D densified."""
+    D = dense(D)
     M = tm.matrix
     has_dangling = bool(tm.dangling.any())
     restart = (1.0 - alpha) * D
@@ -249,7 +254,7 @@ def test_pagerank_mass_conserved_each_iteration(seed):
     graph = random_digraph(rng, max_nodes=20)
     tm = transition_matrix(graph)
     d = random_restart(rng, tm)
-    D = personalization_matrix(tm, [d]).toarray()
+    D = dense(personalization_matrix(tm, [d]))
     X = D.copy()
     for _ in range(30):
         dangling_mass = X[tm.dangling].sum(axis=0)
@@ -323,7 +328,7 @@ def test_pagerank_batch_certified_step_count_and_bound(alpha, tol):
 @pytest.mark.parametrize("max_iter,capped", [(100, [0.9]), (30, [0.5, 0.7, 0.9])])
 def test_step_count_matches_pagerank_batch(max_iter, capped):
     tm = transition_matrix(two_node_cycle())
-    D = np.array([[1.0], [0.0]])
+    D = personalization_matrix(tm, [{0: 1.0}])
     for alpha in GRID_ALPHA:
         iterations, converged = step_count(alpha, max_iter=max_iter)
         _, batch_converged, batch_iterations = pagerank_batch(tm, D, alpha, max_iter=max_iter)
@@ -387,36 +392,57 @@ def test_pagerank_batch_capped_run_matches_adaptive_reference():
 
 def test_pagerank_batch_rejects_negative_restart_mass():
     tm = transition_matrix(two_node_cycle())
-    D = np.array([[1.0, 1.5], [0.0, -0.5]])
     with pytest.raises(ValueError, match=r"restart columns \[1\] have negative mass"):
-        pagerank_batch(tm, D, alpha=0.5)
+        pagerank_batch(tm, personalization_matrix(tm, [{0: 1.0}, {0: 1.5, 1: -0.5}]), 0.5)
 
 
 def test_pagerank_batch_rejects_restart_not_summing_to_one():
     tm = transition_matrix(two_node_cycle())
     with pytest.raises(ValueError, match="restart column 1 mass sums to 0.9"):
-        pagerank_batch(tm, np.array([[1.0, 0.4], [0.0, 0.5]]), alpha=0.5)
+        pagerank_batch(tm, personalization_matrix(tm, [{0: 1.0}, {0: 0.4, 1: 0.5}]), 0.5)
     with pytest.raises(ValueError, match="restart column 0 mass sums to 0.0"):
-        pagerank_batch(tm, np.zeros((2, 1)), alpha=0.5)
+        pagerank_batch(tm, personalization_matrix(tm, [{}]), alpha=0.5)
     with pytest.raises(ValueError, match="mass sums to nan"):
-        pagerank_batch(tm, np.array([[np.nan], [1.0]]), alpha=0.5)
+        pagerank_batch(tm, personalization_matrix(tm, [{0: np.nan, 1: 1.0}]), alpha=0.5)
 
 
 def test_restart_block_column_slices():
     D = np.array([[0.5, 0.0, 1.0, 0.0], [0.5, 1.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.75]])
-    block = RestartBlock.checked(sparse.csr_matrix(D))
-    assert (block.shape, block.ndim) == ((3, 4), 2)
+    tm = transition_matrix(RecGraph(
+        flavor="bip",
+        nodes=frozenset({(USER, "x"), (ITEM, "a"), (ITEM, "b")}),
+        edges={((USER, "x"), (ITEM, "a")): 1.0},
+    ))
+    block = personalization_matrix(
+        tm, [{i: D[i, j] for i in np.flatnonzero(D[:, j]).tolist()} for j in range(4)]
+    )
+    assert block.shape == (3, 4)
     for start, stop in ((0, 4), (1, 3), (3, 4), (2, None), (None, 1), (4, 4), (3, 1)):
         part = block[:, start:stop]
-        dense = np.zeros(part.shape)
-        dense[part.row, part.col] = part.mass
-        assert np.array_equal(dense, D[:, start:stop])
+        assert np.array_equal(dense(part), D[:, start:stop])
         assert np.array_equal(np.lexsort((part.row, part.col)), np.arange(len(part.row)))
     with pytest.raises(IndexError):
         block[:, ::2]
     with pytest.raises(IndexError):
         block[1:, :]
 
+
+
+def test_pagerank_batch_rejects_block_of_another_graph():
+    tm = transition_matrix(two_node_cycle())
+    other = transition_matrix(random_digraph(random.Random(5), max_nodes=20))
+    assert other.n != tm.n
+    with pytest.raises(ValueError, match="restart matrix must have shape"):
+        pagerank_batch(tm, personalization_matrix(other, [{0: 1.0}]), alpha=0.5)
+
+
+def test_personalization_matrix_sums_a_node_given_by_index_and_tuple():
+    tm = transition_matrix(two_node_cycle())
+    block = personalization_matrix(tm, [{1: 1.0}, {0: 0.5, tm.nodes[0]: 0.5}])
+    assert block.shape == (2, 2)
+    assert (block.row.tolist(), block.col.tolist(), block.mass.tolist()) == (
+        [1, 0], [0, 1], [1.0, 1.0]
+    )
 
 def sparse_start_cases(flavor):
     """(transition matrix, every user's restart block) of one graph
@@ -432,7 +458,7 @@ def sparse_start_cases(flavor):
     tm = transition_matrix(graph)
     assert not tm.dangling.any()
     ds = [personalization(graph, u, t=t, beta=beta) for u in sorted(stream.users)]
-    return tm, RestartBlock.checked(personalization_matrix(tm, ds))
+    return tm, personalization_matrix(tm, ds)
 
 
 def spy_sparse_start(monkeypatch) -> list:

@@ -71,6 +71,36 @@ def test_grid_validation():
         ParamGrid(beta=(2.0,))
 
 
+NON_FINITE = [float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+def test_param_setting_rejects_non_finite_delta_and_eta_s(value):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        ParamSetting(alpha=0.5, delta=value)
+    with pytest.raises(ValueError, match="eta_s must be non-negative and finite"):
+        ParamSetting(alpha=0.5, eta_s=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+def test_grid_rejects_non_finite_delta_and_eta_s(value):
+    with pytest.raises(ValueError, match="delta candidates must be positive and finite"):
+        ParamGrid(delta=(86400.0, value))
+    with pytest.raises(ValueError, match="eta_s candidates must be non-negative and finite"):
+        ParamGrid(eta_s=(0.0, value))
+
+
+@pytest.mark.parametrize("name,values,repeated", [
+    ("alpha", (0.3, 0.3), "0.3"),
+    ("beta", (0.1, 0.5, 0.1), "0.1"),
+    ("eta_s", (0.0, 1.0, 1), "1"),
+    ("delta", (60.0, 30.0, 60.0, 30.0), "60.0"),
+])
+def test_grid_rejects_repeated_candidates(name, values, repeated):
+    with pytest.raises(ValueError, match=f"grid list '{name}' repeats {repeated}$"):
+        ParamGrid(**{name: values})
+
+
 # --- sampling ----------------------------------------------------------------------
 
 
