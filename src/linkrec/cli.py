@@ -286,7 +286,7 @@ def _require_graph(cfg: dict) -> str:
 def _grid(cfg: dict) -> ParamGrid:
     overrides = {}
     for field in ("delta", "beta", "eta_s", "alpha"):
-        if cfg["grid_" + field]:
+        if cfg["grid_" + field] is not None:
             overrides[field] = cfg["grid_" + field]
     return _checked(ParamGrid, **overrides)
 
@@ -327,11 +327,12 @@ def cmd_search(cfg: dict) -> int:
         raise ConfigError("--n must be at least 1")
     if cfg["windows"] < 2:
         raise ConfigError("--windows must be at least 2")
+    grid = _grid(cfg)
     stream = _load_stream(cfg)
     result = search(
         stream,
         flavor,
-        grid=_grid(cfg),
+        grid=grid,
         count=cfg["count"],
         seed=cfg["seed"],
         objective=cfg["objective"],

@@ -198,29 +198,21 @@ def iter_folds(stream: LinkStream, n_windows: int = 8) -> list[Fold]:
     """Materialize the sliding train/test folds of the protocol.
 
     Windows are runs of the time-sorted stream, so each fold's training
-    stream is a prefix of the stream's columns.
+    stream is a prefix of the stream's columns. Each fold is read from
+    its own windows alone: its training items from that prefix, its
+    truth from its test window.
     """
     windows = split_windows(stream, n_windows)
-    alpha = stream.alpha
     folds = []
     end = 0
-    train_items: dict[str, set[str]] = {}
-    window_items = windows[0][1].items_by_user()
     for k in range(1, n_windows):
-        w_train, sub = windows[k - 1]
+        (w_train, sub), (w_test, test_sub) = windows[k - 1], windows[k]
         end += len(sub)
-        w_test, test_sub = windows[k]
-        train = stream.slice(0, end, (alpha, w_train.end))
-        train_items = {user: set(items) for user, items in train_items.items()}
-        for user, items in window_items.items():
-            train_items.setdefault(user, set()).update(items)
-        window_items = test_sub.items_by_user()
+        train = stream.slice(0, end, (stream.alpha, w_train.end))
+        train_items = train.items_by_user()
         truth = {}
-        for user, items in window_items.items():
-            if user not in train_items:
-                continue
-            new = items - train_items[user]
-            if new:
+        for user, items in test_sub.items_by_user().items():
+            if user in train_items and (new := items - train_items[user]):
                 truth[user] = new
         folds.append(
             Fold(
@@ -272,7 +264,7 @@ class FoldGraph:
         tm = transition_matrix(graph)
         items, A = item_matrix(graph)
         item_row = {item: r for r, item in enumerate(items)}
-        users = [u for u in sorted(fold.truth) if not fold.truth[u].isdisjoint(item_row)]
+        users = [u for u in sorted(fold.truth) if any(i in item_row for i in fold.truth[u])]
         seen = np.zeros((len(users), len(items)), dtype=bool)
         truth = np.zeros_like(seen)
         for r, user in enumerate(users):
@@ -363,16 +355,17 @@ def evaluate_settings(
     first = settings[0]
     if any((s.delta, s.eta_s) != (first.delta, first.eta_s) for s in settings):
         raise ValueError("settings evaluated together must share delta and eta_s")
-    components: list[list[MetricComponents]] = [[] for _ in settings]
+    # Each setting's slot holds its components while it runs, then the
+    # exception that stopped it or its report.
+    outcomes: list = [[] for _ in settings]
     steps = [step_count(s.alpha) for s in settings]
-    errors: list[Exception | None] = [None] * len(settings)
     for fold in folds:
-        running = [j for j, error in enumerate(errors) if error is None]
+        running = [j for j, slot in enumerate(outcomes) if isinstance(slot, list)]
         if not running:
             break
         if not fold.truth:
             for j in running:
-                components[j].append(
+                outcomes[j].append(
                     MetricComponents(
                         window=fold.k,
                         users=0,
@@ -387,7 +380,7 @@ def evaluate_settings(
             shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
         except Exception as exc:  # the whole group stops; the caller reports it
             for j in running:
-                errors[j] = exc
+                outcomes[j] = exc
             continue
         log.debug(
             "%s fold %d: %d nodes, %d edges, %d evaluated users, %d ranked",
@@ -399,7 +392,7 @@ def evaluate_settings(
             try:
                 comp = _evaluate_fold(shared, params, pool)
             except Exception as exc:  # this setting stops; the others go on
-                errors[j] = exc
+                outcomes[j] = exc
                 continue
             iterations, converged = steps[j]
             if not converged:
@@ -409,27 +402,23 @@ def evaluate_settings(
                     flavor, fold.k, params.alpha, iterations, iterations,
                     2.0 * params.alpha**iterations,
                 )
-            components[j].append(comp)
+            outcomes[j].append(comp)
         del shared  # free it before the next, larger, fold is built
 
-    outcomes: list[EvaluationReport | Exception] = []
-    for params, comps, (_, converged), error in zip(settings, components, steps, errors):
-        if error is not None:
-            outcomes.append(error)
+    for j, comps in enumerate(outcomes):
+        if isinstance(comps, Exception):
             continue
         scored = not all(c.skipped for c in comps)
         ta = time_average(comps) if scored else (None, None, None)
-        outcomes.append(
-            EvaluationReport(
-                flavor=flavor,
-                params=params,
-                n_windows=len(folds) + 1,
-                windows=comps,
-                ta_f1=ta[0],
-                ta_hr=ta[1],
-                ta_map=ta[2],
-                all_converged=converged or not scored,
-            )
+        outcomes[j] = EvaluationReport(
+            flavor=flavor,
+            params=settings[j],
+            n_windows=len(folds) + 1,
+            windows=comps,
+            ta_f1=ta[0],
+            ta_hr=ta[1],
+            ta_map=ta[2],
+            all_converged=steps[j][1] or not scored,
         )
     return outcomes
 

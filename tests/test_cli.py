@@ -633,3 +633,18 @@ def test_cli_errors(dataset, tmp_path, capsys, args, config, code, message):
     assert message.format(**names) in capsys.readouterr().err
     if code == EXIT_CONFIG:
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line", ["grid_alpha = ,", "grid_alpha ="], ids=["comma", "nothing"])
+def test_empty_grid_list_in_config_file_is_config_error(dataset, tmp_path, capsys, line):
+    (tmp_path / "run.cfg").write_text(line + "\n")
+    out_dir = tmp_path / "run"
+    for source in (dataset, tmp_path / "missing.tsv"):  # checked before the input
+        code = main([
+            "search", "--graph", "bip", "--count", "50", "--windows", "4",
+            "--config", str(tmp_path / "run.cfg"), "--input", str(source),
+            "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_CONFIG
+        assert "config error: grid list 'alpha' is empty" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -789,3 +789,83 @@ def test_fold_debug_record_counts_evaluated_and_ranked_users(caplog):
             f"lsg fold {fold.k}: {graph.n_nodes} nodes, {graph.n_edges} edges, "
             f"{len(fold.truth)} evaluated users, {ranked} ranked"
         )
+
+
+# --- folds against their plain definition -------------------------------------------
+
+
+def plain_fold(fold) -> tuple[dict, dict]:
+    """(train_items, truth) of a fold from its own events: each training
+    user's items, by first appearance; each training user's test items
+    they never trained on, when there are any."""
+    train_items: dict[str, set[str]] = {}
+    for ev in fold.train.events:
+        train_items.setdefault(ev.user, set()).add(ev.item)
+    test_items: dict[str, set[str]] = {}
+    for ev in fold.test.events:
+        test_items.setdefault(ev.user, set()).add(ev.item)
+    truth = {
+        user: items - train_items[user]
+        for user, items in test_items.items()
+        if user in train_items and items - train_items[user]
+    }
+    return train_items, truth
+
+
+def edge_case_stream() -> LinkStream:
+    """Four windows of 100; the first is empty. In window 3, a picks only
+    items they picked before, c appears for the first time and b picks a
+    new item; in window 4, c (now trained) picks a new one."""
+    return LinkStream.from_events(
+        [
+            Event(110, "a", "x"), Event(120, "a", "y"), Event(130, "b", "y"),
+            Event(210, "a", "x"), Event(220, "c", "z"), Event(230, "b", "z"),
+            Event(240, "a", "y"),
+            Event(310, "c", "x"), Event(320, "a", "x"), Event(330, "b", "w"),
+        ],
+        time_span=(0, 400),
+    )
+
+
+def test_iter_folds_edge_cases():
+    first, second, third = iter_folds(edge_case_stream(), 4)
+    assert len(first.train) == 0 and first.train_items == {} and first.truth == {}
+    assert second.train_items == {"a": {"x", "y"}, "b": {"y"}}
+    assert second.truth == {"b": {"z"}}  # a's items are all old, c is untrained
+    assert third.truth == {"b": {"w"}, "c": {"x"}}
+
+
+@pytest.mark.parametrize("n_windows", [2, 4, 8])
+def test_iter_folds_match_their_plain_definition(n_windows):
+    streams = [edge_case_stream(), cold_item_stream()] + [
+        make_stream(seed, n_users=8, n_items=12, n_events=120) for seed in range(4)
+    ]
+    for stream in streams:
+        for fold in iter_folds(stream, n_windows):
+            train_items, truth = plain_fold(fold)
+            assert fold.train_items == train_items
+            assert list(fold.train_items) == list(train_items)
+            assert fold.truth == truth
+
+
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+def test_ranked_users_match_their_plain_definition(flavor, params):
+    streams = [cold_item_stream()] + [
+        make_stream(seed, n_users=8, n_items=30, n_events=120) for seed in range(3)
+    ]
+    ranked = unranked = 0
+    for stream in streams:
+        for fold in iter_folds(stream, 4):
+            shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
+            graph_items = set(shared.items)
+            assert shared.users == [
+                u for u in sorted(fold.truth) if fold.truth[u] & graph_items
+            ]
+            ranked += len(shared.users)
+            unranked += len(fold.truth) - len(shared.users)
+    assert ranked and unranked
+
+
+def test_f1_components_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="one hit count and one I_new size per user"):
+        f1_components([1, 0], [2], 5)

@@ -328,3 +328,8 @@ def test_graphs_are_plain_value_objects(toy_stream):
     b = build_bip(toy_stream)
     assert a == b
     assert isinstance(a, RecGraph)
+
+
+def test_render_node_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown node kind"):
+        render_node(("Q", "a"))

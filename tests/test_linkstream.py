@@ -346,3 +346,9 @@ def test_streams_always_sorted(triples):
     )
     keys = [(ev.t, ev.user, ev.item) for ev in stream.events]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("blank", ["", " \t \t "])
+def test_blank_record_after_first_data_row_is_skipped(blank):
+    stream = parse_link_stream(f"u1\ti1\t1\n{blank}\nu2\ti2\t2\n".encode(), fmt="tsv")
+    assert [(ev.t, ev.user, ev.item) for ev in stream.events] == [(1, "u1", "i1"), (2, "u2", "i2")]

@@ -697,3 +697,25 @@ def test_scaled_weights_leave_ranking_unchanged(seed, c):
     # the transition matrix itself is scale-free up to rounding
     diff = (transition_matrix(graph).matrix - transition_matrix(scaled).matrix)
     assert abs(diff).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
+    ({"alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
+    ({"alpha": 0.5, "tol": 0.0}, "tol must be positive"),
+    ({"alpha": 0.5, "max_iter": 0}, "max_iter must be at least 1"),
+], ids=["alpha-0", "alpha-1", "tol", "max-iter"])
+def test_step_count_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        step_count(**kwargs)
+
+
+def test_transition_matrix_rejects_empty_graph():
+    with pytest.raises(ValueError, match="cannot build transition matrix of empty graph"):
+        transition_matrix(RecGraph(flavor="bip", nodes=frozenset(), edges={}))
+
+
+def test_restart_vectors_reject_unknown_flavor():
+    graph = RecGraph(flavor="xyz", nodes=frozenset({(USER, "a")}), edges={})
+    with pytest.raises(ValueError, match="unknown graph flavor 'xyz'"):
+        ranker._restart_vectors(graph, ["a"])

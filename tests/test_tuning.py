@@ -471,3 +471,30 @@ def test_threaded_protocol_then_forked_search_both_finish():
         pytest.fail("threaded protocol then forked search did not finish in 120 s")
     assert proc.returncode == 0, err
     assert out.strip() == "4"
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5], ids=["zero", "one", "above"])
+def test_grid_rejects_alpha_out_of_range(alpha):
+    with pytest.raises(ValueError, match=r"alpha candidates must lie in \(0, 1\)"):
+        ParamGrid(alpha=(0.3, alpha))
+
+
+def test_empty_search_result_has_no_best():
+    result = SearchResult("bip", "f1", [], [], 0)
+    with pytest.raises(ValueError, match="nothing evaluated"):
+        result.best
+    with pytest.raises(ValueError, match="nothing evaluated"):
+        result.best_for("hr")
+    with pytest.raises(ValueError, match="unknown objective 'bogus'"):
+        result.ranked_by("bogus")
+
+
+def test_search_without_grid_uses_predefined_grid():
+    # the README quickstart's call, which passes no grid
+    stream = make_stream(3, n_users=10, n_items=20, n_events=200)
+    kwargs = dict(count=10, seed=0, objective="f1", n_windows=4)
+    default = search(stream, "lsg", **kwargs)
+    assert default.entries
+    assert leaderboard_csv(default) == leaderboard_csv(
+        search(stream, "lsg", grid=ParamGrid(), **kwargs)
+    )
