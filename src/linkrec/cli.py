@@ -127,7 +127,7 @@ OPTIONS: dict[str, tuple] = {
     "objective": (OBJECTIVES, "f1", "ranking objective (default f1)", ("search",)),
     "out_dir": (str, "out", "report directory (default ./out)", _RUNS),
     "workers": (int, None, {
-        "evaluate": f"threads scoring each fold's user blocks "
+        "evaluate": f"threads scoring whole folds, largest first "
                     f"(default ${WORKERS_ENV} or every usable core)",
         "search": f"processes scoring the graph-key groups (default ${WORKERS_ENV} or 1)",
     }, _RUNS),

@@ -68,16 +68,15 @@ log = logging.getLogger(__name__)
 EVALUATED_USERS_RULE = "present in training with at least one new item in the test window"
 
 # Users are scored in column blocks so one sparse product serves many
-# walks, and the blocks of a fold are spread over the worker threads.
-# Results do not depend on the width, as the step count is fixed by
-# alpha. 48 keeps two live blocks (one per thread on two cores) at about
-# the memory of one 128-column iterate (18 MB for 17.9k nodes), and
-# still scores a fold of up to 48 users, as in a small search campaign,
-# in one product per step; 32 split such folds and slowed the campaign.
-# Each thread holds one block live, so peak memory grows with the
-# thread count, hence with the core count by default: the last
-# protocol-lsg fold peaked at 82 MB on one thread, ~104 MB on two,
-# ~136 MB on four and ~210 MB on eight or sixteen.
+# walks. Results do not depend on the width, as the step count is fixed
+# by alpha. A 48-column iterate of 17.9k nodes takes 6.9 MB (a 128-column
+# one 18 MB), and 48 still scores a fold of up to 48 users, as in a small
+# search campaign, in one product per step; 32 split such folds and
+# slowed the campaign. The protocol runs
+# whole folds on its threads, so each thread holds one fold graph and
+# one live block, and peak memory grows with the thread count, hence
+# with the core count by default, up to the fold count: the protocol-lsg
+# stream peaked at 82 MB on one thread and about 100 MB on two.
 _BATCH_COLUMNS = 48
 
 
@@ -285,12 +284,9 @@ class FoldGraph:
         return self._restarts[beta]
 
 
-def _evaluate_fold(
-    shared: FoldGraph, params: "ParamSetting", pool: ThreadPoolExecutor | None = None
-) -> MetricComponents:
+def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponents:
     """Components of one fold for one setting. The ranked users' restart
-    matrix is cut into column blocks here, the blocks are ranked on
-    ``pool`` when one is given, and collected in block order.
+    matrix is cut into column blocks, ranked in turn in this thread.
 
     Every other evaluated user has no new item in the graph, so their
     hit flags are all zero; they are appended after the ranked users'.
@@ -299,18 +295,11 @@ def _evaluate_fold(
     for them, which is exact, so the components equal ranking them all.
     """
     fold, users = shared.fold, shared.users
-    blocks = [
-        slice(start, start + _BATCH_COLUMNS) for start in range(0, len(users), _BATCH_COLUMNS)
-    ]
-    columns = [shared.restarts(params.beta)[:, block] for block in blocks]
-
-    def rank(D, block: slice) -> np.ndarray:
-        top, _ = rank_items(shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n)
-        return top
-
     flags: list[list[int]] = []
-    ranked = pool.map(rank, columns, blocks) if pool else map(rank, columns, blocks)
-    for block, top in zip(blocks, ranked):
+    for start in range(0, len(users), _BATCH_COLUMNS):
+        block = slice(start, start + _BATCH_COLUMNS)
+        D = shared.restarts(params.beta)[:, block]
+        top, _ = rank_items(shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n)
         # truth and seen items are disjoint, so hits stop where unseen items do
         hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
         flags.extend(hits.astype(int).tolist())
@@ -327,6 +316,30 @@ def _evaluate_fold(
     )
 
 
+def _score_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
+    """Build one fold's shared graph and score each setting on it.
+
+    Returns None for a fold without evaluated users, the exception when
+    the graph cannot be built, and otherwise the fold's (nodes, edges,
+    ranked users) counts with, per setting, its components or the
+    exception that stopped it. The graph is freed on return.
+    """
+    if not fold.truth:
+        return None
+    first = settings[0]
+    try:
+        shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
+    except Exception as exc:  # the whole group stops; the caller reports it
+        return exc
+    scored: list = []
+    for params in settings:
+        try:
+            scored.append(_evaluate_fold(shared, params))
+        except Exception as exc:  # this setting stops; the others go on
+            scored.append(exc)
+    return (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users)), scored
+
+
 def evaluate_settings(
     folds: Sequence[Fold],
     flavor: str,
@@ -340,15 +353,22 @@ def evaluate_settings(
     on them. Returns one outcome per setting, in order: its report, or
     the exception that stopped it. An error building a fold's shared
     graph stops every setting still running; an error scoring one
-    setting stops only that one. Folds without evaluable users
-    contribute (0, 0) components and are marked skipped. Each fold whose
-    graph is built is logged once as a DEBUG record with its node, edge,
-    evaluated-user and ranked-user counts. Each setting's
-    step count is decided once, by :func:`step_count`; when max_iter
-    caps it before the certified count, every fold scored with it is
-    logged as a WARNING with its L1 error bound. The column blocks of
-    each fold are ranked on ``pool`` when one is given, and collected in
-    order, so the pool cannot change a result.
+    setting stops only that one; the first error in fold order wins.
+    Folds without evaluable users contribute (0, 0) components and are
+    marked skipped. Each fold whose graph is built is logged once, in
+    fold order, as a DEBUG record with its node, edge, evaluated-user
+    and ranked-user counts. Each setting's step count is decided once,
+    by :func:`step_count`; when max_iter caps it before the certified
+    count, every fold scored with it is logged as a WARNING with its L1
+    error bound.
+
+    With ``pool``, each fold is one task that builds its graph and scores
+    every setting on it. Tasks are submitted largest training prefix
+    first, so the longest fold does not start last, and collected in fold
+    order, so the pool cannot change a result; once no setting is
+    running, the tasks not yet started are cancelled. Without a pool the
+    folds are scored in order in this thread, each with the settings
+    still running, and none is built once every setting has stopped.
     """
     if not settings:
         return []
@@ -359,11 +379,22 @@ def evaluate_settings(
     # exception that stopped it or its report.
     outcomes: list = [[] for _ in settings]
     steps = [step_count(s.alpha) for s in settings]
-    for fold in folds:
+    tasks = []
+    if pool is not None:
+        # training prefixes grow with k: the last fold is the largest task
+        tasks = [pool.submit(_score_fold, fold, flavor, settings) for fold in reversed(folds)]
+        tasks.reverse()
+    for k, fold in enumerate(folds):
         running = [j for j, slot in enumerate(outcomes) if isinstance(slot, list)]
         if not running:
+            for task in tasks:
+                task.cancel()
             break
-        if not fold.truth:
+        if pool is not None:
+            scored_on, result = range(len(settings)), tasks[k].result()
+        else:
+            scored_on, result = running, _score_fold(fold, flavor, [settings[j] for j in running])
+        if result is None:
             for j in running:
                 outcomes[j].append(
                     MetricComponents(
@@ -376,24 +407,22 @@ def evaluate_settings(
                     )
                 )
             continue
-        try:
-            shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
-        except Exception as exc:  # the whole group stops; the caller reports it
+        if isinstance(result, Exception):
             for j in running:
-                outcomes[j] = exc
+                outcomes[j] = result
             continue
+        (nodes, edges, ranked), scored = result
         log.debug(
             "%s fold %d: %d nodes, %d edges, %d evaluated users, %d ranked",
-            flavor, fold.k, shared.graph.n_nodes, shared.graph.n_edges,
-            len(fold.truth), len(shared.users),
+            flavor, fold.k, nodes, edges, len(fold.truth), ranked,
         )
-        for j in running:
-            params = settings[j]
-            try:
-                comp = _evaluate_fold(shared, params, pool)
-            except Exception as exc:  # this setting stops; the others go on
-                outcomes[j] = exc
+        for j, comp in zip(scored_on, scored):
+            if j not in running:
                 continue
+            if isinstance(comp, Exception):
+                outcomes[j] = comp
+                continue
+            params = settings[j]
             iterations, converged = steps[j]
             if not converged:
                 log.warning(
@@ -403,7 +432,6 @@ def evaluate_settings(
                     2.0 * params.alpha**iterations,
                 )
             outcomes[j].append(comp)
-        del shared  # free it before the next, larger, fold is built
 
     for j, comps in enumerate(outcomes):
         if isinstance(comps, Exception):
@@ -434,10 +462,11 @@ def run_protocol(
 
     The one-setting case of :func:`evaluate_settings`, raising what
     stopped the setting. ``workers`` threads (default: every usable
-    core; below 1: ``ValueError``) rank each fold's column blocks on one
-    pool that lives for this call; with one, no pool is made. A report
-    where every fold was skipped has None for the time-averaged metrics
-    and ``nothing_evaluated`` set.
+    core; below 1: ``ValueError``) each take whole folds, largest first,
+    from one pool that lives for this call, so no more threads than
+    folds are ever busy; with one, no pool is made and the folds run in
+    order in this thread. A report where every fold was skipped has None
+    for the time-averaged metrics and ``nothing_evaluated`` set.
     """
     if workers is None:
         workers = _usable_cores()

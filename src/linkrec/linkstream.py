@@ -275,11 +275,25 @@ class LinkStream:
         return {(users[u], items[i]) for u, i in self._pairs()}
 
     def items_by_user(self) -> dict[str, set[str]]:
-        users, items = self.columns.users, self.columns.items
-        out: dict[str, set[str]] = {}
-        for u, i in self._pairs():
-            out.setdefault(users[u], set()).add(items[i])
-        return out
+        """Each user's distinct items, users in order of first appearance.
+
+        The distinct (user, item) code pairs are sorted by user in numpy,
+        and each pair's item is named once; each user's set is built from
+        its run of names.
+        """
+        c = self.columns
+        n_events, n_items = len(c.user_code), len(c.items)
+        key = np.sort(c.user_code * n_items + c.item_code)
+        user_of, item_of = np.divmod(key[np.diff(key, prepend=-1) != 0], n_items)
+        bounds = np.searchsorted(user_of, np.arange(len(c.users) + 1)).tolist()
+        names = np.array(c.items, dtype=object)[item_of].tolist()
+        first = np.full(len(c.users), n_events)
+        np.minimum.at(first, c.user_code, np.arange(n_events))
+        present = np.flatnonzero(first < n_events)
+        return {
+            c.users[u]: set(names[bounds[u]:bounds[u + 1]])
+            for u in present[np.argsort(first[present])].tolist()
+        }
 
 
 @dataclass(frozen=True)

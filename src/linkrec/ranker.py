@@ -429,15 +429,37 @@ def rank_items(
     skip.
     Returns the top-n item rows, best first, with -1 past the last
     unseen item (ties go to the lower row, the smaller item id), and the
-    item scores, -inf at seen items. Whether the scores are certified is
+    item scores, -inf at seen items. The rows are selected by
+    :func:`_top_n`. Whether the scores are certified is
     ``step_count(alpha)``'s to say.
     """
     X, _, _ = pagerank_batch(tm, D, alpha)
     S = np.ascontiguousarray((A @ X).T)
     S[seen] = -np.inf
-    top = np.argsort(-S, axis=1, kind="stable")[:, :n]
+    top = _top_n(S, n)
     top[np.take_along_axis(seen, top, axis=1)] = -1
     return top, S
+
+
+def _top_n(S: np.ndarray, n: int) -> np.ndarray:
+    """The first n columns of ``np.argsort(-S, axis=1, kind="stable")``:
+    each row's columns by descending score, ties to the lower column.
+
+    Only n entries per row are sorted. A partition finds each row's n-th
+    best score v; the row keeps every column scoring above v and the
+    lowest columns tied at v, up to n; those n are stable-sorted by
+    descending score. Rows of at most n columns are sorted whole.
+    """
+    rows, width = S.shape
+    if n >= width:
+        return np.argsort(-S, axis=1, kind="stable")
+    v = np.partition(S, width - n, axis=1)[:, width - n, None]
+    above = S > v
+    tied = S == v
+    keep = above | (tied & (np.cumsum(tied, axis=1) <= n - above.sum(axis=1, keepdims=True)))
+    kept = np.nonzero(keep)[1].reshape(rows, n)
+    order = np.argsort(-np.take_along_axis(S, kept, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(kept, order, axis=1)
 
 
 def recommend(

@@ -4,7 +4,9 @@ import logging
 import math
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import jsonschema
 import pytest
@@ -490,6 +492,80 @@ def test_block_error_stops_only_its_setting(monkeypatch):
         outcomes = evaluation.evaluate_settings(iter_folds(stream, 4), "lsg", [ok, bad], pool)
     assert isinstance(outcomes[1], BlockError)
     assert report_json(outcomes[0]) == reference
+
+
+class BuildError(Exception):
+    pass
+
+
+def fail_builds(monkeypatch, failing_folds):
+    """Patch FoldGraph.build to raise BuildError(k) on the folds in
+    ``failing_folds``, and record the thread that builds each fold."""
+    build = evaluation.FoldGraph.build.__func__
+    threads = {}
+
+    def failing(cls, fold, *args):
+        threads[fold.k] = threading.current_thread()
+        if fold.k in failing_folds:
+            raise BuildError(fold.k)
+        return build(cls, fold, *args)
+
+    monkeypatch.setattr(evaluation.FoldGraph, "build", classmethod(failing))
+    return threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_build_error_in_fold_order_wins(monkeypatch, workers):
+    # fold 3 is submitted first and may fail first; fold 2's error is
+    # the one the serial loop meets, so it is the one reported
+    fail_builds(monkeypatch, {2, 3})
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    params = ParamSetting(alpha=0.3, n=5, eta_s=0.2)
+    with pytest.raises(BuildError) as caught:
+        run_protocol(stream, "lsg", params, n_windows=5, workers=workers)
+    assert caught.value.args == (2,)
+    settings = [params, ParamSetting(alpha=0.5, n=3, eta_s=0.2)]
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        outcomes = evaluation.evaluate_settings(iter_folds(stream, 5), "lsg", settings, pool)
+    assert [type(o) for o in outcomes] == [BuildError, BuildError]
+    assert all(o.args == (2,) for o in outcomes)
+
+
+def test_serial_protocol_stops_building_once_every_setting_stopped(monkeypatch):
+    threads = fail_builds(monkeypatch, {2})
+    with pytest.raises(BuildError):
+        run_protocol(make_stream(11, n_users=20, n_items=30, n_events=300), "lsg",
+                     ParamSetting(alpha=0.3, n=5, eta_s=0.2), n_windows=5, workers=1)
+    assert sorted(threads) == [1, 2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fold_builds_run_on_the_pool_threads(monkeypatch, workers):
+    threads = fail_builds(monkeypatch, set())
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    run_protocol(stream, "lsg", ParamSetting(alpha=0.3, n=5, eta_s=0.2),
+                 n_windows=5, workers=workers)
+    assert sorted(threads) == [1, 2, 3, 4]
+    on_caller = {t is threading.current_thread() for t in threads.values()}
+    assert on_caller == {workers == 1}
+
+
+def test_pool_takes_the_largest_fold_first():
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    folds = iter_folds(stream, 5)
+    submitted = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, fn, fold, *args):
+            submitted.append(fold.k)
+            return super().submit(fn, fold, *args)
+
+    settings = [ParamSetting(alpha=0.3, n=5, eta_s=0.2)]
+    with RecordingPool(2) as pool:
+        (threaded,) = evaluation.evaluate_settings(folds, "lsg", settings, pool)
+    (serial,) = evaluation.evaluate_settings(folds, "lsg", settings)
+    assert submitted == [4, 3, 2, 1]
+    assert report_json(threaded) == report_json(serial)
 
 
 def test_run_protocol_warns_once_per_capped_fold(caplog):

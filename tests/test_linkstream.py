@@ -348,6 +348,34 @@ def test_streams_always_sorted(triples):
     assert keys == sorted(keys)
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=6),
+        ),
+        max_size=40,
+    ),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_items_by_user_matches_per_event_definition(triples, lo, hi):
+    stream = LinkStream.from_events(
+        (Event(t, f"u{u}", f"i{i}") for t, u, i in triples), time_span=(0, 100)
+    )
+    # slices share the whole stream's id tables, some ids absent from them
+    for part in (stream, stream.slice(0, hi, stream.time_span),
+                 stream.slice(lo, max(lo, hi), stream.time_span)):
+        by_user = {}
+        for ev in part.events:
+            by_user.setdefault(ev.user, set()).add(ev.item)
+        got = part.items_by_user()
+        assert got == by_user
+        assert list(got) == list(by_user)  # users by first appearance
+
+
 @pytest.mark.parametrize("blank", ["", " \t \t "])
 def test_blank_record_after_first_data_row_is_skipped(blank):
     stream = parse_link_stream(f"u1\ti1\t1\n{blank}\nu2\ti2\t2\n".encode(), fmt="tsv")

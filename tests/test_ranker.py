@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from linkrec import ranker
 from linkrec.graphs import (
@@ -719,3 +722,15 @@ def test_restart_vectors_reject_unknown_flavor():
     graph = RecGraph(flavor="xyz", nodes=frozenset({(USER, "a")}), edges={})
     with pytest.raises(ValueError, match="unknown graph flavor 'xyz'"):
         ranker._restart_vectors(graph, ["a"])
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(1, 12)),
+           elements=st.sampled_from([-math.inf, 0.0, 0.25, 0.5, 1.0, 2.0])),
+    st.integers(min_value=1, max_value=15),
+)
+@settings(max_examples=200, deadline=None)
+def test_top_n_is_the_head_of_the_stable_argsort(S, n):
+    # few distinct values, so most rows have ties, often at the n-th score
+    expected = np.argsort(-S, axis=1, kind="stable")[:, :n]
+    assert np.array_equal(ranker._top_n(S, n), expected)
