@@ -20,7 +20,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -159,13 +161,19 @@ def hit_ratio_components(hit_counts: Sequence[int]) -> tuple[float, float]:
     return (float(sum(1 for c in hit_counts if c > 0)), float(len(hit_counts)))
 
 
+def _fadd(values: Iterable[float]) -> float:
+    """The floats added left to right from 0.0, as builtin ``sum()``
+    did until Python 3.12, so MAP does not depend on the version."""
+    return reduce(add, values, 0.0)
+
+
 def average_precision(h: Sequence[int], n: int) -> float:
     """AP@N from per-rank hit flags; 0 when nothing was hit."""
     hit_k = list(accumulate(h))
     hit_n = hit_k[-1] if hit_k else 0
     if hit_n == 0:
         return 0.0
-    return sum(hk * hj / k for k, (hk, hj) in enumerate(zip(hit_k, h), start=1)) / hit_n
+    return _fadd(hk * hj / k for k, (hk, hj) in enumerate(zip(hit_k, h), start=1)) / hit_n
 
 
 def map_components(
@@ -173,7 +181,7 @@ def map_components(
 ) -> tuple[float, float]:
     """MAP@N components: (sum of AP_N(u), #users evaluated)."""
     return (
-        float(sum(average_precision(h, n) for h in flags_per_user)),
+        _fadd(average_precision(h, n) for h in flags_per_user),
         float(len(flags_per_user)),
     )
 
@@ -183,8 +191,8 @@ def time_average(components: Iterable[MetricComponents]) -> tuple[float, float, 
     comps = list(components)
     sums = {
         name: (
-            sum(getattr(c, name)[0] for c in comps),
-            sum(getattr(c, name)[1] for c in comps),
+            _fadd(getattr(c, name)[0] for c in comps),
+            _fadd(getattr(c, name)[1] for c in comps),
         )
         for name in ("f1", "hr", "map")
     }
@@ -317,20 +325,25 @@ def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponent
 
 
 def _score_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
-    """Build one fold's shared graph and score each setting on it.
+    """Build one fold's shared graph and score every setting on it.
 
-    Returns None for a fold without evaluated users, the exception when
-    the graph cannot be built, and otherwise the fold's (nodes, edges,
-    ranked users) counts with, per setting, its components or the
-    exception that stopped it. The graph is freed on return.
+    Returns ``(counts, outcomes)``: ``counts`` is the fold's (nodes,
+    edges, ranked users), or None when no graph was built, and
+    ``outcomes`` holds per setting its components, the skipped (0, 0)
+    components of a fold without evaluated users, or the exception that
+    stopped it; an error building the graph is every setting's
+    exception. The graph is freed on return.
     """
     if not fold.truth:
-        return None
+        skipped = MetricComponents(
+            window=fold.k, users=0, f1=(0.0, 0.0), hr=(0.0, 0.0), map=(0.0, 0.0), skipped=True
+        )
+        return None, [skipped] * len(settings)
     first = settings[0]
     try:
         shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
     except Exception as exc:  # the whole group stops; the caller reports it
-        return exc
+        return None, [exc] * len(settings)
     scored: list = []
     for params in settings:
         try:
@@ -362,13 +375,15 @@ def evaluate_settings(
     count, every fold scored with it is logged as a WARNING with its L1
     error bound.
 
-    With ``pool``, each fold is one task that builds its graph and scores
-    every setting on it. Tasks are submitted largest training prefix
-    first, so the longest fold does not start last, and collected in fold
-    order, so the pool cannot change a result; once no setting is
-    running, the tasks not yet started are cancelled. Without a pool the
-    folds are scored in order in this thread, each with the settings
-    still running, and none is built once every setting has stopped.
+    Each fold is scored by :func:`_score_fold` on every setting, and one
+    loop takes the results in fold order, keeping those of the settings
+    still running; it stops once none is. With ``pool``, each fold is
+    one task, submitted largest training prefix first so the longest
+    fold does not start last, and the tasks not yet started are
+    cancelled when the loop stops. Without a pool, each fold is scored
+    in this thread when the loop reaches it, so none is built once every
+    setting has stopped. Either way the results, records and outcomes
+    are the same.
     """
     if not settings:
         return []
@@ -379,52 +394,29 @@ def evaluate_settings(
     # exception that stopped it or its report.
     outcomes: list = [[] for _ in settings]
     steps = [step_count(s.alpha) for s in settings]
-    tasks = []
-    if pool is not None:
+    if pool is None:
+        tasks = []
+        results = (_score_fold(fold, flavor, settings) for fold in folds)
+    else:
         # training prefixes grow with k: the last fold is the largest task
         tasks = [pool.submit(_score_fold, fold, flavor, settings) for fold in reversed(folds)]
-        tasks.reverse()
-    for k, fold in enumerate(folds):
-        running = [j for j, slot in enumerate(outcomes) if isinstance(slot, list)]
-        if not running:
-            for task in tasks:
-                task.cancel()
-            break
-        if pool is not None:
-            scored_on, result = range(len(settings)), tasks[k].result()
-        else:
-            scored_on, result = running, _score_fold(fold, flavor, [settings[j] for j in running])
-        if result is None:
-            for j in running:
-                outcomes[j].append(
-                    MetricComponents(
-                        window=fold.k,
-                        users=0,
-                        f1=(0.0, 0.0),
-                        hr=(0.0, 0.0),
-                        map=(0.0, 0.0),
-                        skipped=True,
-                    )
-                )
-            continue
-        if isinstance(result, Exception):
-            for j in running:
-                outcomes[j] = result
-            continue
-        (nodes, edges, ranked), scored = result
-        log.debug(
-            "%s fold %d: %d nodes, %d edges, %d evaluated users, %d ranked",
-            flavor, fold.k, nodes, edges, len(fold.truth), ranked,
-        )
-        for j, comp in zip(scored_on, scored):
-            if j not in running:
+        results = (task.result() for task in reversed(tasks))
+    for fold, (counts, scored) in zip(folds, results):
+        if counts is not None:
+            nodes, edges, ranked = counts
+            log.debug(
+                "%s fold %d: %d nodes, %d edges, %d evaluated users, %d ranked",
+                flavor, fold.k, nodes, edges, len(fold.truth), ranked,
+            )
+        for j, comp in enumerate(scored):
+            if not isinstance(outcomes[j], list):
                 continue
             if isinstance(comp, Exception):
                 outcomes[j] = comp
                 continue
             params = settings[j]
             iterations, converged = steps[j]
-            if not converged:
+            if not (converged or comp.skipped):
                 log.warning(
                     "%s fold %d: PageRank not converged at alpha=%g, capped at %d steps; "
                     "L1 error bound 2*alpha^%d = %.2g",
@@ -432,6 +424,10 @@ def evaluate_settings(
                     2.0 * params.alpha**iterations,
                 )
             outcomes[j].append(comp)
+        if not any(isinstance(slot, list) for slot in outcomes):
+            break
+    for task in tasks:
+        task.cancel()
 
     for j, comps in enumerate(outcomes):
         if isinstance(comps, Exception):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -166,6 +167,23 @@ def test_time_average_is_user_weighted_mean_for_hr():
     _, hr, map_ = time_average(comps)
     assert hr == pytest.approx((1 / 4 + 3 / 4) / 2)
     assert map_ == pytest.approx((1 / 4 + 2 / 4) / 2)
+
+
+def test_map_sums_add_left_to_right():
+    # each input rounds differently when added left to right than when
+    # added exactly, as builtin sum() does from Python 3.12 on
+    terms = [1 / 3, 2 / 4, 3 / 5]
+    assert math.fsum(terms) != (terms[0] + terms[1]) + terms[2]
+    assert average_precision([0, 0, 1, 1, 1], 5) == ((terms[0] + terms[1]) + terms[2]) / 3
+    aps = [1 / 5, (1 / 3 + 2 / 5) / 2, 1 / 5]
+    assert math.fsum(aps) != (aps[0] + aps[1]) + aps[2]
+    flags = [[0, 0, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 0, 1]]
+    assert map_components(flags, 5) == ((aps[0] + aps[1]) + aps[2], 3.0)
+    numerators = [1.0, 1e-16, 1e-16]
+    assert math.fsum(numerators) != 1.0
+    comps = [comp(k, 1, (0.0, 1.0), (0.0, 1.0), (num, float(k == 1))) for k, num in
+             enumerate(numerators, start=1)]
+    assert time_average(comps)[2] == 1.0
 
 
 # --- monotonicity: a miss turned into a hit never hurts ---------------------------
@@ -566,6 +584,46 @@ def test_pool_takes_the_largest_fold_first():
     (serial,) = evaluation.evaluate_settings(folds, "lsg", settings)
     assert submitted == [4, 3, 2, 1]
     assert report_json(threaded) == report_json(serial)
+
+
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+def test_serial_and_pooled_runs_give_the_same_outcomes_and_records(
+    monkeypatch, caplog, flavor, params
+):
+    # fold 1 trains on an empty window and is skipped; both settings are
+    # capped, so every scored fold warns once per running setting, and
+    # the second setting stops on fold 3
+    events = make_stream(11, n_users=20, n_items=30, n_events=300).events
+    folds = iter_folds(LinkStream.from_events(events, time_span=(-200, 1000)), 6)
+    assert not folds[0].truth and all(fold.truth for fold in folds[1:])
+    settings = [dataclasses.replace(params, alpha=0.8), dataclasses.replace(params, alpha=0.9)]
+    evaluate_fold = evaluation._evaluate_fold
+
+    def failing(shared, setting):
+        if setting == settings[1] and shared.fold.k == 3:
+            raise BlockError(shared.fold.k)
+        return evaluate_fold(shared, setting)
+
+    monkeypatch.setattr(evaluation, "_evaluate_fold", failing)
+    runs = []
+    for pool in (nullcontext(), ThreadPoolExecutor(2)):
+        caplog.clear()
+        with pool as p, caplog.at_level(logging.DEBUG, logger="linkrec.evaluation"):
+            ok, stopped = evaluation.evaluate_settings(folds, flavor, settings, p)
+        records = [(r.levelno, r.getMessage()) for r in caplog.records
+                   if r.name == "linkrec.evaluation"]
+        runs.append((report_json(ok), repr(stopped), records))
+    assert runs[0] == runs[1]
+    _, stopped, records = runs[0]
+    assert stopped == "BlockError(3)"
+    expected = []
+    for k in range(2, 6):
+        expected.append((logging.DEBUG, f"{flavor} fold {k}: "))
+        expected += [(logging.WARNING, f"{flavor} fold {k}: PageRank not converged at "
+                      f"alpha={alpha}") for alpha in (0.8, 0.9) if alpha == 0.8 or k < 3]
+    assert [(level, message[:len(prefix)]) for (level, message), (_, prefix)
+            in zip(records, expected)] == expected
+    assert len(records) == len(expected)
 
 
 def test_run_protocol_warns_once_per_capped_fold(caplog):
