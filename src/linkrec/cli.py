@@ -12,8 +12,10 @@ from its own output; ``--workers`` and ``--log-level`` are left out, as
 they cannot change a result.
 
 Exit codes: 0 success, 1 IO/runtime failure (such as malformed input
-data), 2 bad configuration (such as a bad ``--columns`` name), reported
-before any output, 3 nothing evaluated (or no event left by the filters).
+data), 2 bad configuration (such as a bad ``--columns`` name, a value
+below its ``MINIMUMS`` entry or a rating floor that is not finite, each
+named by its flag or config file), reported before any output, 3
+nothing evaluated (or no event left by the filters).
 
 Log records of the ``linkrec`` loggers (such as capped power
 iterations) go to stderr at ``--log-level`` and above, default warning.
@@ -25,7 +27,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,8 +50,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_NOTHING_EVALUATED = 3
-
-WORKERS_ENV = "LINKREC_WORKERS"
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
@@ -127,15 +126,16 @@ OPTIONS: dict[str, tuple] = {
     "objective": (OBJECTIVES, "f1", "ranking objective (default f1)", ("search",)),
     "out_dir": (str, "out", "report directory (default ./out)", _RUNS),
     "workers": (int, None, {
-        "evaluate": f"threads scoring whole folds, largest first "
-                    f"(default ${WORKERS_ENV} or every usable core)",
-        "search": f"processes scoring the graph-key groups (default ${WORKERS_ENV} or 1)",
+        "evaluate": "threads scoring whole folds, largest first (default every usable core)",
+        "search": "processes scoring the graph-key groups (default 1)",
     }, _RUNS),
     "grid_alpha": (_list_of(float), None, None, ()),
     "grid_beta": (_list_of(float), None, None, ()),
     "grid_delta": (_list_of(parse_duration), None, None, ()),
     "grid_eta_s": (_list_of(float), None, None, ()),
 }
+
+MINIMUMS = {"windows": 2, "n": 1, "count": 1, "workers": 1}
 
 
 def _from_text(kind, text: str):
@@ -185,30 +185,18 @@ def effective_config(args: argparse.Namespace) -> dict:
         if value is None:
             value = default
         cfg[key] = value
-    cfg["workers"] = _workers(cfg["workers"], args, file_values)
+
+    def reject(key: str, requirement: str):
+        flag = getattr(args, key, None) is not None
+        source = f"--{key.replace('_', '-')}" if flag else f"{key} in {args.config}"
+        raise ConfigError(f"{source} must be {requirement}, got {cfg[key]}")
+    for key, least in MINIMUMS.items():
+        if cfg[key] is not None and cfg[key] < least:
+            reject(key, f"at least {least}")
+    if not math.isfinite(cfg["rating_floor"]):
+        reject("rating_floor", "finite")
     cfg["command"] = args.command
     return cfg
-
-
-def _workers(value: int | None, args: argparse.Namespace, file_values: dict) -> int | None:
-    """The worker count from flag, config file or $LINKREC_WORKERS, in
-    that order; None when none sets it."""
-    if getattr(args, "workers", None) is not None:
-        source = "--workers"
-    elif "workers" in file_values:
-        source = f"workers in {args.config}"
-    else:
-        source = f"${WORKERS_ENV}"
-        text = os.environ.get(WORKERS_ENV, "").strip()
-        if not text:
-            return None
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigError(f"{source} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise ConfigError(f"{source} must be at least 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,8 +290,6 @@ def _config_json(cfg: dict) -> dict:
 def cmd_evaluate(cfg: dict) -> int:
     flavor = _require_graph(cfg)
     params = _param_setting(cfg)
-    if cfg["windows"] < 2:
-        raise ConfigError("--windows must be at least 2")
     stream = _load_stream(cfg)
     report = run_protocol(
         stream, flavor, params, n_windows=cfg["windows"], workers=cfg["workers"]
@@ -321,12 +307,6 @@ def cmd_evaluate(cfg: dict) -> int:
 
 def cmd_search(cfg: dict) -> int:
     flavor = _require_graph(cfg)
-    if cfg["count"] < 1:
-        raise ConfigError("--count must be at least 1")
-    if cfg["n"] < 1:
-        raise ConfigError("--n must be at least 1")
-    if cfg["windows"] < 2:
-        raise ConfigError("--windows must be at least 2")
     grid = _grid(cfg)
     stream = _load_stream(cfg)
     result = search(

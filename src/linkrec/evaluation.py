@@ -282,12 +282,15 @@ class FoldGraph:
     def restarts(self, beta: float | None) -> RestartBlock:
         """The ranked users' restart vectors as the columns of a
         (nodes, users) block, built and checked once per beta; every
-        alpha of the fold ranks column slices of it. Ranked users are
-        evaluated users, and every evaluated user has training nodes at
-        or before ``rec_time``, so leaving the others out removes no
-        error that building their vectors could raise."""
+        alpha of the fold ranks column slices of it. LSG looks users up
+        at the exact time of the last training event: the float
+        ``rec_time`` can round below it at nanosecond epochs. Ranked
+        users are evaluated users, who all have training nodes, so
+        leaving the others out removes no error that building their
+        vectors could raise."""
         if beta not in self._restarts:
-            vectors = _restart_vectors(self.graph, self.users, self.fold.rec_time, beta)
+            t = self.fold.train.columns.t[-1].item()
+            vectors = _restart_vectors(self.graph, self.users, t, beta)
             self._restarts[beta] = personalization_matrix(self.tm, vectors)
         return self._restarts[beta]
 

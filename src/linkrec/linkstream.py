@@ -447,8 +447,11 @@ def filter_positive(stream: LinkStream, rating_floor: float = 2.5) -> LinkStream
     """Keep only positive feedback: rating >= floor and >= the user's mean.
 
     The per-user mean is computed over the *input* stream. Every event
-    must carry a rating. The result may be empty.
+    must carry a rating, and the floor must be finite. The result may be
+    empty.
     """
+    if not math.isfinite(rating_floor):
+        raise ValueError(f"rating_floor must be finite, got {rating_floor}")
     c = stream.columns
     if np.isnan(c.rating).any():
         raise ValueError("rating required for positive filtering")

@@ -265,13 +265,13 @@ def search(
     The folds are computed once. Settings are evaluated in tasks, one
     per graph key, and the largest task is split by setting while there
     are fewer tasks than ``workers`` (each part then builds its own
-    graphs). With one worker the tasks run in this process; with more,
-    on a pool of that many processes that lives for this call; with
-    fewer, ``ValueError``. A setting whose evaluation raises (or
-    evaluates nobody) is recorded as failed and left out of the ranking;
-    the campaign continues. An error in the folds fails every setting,
-    and one in a fold's graph build or in a task's process every setting
-    of its task. Results are keyed by sample index, so the worker count
+    graphs). With one worker or one task the tasks run in this process;
+    otherwise on a pool of min(workers, tasks) processes that lives for
+    this call; with fewer than one worker, ``ValueError``. A setting
+    whose evaluation raises (or evaluates nobody) is recorded as failed
+    and left out of the ranking; the campaign continues. An error in the
+    folds fails every setting, and one in a fold's graph build or in a
+    task's process every setting of its task. Results are keyed by sample index, so the worker count
     cannot change the output.
     """
     if workers < 1:
@@ -282,6 +282,7 @@ def search(
         grid = ParamGrid()
     settings = sample_settings(grid, flavor, count, seed, n=n)
     tasks = _split_groups(_graph_groups(settings), workers)
+    workers = min(workers, len(tasks))
     outcomes: list = [None] * len(settings)
     try:
         folds = iter_folds(stream, n_windows)

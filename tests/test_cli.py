@@ -264,12 +264,11 @@ def test_columns_flag(tmp_path):
     assert code == EXIT_OK
 
 
-def test_workers_env_default(dataset, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LINKREC_WORKERS", "2")
+def test_workers_env_default(dataset, tmp_path, capsys):
     out_dir = tmp_path / "envrun"
     code = main([
         "search", "--input", str(dataset), "--graph", "bip",
-        "--count", "2", "--windows", "4", "--n", "5",
+        "--count", "2", "--windows", "4", "--n", "5", "--workers", "2",
         "--out-dir", str(out_dir),
     ])
     assert code == EXIT_OK
@@ -290,7 +289,6 @@ def evaluate_lsg(dataset, out_dir, *flags):
 def test_evaluate_report_identical_for_any_workers(dataset, tmp_path, monkeypatch):
     # blocks of two users, so each fold's blocks are shared among threads
     monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 2)
-    monkeypatch.delenv("LINKREC_WORKERS", raising=False)
     out_dir = tmp_path / "run"
     reports = []
     for flags in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"]):
@@ -301,30 +299,66 @@ def test_evaluate_report_identical_for_any_workers(dataset, tmp_path, monkeypatc
     assert reports[1:] == reports[:1] * 3
 
 
-@pytest.mark.parametrize("flags,env,message", [
-    (["--workers", "0"], None, "--workers must be at least 1, got 0"),
-    (["--workers", "-3"], None, "--workers must be at least 1, got -3"),
-    ([], "abc", "$LINKREC_WORKERS must be an integer, got 'abc'"),
-    ([], "0", "$LINKREC_WORKERS must be at least 1, got 0"),
-], ids=["flag-zero", "flag-negative", "env-not-integer", "env-zero"])
-def test_bad_worker_count_is_config_error(
-    dataset, tmp_path, monkeypatch, capsys, flags, env, message
-):
-    if env is None:
-        monkeypatch.delenv("LINKREC_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("LINKREC_WORKERS", env)
+@pytest.mark.parametrize("flags,message", [
+    (["--workers", "0"], "--workers must be at least 1, got 0"),
+    (["--workers", "-3"], "--workers must be at least 1, got -3"),
+], ids=["flag-zero", "flag-negative"])
+def test_bad_worker_count_is_config_error(dataset, tmp_path, capsys, flags, message):
     assert evaluate_lsg(dataset, tmp_path / "run", *flags) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
-def test_bad_worker_count_in_config_file_names_the_file(dataset, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LINKREC_WORKERS", "2")  # the file wins over the environment
+def test_bad_worker_count_in_config_file_names_the_file(dataset, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("workers = 0\n")
     assert evaluate_lsg(dataset, tmp_path / "run", "--config", str(cfg)) == EXIT_CONFIG
     assert f"config error: workers in {cfg} must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "search", "inspect"])
+@pytest.mark.parametrize("line,message", [
+    ("windows = 1", "windows in {cfg} must be at least 2, got 1"),
+    ("n = 0", "n in {cfg} must be at least 1, got 0"),
+    ("count = 0", "count in {cfg} must be at least 1, got 0"),
+    ("workers = 0", "workers in {cfg} must be at least 1, got 0"),
+], ids=["windows", "n", "count", "workers"])
+def test_minimum_in_config_file_names_the_file(dataset, tmp_path, capsys, command, line,
+                                               message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    flags = {
+        "evaluate": ["--graph", "lsg", "--alpha", "0.3", "--out-dir", str(tmp_path / "run")],
+        "search": ["--graph", "bip", "--out-dir", str(tmp_path / "run")],
+        "inspect": [],
+    }[command]
+    code = main([command, "--input", str(dataset), "--config", str(cfg), *flags])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message.format(cfg=cfg)}" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_rating_floor_is_config_error(tmp_path, capsys, value, source):
+    # the input does not parse: the floor is rejected before it is read
+    path = tmp_path / "events.tsv"
+    path.write_text("not a link stream\n")
+    argv = ["inspect", "--input", str(path), "--positive-filter"]
+    if source == "flag":
+        argv.append(f"--rating-floor={value}")
+        named = "--rating-floor"
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rating_floor = {value}\n")
+        argv += ["--config", str(cfg)]
+        named = f"rating_floor in {cfg}"
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {named} must be finite, got {float(value)}" in captured.err
 
 
 def test_no_command_prints_help(capsys):
@@ -396,7 +430,7 @@ def test_bad_delta_flag_is_usage_error(dataset, capsys, value, message):
 
 
 @pytest.mark.parametrize("args,config,message", [
-    (["evaluate", *STG, "--n", "0"], None, "n must be at least 1"),
+    (["evaluate", *STG, "--n", "0"], None, "--n must be at least 1"),
     (["evaluate", *STG, "--alpha", "2"], None, "alpha must lie in (0, 1)"),
     (["evaluate", *STG, "--beta", "2"], None, "beta must lie in [0, 1]"),
     (["evaluate", *STG, "--eta-s", "-1"], None, "eta_s must be non-negative"),
@@ -490,8 +524,7 @@ def test_spellings_cover_every_flag():
 
 
 @pytest.mark.parametrize("key", sorted(SPELLINGS))
-def test_flag_and_config_key_give_same_config(tmp_path, monkeypatch, key):
-    monkeypatch.delenv("LINKREC_WORKERS", raising=False)
+def test_flag_and_config_key_give_same_config(tmp_path, key):
     flag, line = SPELLINGS[key]
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(line + "\n")

@@ -286,6 +286,26 @@ def test_run_protocol_on_nanosecond_stream_with_inexact_ends(flavor):
     assert not report.nothing_evaluated and report.all_converged
 
 
+def test_lsg_protocol_on_fold_whose_float_rec_time_rounds_below_training():
+    alpha, span = 1600257564042624565, 4408481350015891
+    late = 1600808624211376551  # u2's training event, the last of window 1
+    events = [
+        Event(alpha, "u1", "i1"),
+        Event(late, "u2", "i2"),
+        Event(alpha + span * 3 // 16, "u2", "i1"),  # window 2: new to u2, in the graph
+        Event(alpha + span, "u1", "i2"),
+    ]
+    stream = LinkStream.from_events(events)
+    windows = split_windows(stream, 8)
+    assert [len(sub) for _, sub in windows[:2]] == [2, 1]
+    assert windows[0][0].end < late  # the float edge rounds below the event
+    params = ParamSetting(alpha=0.3, n=3, eta_s=0.5)
+    lsg = run_protocol(stream, "lsg", params, n_windows=8)
+    bip = run_protocol(stream, "bip", params, n_windows=8)
+    assert lsg.windows[0].users == bip.windows[0].users == 1
+    assert lsg.windows[0].hr == bip.windows[0].hr == (1.0, 1.0)
+
+
 def test_stream_equality_compares_events_and_span():
     events = [Event(1, "u", "i", 4.0), Event(2, "u", "j")]
     a = LinkStream.from_events(events)

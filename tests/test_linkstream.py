@@ -137,6 +137,12 @@ def test_filter_positive_requires_ratings():
         filter_positive(stream)
 
 
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -float("inf")])
+def test_filter_positive_rejects_non_finite_floor(floor):
+    with pytest.raises(ValueError, match="rating_floor must be finite"):
+        filter_positive(_rated([5, 1, 3]), rating_floor=floor)
+
+
 def test_filter_positive_mean_is_per_user():
     events = [
         Event(1, "a", "x", rating=5.0),

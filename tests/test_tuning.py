@@ -280,6 +280,34 @@ def test_split_groups_fills_the_workers():
     assert tuning._split_groups([[0, 2], [1, 3]], 2) == [[0, 2], [1, 3]]
 
 
+@pytest.mark.parametrize("count,tasks", [(1, 1), (2, 2), (3, 3)])
+def test_search_pool_has_no_more_processes_than_tasks(monkeypatch, count, tasks):
+    built = []
+
+    class InlinePool:
+        """A pool that records its size and runs each task in this process."""
+
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return tuning._run_here(fn, *args)
+
+    monkeypatch.setattr(tuning, "ProcessPoolExecutor", InlinePool)
+    grid = ParamGrid(alpha=(0.1, 0.5, 0.9))
+    serial = search(tiny_stream(), "bip", grid=grid, count=count, n=3, n_windows=4)
+    result = search(tiny_stream(), "bip", grid=grid, count=count, n=3, n_windows=4,
+                    workers=8)
+    assert built == ([tasks] if tasks > 1 else [])
+    assert leaderboard_csv(result) == leaderboard_csv(serial)
+
+
 @pytest.mark.parametrize(
     "flavor,grid",
     [
