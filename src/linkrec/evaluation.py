@@ -243,13 +243,13 @@ class FoldGraph:
     graph, transition matrix and item aggregation matrix of a fold
     once, with users x items masks of the ranked users' training items
     (``seen``) and new test-window items (``truth``); the restart
-    matrix is kept per beta on first use.
+    blocks are kept per beta on first use.
 
     ``users`` are the ranked users: the evaluated users, sorted, with at
     least one new item among the graph's items. Only graph items can be
     ranked, so an evaluated user whose new items all first appear in the
     test window scores no hit under any setting and is not ranked. The
-    rows of ``seen`` and ``truth`` and the columns of ``restarts(beta)``
+    rows of ``seen`` and ``truth`` and the blocks of ``restarts(beta)``
     follow ``users``.
     """
 
@@ -279,25 +279,28 @@ class FoldGraph:
             truth[r, [item_row[i] for i in fold.truth[user] if i in item_row]] = True
         return cls(fold, graph, tm, items, A, users, seen, truth)
 
-    def restarts(self, beta: float | None) -> RestartBlock:
-        """The ranked users' restart vectors as the columns of a
-        (nodes, users) block, built and checked once per beta; every
-        alpha of the fold ranks column slices of it. LSG looks users up
-        at the exact time of the last training event: the float
-        ``rec_time`` can round below it at nanosecond epochs. Ranked
-        users are evaluated users, who all have training nodes, so
-        leaving the others out removes no error that building their
-        vectors could raise."""
+    def restarts(self, beta: float | None) -> list[tuple[slice, RestartBlock]]:
+        """The ranked users cut into blocks of ``_BATCH_COLUMNS``: per
+        block, its slice of ``users`` and the restart block of those
+        users' vectors, in order, built and checked once per beta; every
+        alpha of the fold ranks them. LSG looks users up at the exact
+        time of the last training event: the float ``rec_time`` can
+        round below it at nanosecond epochs. Ranked users are evaluated
+        users, who all have training nodes, so leaving the others out
+        removes no error that building their vectors could raise."""
         if beta not in self._restarts:
             t = self.fold.train.columns.t[-1].item()
             vectors = _restart_vectors(self.graph, self.users, t, beta)
-            self._restarts[beta] = personalization_matrix(self.tm, vectors)
+            blocks = [slice(s, s + _BATCH_COLUMNS) for s in range(0, len(vectors), _BATCH_COLUMNS)]
+            self._restarts[beta] = [
+                (block, personalization_matrix(self.tm, vectors[block])) for block in blocks
+            ]
         return self._restarts[beta]
 
 
 def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponents:
     """Components of one fold for one setting. The ranked users' restart
-    matrix is cut into column blocks, ranked in turn in this thread.
+    blocks are ranked in turn in this thread.
 
     Every other evaluated user has no new item in the graph, so their
     hit flags are all zero; they are appended after the ranked users'.
@@ -307,9 +310,7 @@ def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponent
     """
     fold, users = shared.fold, shared.users
     flags: list[list[int]] = []
-    for start in range(0, len(users), _BATCH_COLUMNS):
-        block = slice(start, start + _BATCH_COLUMNS)
-        D = shared.restarts(params.beta)[:, block]
+    for block, D in shared.restarts(params.beta):
         top, _ = rank_items(shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n)
         # truth and seen items are disjoint, so hits stop where unseen items do
         hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)

@@ -119,7 +119,8 @@ class LinkStream:
     so the order is total and does not depend on input order or hashing.
     Build instances through :meth:`from_events` or :func:`parse_link_stream`;
     both sort, drop exact duplicates (event sets, not multisets) and check
-    the interval actually covers the events. An empty stream is legal only
+    that event times and span ends are finite and that the interval
+    actually covers the events. An empty stream is legal only
     with an explicit time span (filters may empty a stream; parsing empty
     input is an error). A span derived from the events keeps their type,
     so integer timestamps past 2**53 (nanosecond epochs) stay exact.
@@ -159,6 +160,10 @@ class LinkStream:
         t = np.array(ts) if ts else np.zeros(0, np.int64)
         if t.dtype.kind not in "iuf":
             raise ValueError("timestamps must be 64-bit integers or floats")
+        if t.dtype.kind == "f" and not np.isfinite(t).all():
+            raise ValueError(f"event time {t[~np.isfinite(t)][0].item()} is not finite")
+        if time_span is not None and not all(map(math.isfinite, time_span)):
+            raise ValueError(f"time span {tuple(time_span)} has a non-finite end")
         rating = np.array(ratings, dtype=float)
         unrated = np.isnan(rating)
         order = np.lexsort((np.where(unrated, 0.0, rating), ~unrated, item_code, user_code, t))
@@ -334,7 +339,7 @@ def _parse_timestamp(text: str) -> int:
     if dt.tzinfo is None:
         # Date-only and naive datetimes are taken as UTC.
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    return math.floor(dt.timestamp())
 
 
 def _read_lines(source) -> list[str]:

@@ -250,25 +250,13 @@ class RestartBlock:
 
     Entry e puts ``mass[e]`` on node ``row[e]`` of column ``col[e]``;
     entries are sorted by column, then row, without duplicates, and
-    every column is non-negative and sums to 1. ``block[:, a:b]`` is
-    columns a to b - 1 as a block of their own, cut by slicing.
+    every column is non-negative and sums to 1.
     """
 
     shape: tuple[int, int]
     row: np.ndarray
     col: np.ndarray
     mass: np.ndarray
-
-    def __getitem__(self, key: tuple[slice, slice]) -> "RestartBlock":
-        rows, cols = key
-        if rows != slice(None) or not isinstance(cols, slice) or cols.step not in (None, 1):
-            raise IndexError("a restart block is cut only as block[:, start:stop]")
-        start, stop, _ = cols.indices(self.shape[1])
-        stop = max(start, stop)
-        a, b = np.searchsorted(self.col, [start, stop]).tolist()
-        return RestartBlock(
-            (self.shape[0], stop - start), self.row[a:b], self.col[a:b] - start, self.mass[a:b]
-        )
 
 
 def certified_steps(alpha: float, tol: float) -> int:
@@ -423,10 +411,9 @@ def rank_items(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank items for a block of restart vectors, one row per column of D.
 
-    ``D`` is a restart block built by :func:`personalization_matrix`, or
-    a column slice of one, ``A`` the :func:`item_matrix` of ``tm``'s
-    graph and ``seen`` a columns x items mask of the items each row must
-    skip.
+    ``D`` is a restart block built by :func:`personalization_matrix`,
+    ``A`` the :func:`item_matrix` of ``tm``'s graph and ``seen`` a
+    columns x items mask of the items each row must skip.
     Returns the top-n item rows, best first, with -1 past the last
     unseen item (ties go to the lower row, the smaller item id), and the
     item scores, -inf at seen items. The rows are selected by

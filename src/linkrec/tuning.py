@@ -269,10 +269,11 @@ def search(
     otherwise on a pool of min(workers, tasks) processes that lives for
     this call; with fewer than one worker, ``ValueError``. A setting
     whose evaluation raises (or evaluates nobody) is recorded as failed
-    and left out of the ranking; the campaign continues. An error in the
-    folds fails every setting, and one in a fold's graph build or in a
-    task's process every setting of its task. Results are keyed by sample index, so the worker count
-    cannot change the output.
+    and left out of the ranking; the campaign continues. An error in a
+    fold's graph build or in a task's process fails every setting of its
+    task. An error cutting the folds is raised, as :func:`run_protocol`
+    raises it, before any setting runs. Results are keyed by sample
+    index, so the worker count cannot change the output.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -284,24 +285,20 @@ def search(
     tasks = _split_groups(_graph_groups(settings), workers)
     workers = min(workers, len(tasks))
     outcomes: list = [None] * len(settings)
-    try:
-        folds = iter_folds(stream, n_windows)
-    except Exception as exc:  # without folds, every setting fails
-        outcomes = [exc] * len(settings)
-    else:
-        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            submit = pool.submit if pool else _run_here
-            futures = [
-                submit(evaluate_settings, folds, flavor, [settings[i] for i in task])
-                for task in tasks
-            ]
-            for task, future in zip(tasks, futures):
-                try:
-                    results = future.result()
-                except Exception as exc:  # every setting of the task fails
-                    results = [exc] * len(task)
-                for index, outcome in zip(task, results):
-                    outcomes[index] = outcome
+    folds = iter_folds(stream, n_windows)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        submit = pool.submit if pool else _run_here
+        futures = [
+            submit(evaluate_settings, folds, flavor, [settings[i] for i in task])
+            for task in tasks
+        ]
+        for task, future in zip(tasks, futures):
+            try:
+                results = future.result()
+            except Exception as exc:  # every setting of the task fails
+                results = [exc] * len(task)
+            for index, outcome in zip(task, results):
+                outcomes[index] = outcome
 
     ordered = [_entry(i, settings[i], outcome) for i, outcome in enumerate(outcomes)]
     ok = [e for e in ordered if e.status == "ok"]

@@ -118,6 +118,20 @@ def test_evaluate_nothing_evaluated_distinct_exit(tmp_path, capsys):
     assert "nothing evaluated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "search"])
+def test_unsplittable_stream_is_runtime_error(command, tmp_path, capsys):
+    path = tmp_path / "instant.tsv"
+    path.write_text("".join(f"u{u}\ti{i}\t5\n" for u in range(3) for i in range(4)))
+    out_dir = tmp_path / "out"
+    setting = {"evaluate": ["--alpha", "0.3"], "search": ["--count", "2"]}[command]
+    code = main([
+        command, "--input", str(path), "--graph", "bip", *setting, "--out-dir", str(out_dir)
+    ])
+    assert code == EXIT_RUNTIME
+    assert "error: time span must have positive duration to split" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_evaluate_positive_filter_and_csv(rated_dataset, tmp_path):
     code = main([
         "evaluate", "--input", str(rated_dataset), "--graph", "bip",

@@ -1,7 +1,8 @@
-"""Every narrative script in demos/ runs to completion against the
-library in src/."""
+"""Every narrative script in demos/, and the README's quickstart, runs
+to completion against the library in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,5 +18,15 @@ def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", block], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import jsonschema
+import numpy as np
 import pytest
 
 from linkrec import evaluation, ranker
@@ -33,7 +34,7 @@ from linkrec.evaluation import (
 )
 from linkrec.graphs import build_bip, build_graph, build_lsg, build_stg
 from linkrec.linkstream import Event, LinkStream
-from linkrec.ranker import personalization, rank_items, recommend
+from linkrec.ranker import personalization, personalization_matrix, rank_items, recommend
 from linkrec.tuning import ParamGrid, ParamSetting, search
 
 from conftest import make_stream
@@ -762,14 +763,11 @@ def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, pa
         if not fold.truth:
             continue
         shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
-        restarts = shared.restarts(params.beta)
-        for start in range(0, len(shared.users), evaluation._BATCH_COLUMNS):
-            block = slice(start, start + evaluation._BATCH_COLUMNS)
+        for block, D in shared.restarts(params.beta):
             top, _ = rank_items(
-                shared.tm, shared.A, restarts[:, block], params.alpha, shared.seen[block],
-                params.n,
+                shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n
             )
-            for user, rows in zip(shared.users[start:], top.tolist()):
+            for user, rows in zip(shared.users[block], top.tolist()):
                 expected = recommend(
                     shared.graph, user, fold.rec_time, params,
                     seen=fold.train_items[user], tm=shared.tm,
@@ -779,6 +777,33 @@ def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, pa
                 ]
                 compared += 1
     assert compared > 10
+
+
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+def test_fold_restart_blocks_are_column_blocks_of_all_ranked_users(monkeypatch, flavor, params):
+    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    stream = make_stream(21, n_users=12, n_items=25, n_events=250)
+    cut = 0
+    for fold in iter_folds(stream, 4):
+        if not fold.truth:
+            continue
+        shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
+        pairs = shared.restarts(params.beta)
+        assert shared.restarts(params.beta) is pairs
+        ranked = range(len(shared.users))
+        assert [r for block, _ in pairs for r in ranked[block]] == list(ranked)
+        whole = personalization_matrix(shared.tm, [
+            personalization(shared.graph, user, t=fold.rec_time, beta=params.beta)
+            for user in shared.users
+        ])
+        expected = np.zeros(whole.shape)
+        expected[whole.row, whole.col] = whole.mass
+        for block, D in pairs:
+            got = np.zeros(D.shape)
+            got[D.row, D.col] = D.mass
+            assert np.array_equal(got, expected[:, block])
+        cut += len(pairs) > 1
+    assert cut
 
 
 def test_sparse_start_leaves_protocol_report_unchanged(monkeypatch):

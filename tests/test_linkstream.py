@@ -57,6 +57,12 @@ def test_parse_iso_dates_map_to_midnight_utc():
     assert stream.events[0].t == 1167609600  # 2007-01-01T00:00:00Z
 
 
+def test_parse_sub_second_iso_times_round_down():
+    text = "u\ti\t1969-12-31T23:59:59.5Z\nu\tj\t1970-01-01T00:00:00.5Z\n"
+    stream = parse_link_stream(io.StringIO(text))
+    assert [ev.t for ev in stream.events] == [-1, 0]
+
+
 def test_parse_bad_timestamp_names_line():
     text = "u1\ti1\t100\nu2\ti2\tnot-a-time\n"
     with pytest.raises(ParseError, match="line 2"):
@@ -102,6 +108,26 @@ def test_time_span_override():
 def test_time_span_must_cover_events():
     with pytest.raises(ValueError, match="does not cover"):
         LinkStream.from_events([Event(5, "u", "i")], time_span=(10, 20))
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_event_time_rejected(t):
+    with pytest.raises(ValueError, match=f"event time {t} is not finite"):
+        LinkStream.from_events([Event(1.0, "u", "i"), Event(t, "v", "j")])
+
+
+@pytest.mark.parametrize(
+    "span", [(0, float("inf")), (float("-inf"), 10), (float("nan"), 10), (0, float("nan"))]
+)
+@pytest.mark.parametrize("events", [[Event(5, "u", "i")], []], ids=["events", "empty"])
+def test_non_finite_time_span_rejected(span, events):
+    with pytest.raises(ValueError, match="has a non-finite end"):
+        LinkStream.from_events(events, time_span=span)
+
+
+def test_parse_rejects_non_finite_time_span():
+    with pytest.raises(ValueError, match="has a non-finite end"):
+        parse_link_stream(io.StringIO("u\ti\t50\n"), time_span=(0, float("inf")))
 
 
 # --- positive-rating filter ---------------------------------------------------

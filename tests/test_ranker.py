@@ -409,25 +409,20 @@ def test_pagerank_batch_rejects_restart_not_summing_to_one():
         pagerank_batch(tm, personalization_matrix(tm, [{0: np.nan, 1: 1.0}]), alpha=0.5)
 
 
-def test_restart_block_column_slices():
+def test_personalization_matrix_sorts_entries_by_column_then_row():
     D = np.array([[0.5, 0.0, 1.0, 0.0], [0.5, 1.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.75]])
     tm = transition_matrix(RecGraph(
         flavor="bip",
         nodes=frozenset({(USER, "x"), (ITEM, "a"), (ITEM, "b")}),
         edges={((USER, "x"), (ITEM, "a")): 1.0},
     ))
+    # each column's entries are given from its last node to its first
     block = personalization_matrix(
-        tm, [{i: D[i, j] for i in np.flatnonzero(D[:, j]).tolist()} for j in range(4)]
+        tm, [{i: D[i, j] for i in np.flatnonzero(D[:, j])[::-1].tolist()} for j in range(4)]
     )
     assert block.shape == (3, 4)
-    for start, stop in ((0, 4), (1, 3), (3, 4), (2, None), (None, 1), (4, 4), (3, 1)):
-        part = block[:, start:stop]
-        assert np.array_equal(dense(part), D[:, start:stop])
-        assert np.array_equal(np.lexsort((part.row, part.col)), np.arange(len(part.row)))
-    with pytest.raises(IndexError):
-        block[:, ::2]
-    with pytest.raises(IndexError):
-        block[1:, :]
+    assert np.array_equal(dense(block), D)
+    assert np.array_equal(np.lexsort((block.row, block.col)), np.arange(len(block.row)))
 
 
 
@@ -448,7 +443,7 @@ def test_personalization_matrix_sums_a_node_given_by_index_and_tuple():
     )
 
 def sparse_start_cases(flavor):
-    """(transition matrix, every user's restart block) of one graph
+    """(transition matrix, every user's restart vector) of one graph
     without dangling nodes, built from a stream of 60 users."""
     stream = make_stream(5, n_users=60, n_items=80, n_events=400, t_max=10_000)
     graph, t, beta = {
@@ -460,8 +455,7 @@ def sparse_start_cases(flavor):
     }[flavor]
     tm = transition_matrix(graph)
     assert not tm.dangling.any()
-    ds = [personalization(graph, u, t=t, beta=beta) for u in sorted(stream.users)]
-    return tm, personalization_matrix(tm, ds)
+    return tm, [personalization(graph, u, t=t, beta=beta) for u in sorted(stream.users)]
 
 
 def spy_sparse_start(monkeypatch) -> list:
@@ -481,11 +475,11 @@ def spy_sparse_start(monkeypatch) -> list:
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.9])
 @pytest.mark.parametrize("flavor", ["lsg-0.5", "lsg-0", "bip", "stg-0.1", "stg-0.9"])
 def test_sparse_start_is_bitwise_equal_to_dense_loop(monkeypatch, flavor, alpha):
-    tm, restarts = sparse_start_cases(flavor)
+    tm, ds = sparse_start_cases(flavor)
     calls = spy_sparse_start(monkeypatch)
     # the narrow widths cut the first 12 users, 48 all of them
-    for width, users in ((1, 12), (3, 12), (48, restarts.shape[1])):
-        blocks = [restarts[:, s:s + width] for s in range(0, users, width)]
+    for width, users in ((1, 12), (3, 12), (48, len(ds))):
+        blocks = [personalization_matrix(tm, ds[s:s + width]) for s in range(0, users, width)]
         monkeypatch.setattr(ranker, "_SPARSE_MIN_WORK", math.inf)
         sparse_starts = len(calls)
         dense = [pagerank_batch(tm, D, alpha) for D in blocks]
@@ -499,7 +493,7 @@ def test_sparse_start_is_bitwise_equal_to_dense_loop(monkeypatch, flavor, alpha)
                 assert (got_converged, got_iterations) == (converged, iterations)
                 assert np.array_equal(X, X_dense)
                 assert X.tobytes() == X_dense.tobytes()
-    assert len(calls) == 2 * (12 + 4 + -(-restarts.shape[1] // 48))
+    assert len(calls) == 2 * (12 + 4 + -(-len(ds) // 48))
     assert all(done >= 1 for done, _ in calls)
     handed_over = any(done < steps for done, steps in calls)
     # the forward-only walk of lsg-0 never fills an eighth of a block

@@ -455,14 +455,14 @@ def test_search_task_error_fails_its_group_only(monkeypatch):
     assert result.entries == reference
 
 
-def test_search_fold_error_fails_every_setting(monkeypatch):
-    def failing(stream, n_windows):
-        raise ValueError("no folds")
-
-    monkeypatch.setattr(tuning, "iter_folds", failing)
-    result = lsg_search()
-    assert result.entries == []
-    assert [e.error for e in result.failed] == ["no folds"] * 6
+def test_search_raises_the_fold_error_run_protocol_raises():
+    # one timestamp: the span has no duration to split into windows
+    stream = LinkStream.from_events([Event(5, "u1", "i1"), Event(5, "u2", "i2")])
+    with pytest.raises(ValueError, match="positive duration") as protocol:
+        run_protocol(stream, "bip", ParamSetting(alpha=0.3), n_windows=4, workers=1)
+    with pytest.raises(ValueError) as searched:
+        search(stream, "bip", count=2, n_windows=4)
+    assert str(searched.value) == str(protocol.value)
 
 
 FORK_SCRIPT = """
