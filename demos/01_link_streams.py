@@ -56,5 +56,6 @@ toy = LinkStream.from_events(
 )
 for window, sub in split_windows(toy, 4):
     closer = "]" if window.index == 4 else ")"
-    print(f"window {window.index} [{window.start:>4.1f}, {window.end:>4.1f}{closer}:",
+    start, end = float(window.start), float(window.end)
+    print(f"window {window.index} [{start:>4.1f}, {end:>4.1f}{closer}:",
           [ev.t for ev in sub.events])

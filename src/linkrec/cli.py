@@ -18,7 +18,8 @@ named by its flag or config file), reported before any output, 3
 nothing evaluated (or no event left by the filters).
 
 Log records of the ``linkrec`` loggers (such as capped power
-iterations) go to stderr at ``--log-level`` and above, default warning.
+iterations, or why a search setting failed) go to stderr at
+``--log-level`` and above, default warning.
 """
 
 from __future__ import annotations
@@ -325,6 +326,9 @@ def cmd_search(cfg: dict) -> int:
     board_path = out / "leaderboard.csv"
     board_path.write_text(leaderboard_csv(result), encoding="utf-8")
     print(f"wrote {board_path} ({len(result.entries)} ok, {len(result.failed)} failed)")
+    for entry in result.failed:
+        logging.getLogger("linkrec.cli").warning(
+            "sample %d, %s, failed: %s", entry.sample_index, entry.setting, entry.error)
     if not result.entries:
         raise NothingEvaluated("every sampled setting failed")
     for objective in OBJECTIVES:

@@ -20,6 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import add
@@ -94,15 +95,15 @@ class Fold:
     """Training/test split for one evaluation step.
 
     ``truth`` maps each evaluated user to their new test-window items
-    (never empty sets); ``rec_time`` is the right edge of the training
-    span, the timestamp recommendations are issued at.
+    (never empty sets); ``rec_time`` is the exact right edge of the
+    training span, the time recommendations are issued at.
     """
 
     k: int
     train: LinkStream
     test_window: Window
     test: LinkStream
-    rec_time: float
+    rec_time: Fraction
     train_items: dict[str, set[str]]
     truth: dict[str, set[str]]
 
@@ -283,11 +284,11 @@ class FoldGraph:
         """The ranked users cut into blocks of ``_BATCH_COLUMNS``: per
         block, its slice of ``users`` and the restart block of those
         users' vectors, in order, built and checked once per beta; every
-        alpha of the fold ranks them. LSG looks users up at the exact
-        time of the last training event: the float ``rec_time`` can
-        round below it at nanosecond epochs. Ranked users are evaluated
-        users, who all have training nodes, so leaving the others out
-        removes no error that building their vectors could raise."""
+        alpha of the fold ranks them. LSG looks users up at the last
+        training event's time, which finds the nodes ``rec_time`` would.
+        Ranked users are evaluated users, who all have training nodes,
+        so leaving the others out removes no error that building their
+        vectors could raise."""
         if beta not in self._restarts:
             t = self.fold.train.columns.t[-1].item()
             vectors = _restart_vectors(self.graph, self.users, t, beta)

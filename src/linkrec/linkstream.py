@@ -25,6 +25,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -119,11 +120,12 @@ class LinkStream:
     so the order is total and does not depend on input order or hashing.
     Build instances through :meth:`from_events` or :func:`parse_link_stream`;
     both sort, drop exact duplicates (event sets, not multisets) and check
-    that event times and span ends are finite and that the interval
-    actually covers the events. An empty stream is legal only
-    with an explicit time span (filters may empty a stream; parsing empty
-    input is an error). A span derived from the events keeps their type,
-    so integer timestamps past 2**53 (nanosecond epochs) stay exact.
+    that event times and span ends are finite 64-bit integers or floats
+    (or, for an end, an exact window edge) and that the interval covers
+    the events. An empty stream is legal only with an explicit time span
+    (filters may empty a stream; parsing empty input is an error). A span
+    derived from the events keeps their type, so integer timestamps past
+    2**53 (nanosecond epochs) stay exact.
 
     :attr:`columns` holds the stream. :attr:`events`, :attr:`users` and
     :attr:`items` are rendered from it on first read. Two streams are
@@ -162,8 +164,12 @@ class LinkStream:
             raise ValueError("timestamps must be 64-bit integers or floats")
         if t.dtype.kind == "f" and not np.isfinite(t).all():
             raise ValueError(f"event time {t[~np.isfinite(t)][0].item()} is not finite")
-        if time_span is not None and not all(map(math.isfinite, time_span)):
-            raise ValueError(f"time span {tuple(time_span)} has a non-finite end")
+        if time_span is not None:
+            ends = np.array([math.floor(x) if isinstance(x, Fraction) else x for x in time_span])
+            if ends.dtype.kind not in "iuf":
+                raise ValueError("time span ends must be 64-bit integers or floats")
+            if not np.isfinite(ends).all():
+                raise ValueError(f"time span {tuple(time_span)} has a non-finite end")
         rating = np.array(ratings, dtype=float)
         unrated = np.isnan(rating)
         order = np.lexsort((np.where(unrated, 0.0, rating), ~unrated, item_code, user_code, t))
@@ -319,11 +325,12 @@ class Window:
     """One of n equal-duration windows over [alpha, omega].
 
     Spans are half-open [start, end); the last window is closed at omega.
+    Window k starts at the exact rational alpha + (omega - alpha) * (k - 1) / n.
     """
 
     index: int
-    start: float
-    end: float
+    start: Fraction
+    end: Fraction
 
 
 def _parse_timestamp(text: str) -> int:
@@ -489,48 +496,32 @@ def window_index(t: float, alpha: float, omega: float, n: int) -> int:
     """1-based window index of time t in an n-way equal split of [alpha, omega].
 
     Window k covers [start, end) except the last, which is closed at
-    omega. Integral inputs are compared in exact integer arithmetic so
-    boundary events land deterministically even when the window width
-    is fractional.
+    omega; its edges are the exact rationals of :class:`Window`, so a
+    time on an edge lands in the window that edge starts.
     """
-    if isinstance(t, float) and t.is_integer():
-        t = int(t)
-    if isinstance(alpha, float) and alpha.is_integer():
-        alpha = int(alpha)
-    if isinstance(omega, float) and omega.is_integer():
-        omega = int(omega)
-    if isinstance(t, int) and isinstance(alpha, int) and isinstance(omega, int):
-        k = (t - alpha) * n // (omega - alpha) + 1
-    else:
-        k = math.floor((t - alpha) * n / (omega - alpha)) + 1
-    return min(k, n)
+    a = Fraction(alpha)
+    return min(math.floor((Fraction(t) - a) * n / (Fraction(omega) - a)) + 1, n)
 
 
 def split_windows(stream: LinkStream, n: int) -> list[tuple[Window, LinkStream]]:
     """Split [alpha, omega] into n equal windows and bin the events.
 
-    Each event lands in exactly one window; the concatenation of the
-    sub-streams equals the input events. Sub-streams may be empty.
+    Each event lands in the one window :func:`window_index` names; the
+    sub-streams, possibly empty, concatenate to the input events.
     """
     if n < 2:
         raise ValueError("a train/test split needs at least two windows")
     alpha, omega = stream.time_span
     if not omega > alpha:
         raise ValueError("time span must have positive duration to split")
-    # Events are sorted by t and window_index grows with t, so each
-    # window is a run of the stream's events. ``item()`` hands
-    # window_index a Python int, which keeps its arithmetic exact.
+    a = Fraction(alpha)
+    edges = [a + (Fraction(omega) - a) * k / n for k in range(n + 1)]
+    # Window k is the run of sorted events from edges[k - 1] on; ``item()``
+    # gives a Python int or float, which compares exactly with a Fraction.
     t = stream.columns.t
-    bounds = [
-        bisect_left(t, k, key=lambda x: window_index(x.item(), alpha, omega, n))
+    bounds = [bisect_left(t, edge, key=lambda x: x.item()) for edge in edges[:-1]] + [len(t)]
+    return [
+        (Window(k, edges[k - 1], edges[k]),
+         stream.slice(bounds[k - 1], bounds[k], (edges[k - 1], edges[k])))
         for k in range(1, n + 1)
-    ] + [len(stream)]
-    out = []
-    span = omega - alpha
-    for k in range(1, n + 1):
-        window = Window(
-            index=k, start=alpha + span * (k - 1) / n, end=alpha + span * k / n
-        )
-        sub = stream.slice(bounds[k - 1], bounds[k], (window.start, window.end))
-        out.append((window, sub))
-    return out
+    ]

@@ -682,6 +682,28 @@ def test_cli_errors(dataset, tmp_path, capsys, args, config, code, message):
         assert not (tmp_path / "run").exists()
 
 
+def test_failed_search_settings_say_why_on_stderr(tmp_path, capsys):
+    data = tmp_path / "one.tsv"
+    data.write_text("".join(f"u\ti\t{t}\n" for t in (0, 10, 20, 30)))  # one user, one item
+    out_dir = tmp_path / "run"
+    code = main(["search", "--input", str(data), "--graph", "bip", "--count", "2",
+                 "--windows", "2", "--out-dir", str(out_dir)])
+    assert code == EXIT_NOTHING_EVALUATED
+    err = capsys.readouterr().err.splitlines()
+    assert [re.sub(r"ParamSetting\(.*\)", "SETTING", line) for line in err] == [
+        "WARNING linkrec.cli: sample 0, SETTING, failed: nothing evaluated",
+        "WARNING linkrec.cli: sample 1, SETTING, failed: nothing evaluated",
+        "nothing evaluated: every sampled setting failed",
+    ]
+    assert "ParamSetting(alpha=0.3, n=10, delta=None" in "\n".join(err)
+    # the reason is logged, not added to the leaderboard
+    assert (out_dir / "leaderboard.csv").read_text().splitlines() == [
+        "sample_index,flavor,delta,beta,eta_s,alpha,n,TA_F1,TA_HR,TA_MAP,status",
+        "0,bip,,,,0.9,10,,,,failed",
+        "1,bip,,,,0.3,10,,,,failed",
+    ]
+
+
 @pytest.mark.parametrize("line", ["grid_alpha = ,", "grid_alpha ="], ids=["comma", "nothing"])
 def test_empty_grid_list_in_config_file_is_config_error(dataset, tmp_path, capsys, line):
     (tmp_path / "run.cfg").write_text(line + "\n")

@@ -8,10 +8,13 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from linkrec import evaluation, ranker
 from linkrec.evaluation import (
@@ -33,7 +36,7 @@ from linkrec.evaluation import (
     write_report_files,
 )
 from linkrec.graphs import build_bip, build_graph, build_lsg, build_stg
-from linkrec.linkstream import Event, LinkStream
+from linkrec.linkstream import Event, LinkStream, split_windows
 from linkrec.ranker import personalization, personalization_matrix, rank_items, recommend
 from linkrec.tuning import ParamGrid, ParamSetting, search
 
@@ -259,6 +262,87 @@ def test_iter_folds_train_test_hygiene(stream_factory):
             for user, new_items in fold.truth.items():
                 assert user in fold.train.users
                 assert not (new_items & fold.train_items[user])
+
+
+# Epochs of the hygiene and translation properties: 0, seconds since 1970
+# (spans up to 1e16) and nanoseconds since 1970, past 2**53.
+EPOCHS = (0, 1_600_000_000, 1_600_000_000_000_000_000)
+
+
+@st.composite
+def edge_streams(draw):
+    """A stream with events on and 1-2 units below the exact window edges."""
+    epoch = draw(st.sampled_from(EPOCHS))
+    alpha = epoch + draw(st.integers(0, 10**9))
+    omega = alpha + draw(st.integers(1, 10**6 if epoch == 0 else 10**16))
+    if draw(st.booleans()) and omega < 2**53:
+        alpha, omega = float(alpha), float(omega)
+    n = draw(st.integers(2, 9))
+    a = Fraction(alpha)
+    edges = [math.ceil(a + (Fraction(omega) - a) * k / n) for k in range(1, n)]
+    times = [alpha, omega] + [
+        min(max(edge - below, alpha), omega)
+        for edge in edges
+        for below in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    ]
+    events = [
+        Event(t, f"u{draw(st.integers(0, 2))}", f"i{draw(st.integers(0, 3))}") for t in times
+    ]
+    note(f"time_span=({alpha!r}, {omega!r}), n_windows={n}, times={sorted(times)}")
+    return LinkStream.from_events(events, time_span=(alpha, omega)), n
+
+
+@given(edge_streams())
+@settings(max_examples=60, deadline=None)
+def test_fold_hygiene_at_exact_window_edges(drawn):
+    stream, n = drawn
+    for fold in iter_folds(stream, n):
+        start = fold.test_window.start
+        assert all(ev.t >= start for ev in fold.test.events)
+        if len(fold.train):
+            last = fold.train.columns.t[-1].item()
+            assert last < start
+            assert last <= fold.rec_time
+
+
+TRANSLATION_PARAMS = ParamSetting(alpha=0.3, n=3, delta=150.0, beta=0.5, eta_s=0.5)
+
+
+def _outcome(stream, flavor, n):
+    """Each window's event partition and the report's users and TA values
+    (or the error that stopped the run), with times relative to alpha."""
+    partition = [
+        [(ev.t - stream.alpha, ev.user, ev.item) for ev in sub.events]
+        for _, sub in split_windows(stream, n)
+    ]
+    try:
+        report = run_protocol(stream, flavor, TRANSLATION_PARAMS, n_windows=n, workers=1)
+    except ValueError as exc:
+        return partition, str(exc)
+    users = [w.users for w in report.windows]
+    return partition, users, (report.ta_f1, report.ta_hr, report.ta_map)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1000), st.integers(0, 3), st.integers(0, 4)),
+        min_size=2,
+        max_size=40,
+    ),
+    st.integers(1_600_000_000_000_000_000, 1_600_000_001_000_000_000),
+    st.integers(2, 5),
+)
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("flavor", ["bip", "stg", "lsg"])
+def test_translation_leaves_windows_and_metrics_unchanged(flavor, triples, shift, n):
+    events = [Event(t, f"u{u}", f"i{i}") for t, u, i in triples]
+    span = (0, 1000)
+    stream = LinkStream.from_events(events, time_span=span)
+    shifted = LinkStream.from_events(
+        [dataclasses.replace(ev, t=ev.t + shift) for ev in events],
+        time_span=(span[0] + shift, span[1] + shift),
+    )
+    assert _outcome(shifted, flavor, n) == _outcome(stream, flavor, n)
 
 
 # --- restart vector fast path matches the public op --------------------------------

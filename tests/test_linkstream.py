@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,20 @@ def test_non_finite_time_span_rejected(span, events):
 def test_parse_rejects_non_finite_time_span():
     with pytest.raises(ValueError, match="has a non-finite end"):
         parse_link_stream(io.StringIO("u\ti\t50\n"), time_span=(0, float("inf")))
+
+
+@pytest.mark.parametrize("span", [(0, 10**400), (-(10**400), 10), (0, "10")])
+def test_time_span_ends_must_be_64_bit_integers_or_floats(span):
+    # the rule of event times: an end past the float range is not one
+    with pytest.raises(ValueError, match="^time span ends must be 64-bit integers or floats$"):
+        LinkStream.from_events([Event(5, "u", "i")], time_span=span)
+
+
+def test_time_span_may_end_at_an_exact_window_edge():
+    stream = LinkStream.from_events([Event(0, "u", "i"), Event(10, "u", "j")])
+    window, sub = split_windows(stream, 3)[0]
+    assert window.end == Fraction(10, 3)
+    assert LinkStream.from_events(sub.events, (window.start, window.end)) == sub
 
 
 # --- positive-rating filter ---------------------------------------------------
