@@ -100,6 +100,7 @@ def _list_of(parse):
 
 _RUNS = ("evaluate", "search")
 _ALL = ("evaluate", "search", "inspect")
+_GRAPHS = ("evaluate", "inspect")  # the commands that build a graph from one setting
 
 # Every key of the effective configuration, in the order reports embed it:
 # key -> (kind, default, help, commands that take the flag). ``kind``
@@ -119,11 +120,11 @@ OPTIONS: dict[str, tuple] = {
     "windows": (int, 8, "number of time windows (default 8)", _RUNS),
     "n": (int, 10, "recommendation list length (default 10)", _RUNS),
     "alpha": (float, None, "PageRank damping factor", ("evaluate",)),
-    "beta": (float, None, "STG long-term restart share", _RUNS),
-    "delta": (parse_duration, None, "STG slice duration (seconds, or e.g. '30d')", _ALL),
-    "eta_s": (float, None, "weight of edges into the past", _ALL),
+    "beta": (float, None, "STG long-term restart share", ("evaluate",)),
+    "delta": (parse_duration, None, "STG slice duration (seconds, or e.g. '30d')", _GRAPHS),
+    "eta_s": (float, None, "weight of edges into the past", _GRAPHS),
     "count": (int, 50, "number of sampled settings (default 50)", ("search",)),
-    "seed": (int, 0, "sampling seed (default 0)", _RUNS),
+    "seed": (int, 0, "sampling seed (default 0)", ("search",)),
     "objective": (OBJECTIVES, "f1", "ranking objective (default f1)", ("search",)),
     "out_dir": (str, "out", "report directory (default ./out)", _RUNS),
     "workers": (int, None, {

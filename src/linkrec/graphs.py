@@ -29,6 +29,7 @@ which fixes the order in which out-weights are summed.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -61,8 +62,18 @@ SESSION = "S"
 TUSER = "TU"
 TITEM = "TI"
 
-# Node kinds, numbered in the sort order of their tags.
-TAGS = (ITEM, SESSION, TITEM, TUSER, USER)
+# Each node kind's tuple layout: the id table its id indexes and the
+# fields after the tag, in tuple order ("t": the slice k or timestamp t;
+# U and I have none and store time 0). Kinds are listed, and numbered,
+# in the sort order of their tags.
+_LAYOUT = {
+    ITEM: ("items", ("id",)),
+    SESSION: ("users", ("id", "t")),
+    TITEM: ("items", ("t", "id")),
+    TUSER: ("users", ("t", "id")),
+    USER: ("users", ("id",)),
+}
+TAGS = tuple(_LAYOUT)
 _KIND = {tag: k for k, tag in enumerate(TAGS)}
 
 Node = tuple  # ("U", u) | ("I", i) | ("S", u, k) | ("TU", t, u) | ("TI", t, i)
@@ -72,8 +83,7 @@ class RecGraph:
     """Weighted directed graph over an integer-coded node table.
 
     Node j has kind ``TAGS[kind[j]]``, code ``ident[j]`` into ``users``
-    (U, S, TU) or ``items`` (I, TI), and ``time[j]``: the slice k of a
-    session, the timestamp t of a temporal node, 0 otherwise. Edge e
+    or ``items`` and ``time[j]``, as the kind's layout says. Edge e
     goes from node ``src[e]`` to node ``dst[e]`` with positive
     ``weight[e]``; zero-weight edges are never stored. Instances are
     not modified once built and are safe to share across threads. Two
@@ -95,39 +105,23 @@ class RecGraph:
         eta_s: float | None = None,
     ):
         ordered = sorted(nodes)
-        users = sorted(
-            {n[1] for n in ordered if n[0] in (USER, SESSION)}
-            | {n[2] for n in ordered if n[0] == TUSER}
-        )
-        items = sorted(
-            {n[1] for n in ordered if n[0] == ITEM} | {n[2] for n in ordered if n[0] == TITEM}
-        )
-        user_code = {u: c for c, u in enumerate(users)}
-        item_code = {i: c for c, i in enumerate(items)}
-        kind, ident, time = [], [], []
-        for node in ordered:
-            tag = node[0]
-            kind.append(_KIND[tag])
-            if tag in (USER, ITEM):
-                ident.append((user_code if tag == USER else item_code)[node[1]])
-                time.append(0)
-            elif tag == SESSION:
-                ident.append(user_code[node[1]])
-                time.append(node[2])
-            else:
-                ident.append((user_code if tag == TUSER else item_code)[node[2]])
-                time.append(node[1])
+        # each node's id table and fields, read through its kind's layout
+        parts = [(_LAYOUT[n[0]][0], dict(zip(_LAYOUT[n[0]][1], n[1:]))) for n in ordered]
+        ids = {
+            name: tuple(sorted({f["id"] for table, f in parts if table == name}))
+            for name in ("users", "items")
+        }
+        code = {name: {x: c for c, x in enumerate(table)} for name, table in ids.items()}
         index = {node: j for j, node in enumerate(ordered)}
         self._set(
             flavor,
-            np.array(kind, dtype=np.int8),
-            np.array(ident, dtype=np.int64),
-            np.array(time) if time else np.zeros(0, np.int64),
+            np.array([_KIND[n[0]] for n in ordered], dtype=np.int8),
+            np.array([code[table][f["id"]] for table, f in parts], dtype=np.int64),
+            np.array([f.get("t", 0) for _, f in parts]) if parts else np.zeros(0, np.int64),
             np.array([index[s] for s, _ in edges], dtype=np.int64),
             np.array([index[d] for _, d in edges], dtype=np.int64),
             np.array(list(edges.values()), dtype=float),
-            tuple(users),
-            tuple(items),
+            ids["users"], ids["items"],
             delta,
             eta_s,
         )
@@ -158,21 +152,13 @@ class RecGraph:
     def render(self, indices) -> list:
         """Tagged tuples of the nodes at ``indices``, in that order."""
         indices = np.asarray(indices, dtype=np.int64)
+        tables = {"users": self.users, "items": self.items}
         out = []
         for k, c, t in zip(
             self.kind[indices].tolist(), self.ident[indices].tolist(), self.time[indices].tolist()
         ):
-            tag = TAGS[k]
-            if tag == ITEM:
-                out.append((ITEM, self.items[c]))
-            elif tag == USER:
-                out.append((USER, self.users[c]))
-            elif tag == SESSION:
-                out.append((SESSION, self.users[c], t))
-            elif tag == TITEM:
-                out.append((TITEM, t, self.items[c]))
-            else:
-                out.append((TUSER, t, self.users[c]))
+            table, layout = _LAYOUT[TAGS[k]]
+            out.append((TAGS[k], *(tables[table][c] if f == "id" else t for f in layout)))
         return out
 
     @cached_property
@@ -228,14 +214,16 @@ def _bip(cols: StreamColumns):
 
 
 def _graph(flavor, cols, blocks, edges, **params) -> RecGraph:
-    """Assemble a graph from (kind, codes, times) node blocks in table
-    order and (src, dst, weight) edge parts in emission order."""
+    """Assemble a graph from (tag, codes, times) node blocks in table
+    order and (src, dst, weight) edge parts in emission order, each
+    part's edges of one weight; parts of weight 0 are left out."""
     kind = np.concatenate([np.full(len(codes), _KIND[tag], np.int8) for tag, codes, _ in blocks])
     ident = np.concatenate([codes for _, codes, _ in blocks])
     time = np.concatenate([times for _, _, times in blocks])
-    src, dst = (np.concatenate(part).astype(np.int64) for part in edges[:2])
+    parts = [(s, d, np.full(len(s), float(w))) for s, d, w in edges if w > 0]
+    src, dst, weight = (np.concatenate(part) for part in zip(*parts))
     return RecGraph.coded(
-        flavor, kind, ident, time, src, dst, np.concatenate(edges[2]).astype(float),
+        flavor, kind, ident, time, src.astype(np.int64), dst.astype(np.int64), weight,
         cols.users, cols.items, **params,
     )
 
@@ -245,24 +233,38 @@ def build_bip(stream: LinkStream) -> RecGraph:
     cols = _columns(stream)
     item_codes, _, user_codes, u, i = _bip(cols)
     u = u + len(item_codes)
-    ones = np.ones(len(u))
     return _graph(
         "bip",
         cols,
         [(ITEM, item_codes, np.zeros_like(item_codes)),
          (USER, user_codes, np.zeros_like(user_codes))],
-        ([u, i], [i, u], [ones, ones]),
+        [(u, i, 1.0), (i, u, 1.0)],
     )
 
 
 def slice_count(alpha: float, omega: float, delta: float) -> int:
-    """Number of delta-wide slices covering [alpha, omega] (at least 1)."""
-    return max(1, math.ceil((omega - alpha) / delta))
+    """Number of delta-wide slices covering [alpha, omega] (at least 1),
+    from the exact values of the ends and delta."""
+    a = Fraction(alpha)
+    return max(1, math.ceil((Fraction(omega) - a) / Fraction(delta)))
 
 
 def _slice_indices(t: np.ndarray, alpha: float, omega: float, delta: float) -> np.ndarray:
-    k = np.floor((t - alpha) / delta).astype(np.int64) + 1
-    return np.minimum(k, slice_count(alpha, omega, delta))
+    """floor((t - alpha) / delta) + 1 for the sorted times t, exactly, clamped
+    to [1, slice count]. The float quotient is within eps of the exact one,
+    so only the distinct times whose floor eps leaves open are divided exactly."""
+    q = (t - float(alpha)) / delta
+    # the rounding of t, alpha, their difference and the quotient, with margin
+    top = max(abs(float(t[0])), abs(float(t[-1]))) + abs(float(alpha))
+    eps = 2.0**-50 * (top / delta + max(abs(float(q[0])), abs(float(q[-1]))))
+    k = np.floor(np.maximum(q - eps, 0.0)).astype(np.int64)
+    unsure = np.flatnonzero(np.floor(q + eps) > k)
+    if len(unsure):
+        a, d = Fraction(alpha), Fraction(delta)
+        times, at = np.unique(t[unsure], return_inverse=True)
+        exact = [math.floor((Fraction(x) - a) / d) for x in times.tolist()]
+        k[unsure] = np.array(exact, dtype=np.int64)[at.ravel()]
+    return np.minimum(np.maximum(k + 1, 1), slice_count(alpha, omega, delta))
 
 
 def slice_index(t: float, alpha: float, omega: float, delta: float) -> int:
@@ -290,19 +292,14 @@ def build_stg(stream: LinkStream, delta: float, eta_s: float) -> RecGraph:
     links = np.unique(session_rank * n_items + item_rank)
     s, si = links // n_items + n_items, links % n_items
     u = u + n_items + len(sessions)
-    ones = np.ones(len(u))
-    # per item: edges to users first, then edges to sessions
-    src, dst, weight = [u, i, s], [i, u, si], [ones, ones, np.ones(len(links))]
-    if eta_s > 0:
-        src, dst = src + [si], dst + [s]
-        weight = weight + [np.full(len(links), float(eta_s))]
     return _graph(
         "stg",
         cols,
         [(ITEM, item_codes, np.zeros_like(item_codes)),
          (SESSION, sessions // n_slices, sessions % n_slices),
          (USER, user_codes, np.zeros_like(user_codes))],
-        (src, dst, weight),
+        # per item: edges to users first, then edges to sessions
+        [(u, i, 1.0), (i, u, 1.0), (s, si, 1.0), (si, s, eta_s)],
         delta=delta,
         eta_s=eta_s,
     )
@@ -333,24 +330,15 @@ def build_lsg(stream: LinkStream, eta_s: float) -> RecGraph:
     n_nodes = n_ti + len(occ_users)
     links = np.unique(tu_node * n_nodes + ti_rank)
     tu, ti = links // n_nodes, links % n_nodes
-    ones = np.ones(len(links))
-    user_prev, user_next = _chains(tu_ident, tu_time, n_ti)
-    item_prev, item_next = _chains(ti_ident, ti_time, 0)
     # per source node: event edges, then the backward, then the forward chain edge
-    src, dst, weight = [tu, ti], [ti, tu], [ones, ones]
-    for prev, nxt in ((user_prev, user_next), (item_prev, item_next)):
-        if eta_s > 0:
-            src.append(nxt)
-            dst.append(prev)
-            weight.append(np.full(len(prev), float(eta_s)))
-        src.append(prev)
-        dst.append(nxt)
-        weight.append(np.ones(len(prev)))
+    edges = [(tu, ti, 1.0), (ti, tu, 1.0)]
+    for prev, nxt in (_chains(tu_ident, tu_time, n_ti), _chains(ti_ident, ti_time, 0)):
+        edges += [(nxt, prev, eta_s), (prev, nxt, 1.0)]
     return _graph(
         "lsg",
         cols,
         [(TITEM, ti_ident, ti_time), (TUSER, tu_ident, tu_time)],
-        (src, dst, weight),
+        edges,
         eta_s=eta_s,
     )
 
@@ -375,14 +363,9 @@ def build_graph(
 
 def render_node(node: Node) -> str:
     """Stable text form: U:u, I:i, S:u@k, TU:t@u, TI:t@i."""
-    tag = node[0]
-    if tag in (USER, ITEM):
-        return f"{tag}:{node[1]}"
-    if tag == SESSION:
-        return f"S:{node[1]}@{node[2]}"
-    if tag in (TUSER, TITEM):
-        return f"{tag}:{node[1]}@{node[2]}"
-    raise ValueError(f"unknown node kind {node!r}")
+    if node[0] not in _LAYOUT:
+        raise ValueError(f"unknown node kind {node!r}")
+    return f"{node[0]}:" + "@".join(map(str, node[1 : 1 + len(_LAYOUT[node[0]][1])]))
 
 
 def edge_list_lines(graph: RecGraph) -> list[str]:

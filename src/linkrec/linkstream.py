@@ -121,7 +121,8 @@ class LinkStream:
     Build instances through :meth:`from_events` or :func:`parse_link_stream`;
     both sort, drop exact duplicates (event sets, not multisets) and check
     that event times and span ends are finite 64-bit integers or floats
-    (or, for an end, an exact window edge) and that the interval covers
+    (or, for an end, an exact window edge), that an integer time among
+    float times has an exact float64 value, and that the interval covers
     the events. An empty stream is legal only with an explicit time span
     (filters may empty a stream; parsing empty input is an error). A span
     derived from the events keeps their type, so integer timestamps past
@@ -162,8 +163,13 @@ class LinkStream:
         t = np.array(ts) if ts else np.zeros(0, np.int64)
         if t.dtype.kind not in "iuf":
             raise ValueError("timestamps must be 64-bit integers or floats")
-        if t.dtype.kind == "f" and not np.isfinite(t).all():
-            raise ValueError(f"event time {t[~np.isfinite(t)][0].item()} is not finite")
+        if t.dtype.kind == "f":
+            if not np.isfinite(t).all():
+                raise ValueError(f"event time {t[~np.isfinite(t)][0].item()} is not finite")
+            # integer times mixed with floats are stored as float64; none may round
+            for x in ts:
+                if isinstance(x, (int, np.integer)) and int(float(x)) != int(x):
+                    raise ValueError(f"event time {x} has no exact float64 value")
         if time_span is not None:
             ends = np.array([math.floor(x) if isinstance(x, Fraction) else x for x in time_span])
             if ends.dtype.kind not in "iuf":

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .graphs import SESSION, TAGS, TUSER, USER, RecGraph
+from .graphs import _KIND, SESSION, TUSER, USER, RecGraph
 
 if TYPE_CHECKING:
     from .tuning import ParamSetting
@@ -165,7 +165,7 @@ def _restart_vectors(
     codes = np.array([user_code.get(u, -1) for u in users], dtype=np.int64)
 
     def latest(tag: str, message: str, t: float | None = None) -> list[int]:
-        idx = np.flatnonzero(graph.kind == TAGS.index(tag))
+        idx = np.flatnonzero(graph.kind == _KIND[tag])
         if t is not None:
             idx = idx[graph.time[idx] <= t]
         idx = idx[np.lexsort((graph.time[idx], graph.ident[idx]))]

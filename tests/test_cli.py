@@ -17,7 +17,7 @@ from linkrec.cli import (
     main,
     parse_duration,
 )
-from linkrec import evaluation
+from linkrec import cli, evaluation
 from linkrec.evaluation import REPORT_SCHEMA
 
 
@@ -562,19 +562,67 @@ def test_inspect_rejects_flags_it_does_not_read(dataset, capsys, flag):
     assert "unrecognized arguments:" in captured.err
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("evaluate", ["--seed", "99"]),
+    ("search", ["--beta", "0.5"]),
+    ("search", ["--delta", "30d"]),
+    ("search", ["--eta-s", "7"]),
+], ids=["evaluate-seed", "search-beta", "search-delta", "search-eta-s"])
+def test_runs_reject_flags_they_do_not_read(dataset, tmp_path, capsys, command, flag):
+    setting = {"evaluate": ["--alpha", "0.3", "--eta-s", "0.5"], "search": ["--count", "1"]}
+    code = main([command, "--input", str(dataset), "--graph", "lsg", "--windows", "4",
+                 "--out-dir", str(tmp_path / "run"), *setting[command], *flag])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments:" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+class _Reads(dict):
+    """A configuration that records the keys read from it."""
+
+    def __init__(self, cfg, read: set):
+        super().__init__(cfg)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+SETTING_FLAGS = ["--alpha", "0.3", "--beta", "0.5", "--delta", "60", "--eta-s", "0.5"]
+
+
+@pytest.mark.parametrize("command,runs", [
+    ("evaluate", [["--graph", g, *SETTING_FLAGS] for g in ("bip", "stg", "lsg")]),
+    ("search", [["--graph", g, "--count", "1", "--seed", "3"] for g in ("bip", "stg", "lsg")]),
+    ("inspect", [["--delta", "60", "--eta-s", "0.5"]]),
+], ids=["evaluate", "search", "inspect"])
+def test_every_flag_a_command_takes_is_read(rated_dataset, tmp_path, monkeypatch, command, runs):
+    read: set = set()
+    monkeypatch.setattr(cli, "effective_config", lambda args: _Reads(effective_config(args), read))
+    common = [] if command == "inspect" else ["--windows", "3", "--out-dir", str(tmp_path)]
+    codes = [
+        main([command, "--input", str(rated_dataset), *args, *common, *filtered])
+        for args in runs
+        for filtered in (["--positive-filter"], [])
+    ]
+    assert set(codes) == {EXIT_OK}
+    taken = {key for key, (*_, commands) in OPTIONS.items() if command in commands}
+    assert taken <= read, f"{command} takes flags it never reads: {sorted(taken - read)}"
+
+
 INPUT_FLAGS = [
     "--columns", "--config", "--format", "--help", "--input", "--log-level",
     "--no-positive-filter", "--positive-filter", "--rating-floor", "--sigma-i", "--sigma-u",
 ]
-RUN_FLAGS = INPUT_FLAGS + [
-    "--beta", "--delta", "--eta-s", "--graph", "--n", "--out-dir", "--seed", "--windows",
-    "--workers",
-]
+RUN_FLAGS = INPUT_FLAGS + ["--graph", "--n", "--out-dir", "--windows", "--workers"]
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("evaluate", RUN_FLAGS + ["--alpha"]),
-    ("search", RUN_FLAGS + ["--count", "--objective"]),
+    ("evaluate", RUN_FLAGS + ["--alpha", "--beta", "--delta", "--eta-s"]),
+    ("search", RUN_FLAGS + ["--count", "--objective", "--seed"]),
     ("inspect", INPUT_FLAGS + ["--delta", "--eta-s"]),
 ], ids=["evaluate", "search", "inspect"])
 def test_help_lists_the_command_flags(capsys, command, flags):

@@ -308,7 +308,7 @@ def test_fold_hygiene_at_exact_window_edges(drawn):
 TRANSLATION_PARAMS = ParamSetting(alpha=0.3, n=3, delta=150.0, beta=0.5, eta_s=0.5)
 
 
-def _outcome(stream, flavor, n):
+def _outcome(stream, flavor, n, params=TRANSLATION_PARAMS):
     """Each window's event partition and the report's users and TA values
     (or the error that stopped the run), with times relative to alpha."""
     partition = [
@@ -316,7 +316,7 @@ def _outcome(stream, flavor, n):
         for _, sub in split_windows(stream, n)
     ]
     try:
-        report = run_protocol(stream, flavor, TRANSLATION_PARAMS, n_windows=n, workers=1)
+        report = run_protocol(stream, flavor, params, n_windows=n, workers=1)
     except ValueError as exc:
         return partition, str(exc)
     users = [w.users for w in report.windows]
@@ -343,6 +343,54 @@ def test_translation_leaves_windows_and_metrics_unchanged(flavor, triples, shift
         time_span=(span[0] + shift, span[1] + shift),
     )
     assert _outcome(shifted, flavor, n) == _outcome(stream, flavor, n)
+
+
+SMALL_STREAMS = st.lists(
+    st.tuples(st.integers(0, 1000), st.integers(0, 3), st.integers(0, 4)),
+    min_size=2,
+    max_size=40,
+)
+
+
+@given(SMALL_STREAMS, st.sampled_from(EPOCHS[:2]), st.integers(2, 5))
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("flavor", ["bip", "stg", "lsg"])
+def test_rescaling_times_and_delta_leaves_windows_and_metrics_unchanged(
+    flavor, triples, epoch, n
+):
+    # seconds to nanoseconds: an epoch of 1.6e9 s becomes 1.6e18 ns, past 2**53
+    scale = 10**9
+    events = [Event(epoch + t, f"u{u}", f"i{i}") for t, u, i in triples]
+    stream = LinkStream.from_events(events, time_span=(epoch, epoch + 1000))
+    scaled = LinkStream.from_events(
+        [dataclasses.replace(ev, t=ev.t * scale) for ev in events],
+        time_span=(epoch * scale, (epoch + 1000) * scale),
+    )
+    params = dataclasses.replace(TRANSLATION_PARAMS, delta=TRANSLATION_PARAMS.delta * scale)
+    note(f"scaled time_span={scaled.time_span}, delta={params.delta!r}, n_windows={n}")
+    partition, *rest = _outcome(stream, flavor, n)
+    expected = [[(t * scale, u, i) for t, u, i in window] for window in partition]
+    assert _outcome(scaled, flavor, n, params) == (expected, *rest)
+
+
+@given(
+    SMALL_STREAMS,
+    st.lists(st.text("abuz09", min_size=1, max_size=3), min_size=4, max_size=4, unique=True),
+    st.lists(st.text("aciz09", min_size=1, max_size=3), min_size=5, max_size=5, unique=True),
+    st.integers(2, 5),
+)
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("flavor", ["bip", "stg", "lsg"])
+def test_order_preserving_renaming_leaves_metrics_unchanged(flavor, triples, users, items, n):
+    # u0 < u1 < ... and i0 < i1 < ... map to the sorted drawn names, in order
+    users, items = sorted(users), sorted(items)
+    note(f"users u0..u3 -> {users}, items i0..i4 -> {items}")
+    events = [Event(t, f"u{u}", f"i{i}") for t, u, i in triples]
+    renamed = [Event(t, users[u], items[i]) for t, u, i in triples]
+    partition, *rest = _outcome(LinkStream.from_events(events, time_span=(0, 1000)), flavor, n)
+    expected = [[(t, users[int(u[1:])], items[int(i[1:])]) for t, u, i in w] for w in partition]
+    outcome = _outcome(LinkStream.from_events(renamed, time_span=(0, 1000)), flavor, n)
+    assert outcome == (expected, *rest)
 
 
 # --- restart vector fast path matches the public op --------------------------------

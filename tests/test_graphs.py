@@ -1,6 +1,10 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, note, settings
+from hypothesis import strategies as st
 
 from linkrec.graphs import (
     ITEM,
@@ -15,6 +19,7 @@ from linkrec.graphs import (
     build_stg,
     edge_list_lines,
     render_node,
+    slice_count,
     slice_index,
     write_edge_list,
 )
@@ -178,6 +183,62 @@ def test_slice_index_clamps_omega_into_last_slice():
     assert slice_index(6, 0, 6, 3) == 2
     assert slice_index(5, 0, 6, 3) == 2
     assert slice_index(2, 0, 6, 3) == 1
+
+
+# Epochs (0, seconds and nanoseconds since 1970, past 2**53) and slice
+# widths (a unit, a fraction, a week in seconds and in nanoseconds) of
+# the slice-edge property.
+EPOCHS = (0, 1_600_000_000, 1_600_000_000_000_000_000)
+NS_WEEK = 7 * 86_400 * 10**9
+SLICE_WIDTHS = (1.0, 2.5, 604_800.0, float(NS_WEEK))
+
+
+def _slice_case(alpha, omega, delta, times):
+    """One user per event, so each user's one session names its slice."""
+    events = [Event(t, f"u{j}", "i") for j, t in enumerate(times)]
+    return LinkStream.from_events(events, time_span=(alpha, omega)), delta
+
+
+@st.composite
+def slice_edge_streams(draw):
+    """Events on the exact slice edges and 1-2 units below them."""
+    alpha = draw(st.sampled_from(EPOCHS)) + draw(st.integers(0, 10**6))
+    delta = draw(st.sampled_from(SLICE_WIDTHS))
+    n_slices = draw(st.integers(1, 40))
+    d = Fraction(delta)
+    omega = max(math.ceil(alpha + n_slices * d) - draw(st.integers(0, 2)), alpha + 1)
+    times = [alpha, omega] + [
+        min(max(math.ceil(alpha + k * d) - below, alpha), omega)
+        for k in draw(st.lists(st.integers(1, n_slices), min_size=1, max_size=6))
+        for below in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    ]
+    if draw(st.booleans()) and omega < 2**53:
+        alpha, omega, times = float(alpha), float(omega), [float(t) for t in times]
+    note(f"time_span=({alpha!r}, {omega!r}), delta={delta!r}, times={sorted(times)}")
+    return _slice_case(alpha, omega, delta, times)
+
+
+@given(slice_edge_streams())
+@example(_slice_case(0, 20 * NS_WEEK, float(NS_WEEK), [0, 15 * NS_WEEK - 1, 15 * NS_WEEK]))
+@example(_slice_case(
+    EPOCHS[2], EPOCHS[2] + 20 * NS_WEEK, float(NS_WEEK),
+    [EPOCHS[2], EPOCHS[2] + 15 * NS_WEEK - 1, EPOCHS[2] + 15 * NS_WEEK],
+))
+@settings(max_examples=60, deadline=None)
+def test_stg_slices_are_exact_at_slice_edges(drawn):
+    # slice k holds [alpha + (k-1) delta, alpha + k delta), the last one closed at omega
+    stream, delta = drawn
+    alpha, omega = stream.time_span
+    d = Fraction(delta)
+    count = max(1, math.ceil((Fraction(omega) - Fraction(alpha)) / d))
+    assert slice_count(alpha, omega, delta) == count
+    expected = set()
+    for ev in stream.events:
+        k = min(math.floor((Fraction(ev.t) - Fraction(alpha)) / d) + 1, count)
+        assert slice_index(ev.t, alpha, omega, delta) == k
+        expected.add((SESSION, ev.user, k))
+    graph = build_stg(stream, delta=delta, eta_s=0.5)
+    assert {node for node in graph.nodes if node[0] == SESSION} == expected
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -117,6 +117,22 @@ def test_non_finite_event_time_rejected(t):
         LinkStream.from_events([Event(1.0, "u", "i"), Event(t, "v", "j")])
 
 
+@pytest.mark.parametrize("times,inexact", [
+    ([2**53 + 1, 0.5], 2**53 + 1),
+    ([-1, 2**63 + 1], 2**63 + 1),
+    ([0.5, 2**60 + 1, 2**60], 2**60 + 1),
+], ids=["past-2**53", "past-int64", "among-exact"])
+def test_integer_time_that_float64_would_round_rejected(times, inexact):
+    # a float among the times makes the column float64; rounding would move the event
+    events = [Event(t, "u", f"i{k}") for k, t in enumerate(times)]
+    with pytest.raises(ValueError, match=f"^event time {inexact} has no exact float64 value$"):
+        LinkStream.from_events(events)
+    # one unit earlier the time is exact in float64, and the stream keeps it
+    exact = [t - 1 if t == inexact else t for t in times]
+    stream = LinkStream.from_events([Event(t, "u", f"i{k}") for k, t in enumerate(exact)])
+    assert sorted(ev.t for ev in stream.events) == sorted(exact)
+
+
 @pytest.mark.parametrize(
     "span", [(0, float("inf")), (float("-inf"), 10), (float("nan"), 10), (0, float("nan"))]
 )
