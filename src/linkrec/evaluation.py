@@ -36,11 +36,14 @@ from .ranker import (
     RestartBlock,
     TransitionMatrix,
     _restart_vectors,
+    certified_top_n,
     item_matrix,
     personalization_matrix,
     rank_items,
+    series_scores,
     step_count,
     transition_matrix,
+    twin_items,
 )
 
 if TYPE_CHECKING:
@@ -252,6 +255,10 @@ class FoldGraph:
     test window scores no hit under any setting and is not ranked. The
     rows of ``seen`` and ``truth`` and the blocks of ``restarts(beta)``
     follow ``users``.
+
+    ``series`` maps each (beta, n) whose alphas share one power series
+    to those alphas (see :func:`_series_groups`); ``recomputed`` counts
+    the lists of those groups that the per-alpha walk recomputed.
     """
 
     fold: Fold
@@ -262,7 +269,10 @@ class FoldGraph:
     users: list[str]
     seen: np.ndarray
     truth: np.ndarray
+    series: dict = field(default_factory=dict)
+    recomputed: int = 0
     _restarts: dict = field(default_factory=dict, repr=False)
+    _tops: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(
@@ -298,10 +308,86 @@ class FoldGraph:
             ]
         return self._restarts[beta]
 
+    def top_lists(self, params: "ParamSetting"):
+        """Per block, its slice of ``users`` and their top-n item rows at
+        ``params``, -1 past the last unseen item, as :func:`rank_items`
+        gives them.
+
+        A setting of a (beta, n) in ``series`` takes its lists from the
+        group's ranking of every block for all its alphas, made on first
+        use by :func:`_rank_together` and kept; an error there stops
+        every setting of the group, an error in one alpha's selection
+        only that setting. Any other setting ranks each block with
+        :func:`rank_items` when it is reached.
+        """
+        key = (params.beta, params.n)
+        if params.alpha not in self.series.get(key, ()):
+            for block, D in self.restarts(params.beta):
+                top, _ = rank_items(self.tm, self.A, D, params.alpha, self.seen[block], params.n)
+                yield block, top
+            return
+        if key not in self._tops:
+            try:
+                self._tops[key] = _rank_together(self, params.beta, params.n, self.series[key])
+            except Exception as exc:  # the whole group stops
+                self._tops[key] = dict.fromkeys(self.series[key], exc)
+        tops = self._tops[key][params.alpha]
+        if isinstance(tops, Exception):
+            raise tops
+        yield from zip((block for block, _ in self.restarts(params.beta)), tops)
+
+
+def _rank_together(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[float]):
+    """Top-n lists of the ranked users at every alpha of one (beta, n),
+    from one power series per restart block.
+
+    Each block's item scores come from :func:`series_scores`, and
+    :func:`certified_top_n` selects each alpha's lists; the lists it
+    cannot certify are recomputed by :func:`rank_items`, every alpha of
+    the block in blocks of up to ``_BATCH_COLUMNS`` columns, one alpha
+    per column, and counted in ``shared.recomputed``. Where the series
+    does not apply, each alpha ranks the block with :func:`rank_items`.
+    Returns per alpha its per-block lists, or the exception that
+    stopped it in its own selection or walk; any other error is raised.
+    """
+    tm, A = shared.tm, shared.A
+    tops: dict = {alpha: [] for alpha in alphas}
+    for block, D in shared.restarts(beta):
+        seen = shared.seen[block]
+        live = [alpha for alpha in alphas if isinstance(tops[alpha], list)]
+        if not live:
+            break
+        scores = series_scores(tm, A, D, live)
+        twins = None if scores is None else twin_items(tm, A, D)
+        redo = []
+        for j, alpha in enumerate(live):
+            try:
+                if scores is None:
+                    top, _ = rank_items(tm, A, D, alpha, seen, n)
+                else:
+                    top, certified = certified_top_n(tm, A, scores[j], alpha, seen, n, twins)
+                    redo += [(alpha, c) for c in np.flatnonzero(~certified).tolist()]
+            except Exception as exc:  # this alpha stops; the others go on
+                tops[alpha] = exc
+                continue
+            tops[alpha].append(top)
+        del scores  # free the accumulators before the recomputation's iterates
+        for s in range(0, len(redo), _BATCH_COLUMNS):
+            part = redo[s : s + _BATCH_COLUMNS]
+            cols = [c for _, c in part]
+            vectors = [dict(zip(D.row[D.col == c].tolist(), D.mass[D.col == c].tolist()))
+                       for c in cols]
+            top, _ = rank_items(tm, A, personalization_matrix(tm, vectors),
+                                np.array([alpha for alpha, _ in part]), seen[cols], n)
+            for (alpha, c), row in zip(part, top):
+                tops[alpha][-1][c] = row
+        shared.recomputed += len(redo)
+    return tops
+
 
 def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponents:
-    """Components of one fold for one setting. The ranked users' restart
-    blocks are ranked in turn in this thread.
+    """Components of one fold for one setting, from its top-n lists
+    (:meth:`FoldGraph.top_lists`), ranked in this thread.
 
     Every other evaluated user has no new item in the graph, so their
     hit flags are all zero; they are appended after the ranked users'.
@@ -311,8 +397,7 @@ def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponent
     """
     fold, users = shared.fold, shared.users
     flags: list[list[int]] = []
-    for block, D in shared.restarts(params.beta):
-        top, _ = rank_items(shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n)
+    for block, top in shared.top_lists(params):
         # truth and seen items are disjoint, so hits stop where unseen items do
         hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
         flags.extend(hits.astype(int).tolist())
@@ -329,12 +414,24 @@ def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponent
     )
 
 
+def _series_groups(settings: Sequence["ParamSetting"]) -> dict:
+    """The (beta, n) of ``settings`` whose distinct alphas share one power
+    series per restart block, with those alphas: the groups whose
+    per-alpha walks take at least twice the steps of the longest. The
+    series takes that many, and recomputing the lists it cannot certify
+    at most as many again. A lone alpha never shares one."""
+    steps: dict = {}
+    for params in settings:
+        steps.setdefault((params.beta, params.n), {})[params.alpha] = step_count(params.alpha)[0]
+    return {key: list(k) for key, k in steps.items() if sum(k.values()) >= 2 * max(k.values())}
+
+
 def _score_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
     """Build one fold's shared graph and score every setting on it.
 
     Returns ``(counts, outcomes)``: ``counts`` is the fold's (nodes,
-    edges, ranked users), or None when no graph was built, and
-    ``outcomes`` holds per setting its components, the skipped (0, 0)
+    edges, ranked users, recomputed lists), or None when no graph was
+    built, and ``outcomes`` holds per setting its components, the skipped (0, 0)
     components of a fold without evaluated users, or the exception that
     stopped it; an error building the graph is every setting's
     exception. The graph is freed on return.
@@ -349,13 +446,15 @@ def _score_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
         shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
     except Exception as exc:  # the whole group stops; the caller reports it
         return None, [exc] * len(settings)
+    shared.series = _series_groups(settings)
     scored: list = []
     for params in settings:
         try:
             scored.append(_evaluate_fold(shared, params))
         except Exception as exc:  # this setting stops; the others go on
             scored.append(exc)
-    return (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users)), scored
+    counts = (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users), shared.recomputed)
+    return counts, scored
 
 
 def evaluate_settings(
@@ -375,10 +474,12 @@ def evaluate_settings(
     Folds without evaluable users contribute (0, 0) components and are
     marked skipped. Each fold whose graph is built is logged once, in
     fold order, as a DEBUG record with its node, edge, evaluated-user
-    and ranked-user counts. Each setting's step count is decided once,
-    by :func:`step_count`; when max_iter caps it before the certified
-    count, every fold scored with it is logged as a WARNING with its L1
-    error bound.
+    and ranked-user counts and the number of top-n lists that the
+    per-alpha walk recomputed because a shared power series could not
+    certify them (0 where no series ran). Each setting's step count is
+    decided once, by :func:`step_count`; when max_iter caps it before
+    the certified count, every fold scored with it is logged as a
+    WARNING with its L1 error bound.
 
     Each fold is scored by :func:`_score_fold` on every setting, and one
     loop takes the results in fold order, keeping those of the settings
@@ -408,10 +509,11 @@ def evaluate_settings(
         results = (task.result() for task in reversed(tasks))
     for fold, (counts, scored) in zip(folds, results):
         if counts is not None:
-            nodes, edges, ranked = counts
+            nodes, edges, ranked, recomputed = counts
             log.debug(
-                "%s fold %d: %d nodes, %d edges, %d evaluated users, %d ranked",
-                flavor, fold.k, nodes, edges, len(fold.truth), ranked,
+                "%s fold %d: %d nodes, %d edges, %d evaluated users, %d ranked, "
+                "%d lists recomputed",
+                flavor, fold.k, nodes, edges, len(fold.truth), ranked, recomputed,
             )
         for j, comp in enumerate(scored):
             if not isinstance(outcomes[j], list):

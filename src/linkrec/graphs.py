@@ -285,9 +285,10 @@ def build_stg(stream: LinkStream, delta: float, eta_s: float) -> RecGraph:
     cols = _columns(stream)
     item_codes, item_rank, user_codes, u, i = _bip(cols)
     n_items = len(item_codes)
-    # sessions sort by (user, slice), like their tuples
-    k = _slice_indices(cols.t, *stream.time_span, delta)
-    n_slices = int(k.max()) + 1
+    # sessions sort by (user, slice), like their tuples; keying them by
+    # slice rank bounds the key by users x events
+    slices, k = _ranks(_slice_indices(cols.t, *stream.time_span, delta))
+    n_slices = len(slices)
     sessions, session_rank = _ranks(cols.user_code * n_slices + k)
     links = np.unique(session_rank * n_items + item_rank)
     s, si = links // n_items + n_items, links % n_items
@@ -296,7 +297,7 @@ def build_stg(stream: LinkStream, delta: float, eta_s: float) -> RecGraph:
         "stg",
         cols,
         [(ITEM, item_codes, np.zeros_like(item_codes)),
-         (SESSION, sessions // n_slices, sessions % n_slices),
+         (SESSION, sessions // n_slices, slices[sessions % n_slices]),
          (USER, user_codes, np.zeros_like(user_codes))],
         # per item: edges to users first, then edges to sessions
         [(u, i, 1.0), (i, u, 1.0), (s, si, 1.0), (si, s, eta_s)],

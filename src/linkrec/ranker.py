@@ -15,9 +15,12 @@ Restart vectors depend on the graph flavor:
 * LSG -- all mass on the user's latest temporal node at or before the
   recommendation time.
 
-:func:`rank_items` is the one ranking path. The evaluation protocol
-calls it per block of users; :func:`recommend` is the protocol's ranking
-for one user.
+:func:`rank_items` is the ranking's specification: one power iteration
+per alpha. The evaluation protocol calls it per block of users;
+:func:`recommend` is the protocol's ranking for one user. When several
+alphas rank the same block, :func:`series_scores` computes all their
+item scores from one power series and :func:`certified_top_n` proves
+each top-n list equal to :func:`rank_items`' own, or says it cannot.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ __all__ = [
     "item_scores",
     "item_matrix",
     "rank_items",
+    "series_scores",
+    "twin_items",
+    "certified_top_n",
     "recommend",
 ]
 
@@ -290,7 +296,7 @@ def step_count(
 def pagerank_batch(
     tm: TransitionMatrix,
     D: RestartBlock,
-    alpha: float,
+    alpha: float | np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, bool, int]:
@@ -307,6 +313,13 @@ def pagerank_batch(
     by watching the change per step. Returns (scores, converged,
     iterations).
 
+    ``alpha`` is one value for every column, or an array of one per
+    column. A column then takes its own alpha's step count and is read
+    out when the block reaches it; each column of a product reads only
+    its own column, so it is bitwise the column a block at its alpha
+    alone gives. ``converged`` then says whether every column converged
+    and ``iterations`` is the largest step count.
+
     A large block without dangling nodes starts sparse: while its
     iterate is mostly zeros, a step is ``X.T @ M.T`` on the sparse
     transpose, its rows kept sorted. The dense product sums
@@ -317,13 +330,20 @@ def pagerank_batch(
     added as alpha * y + r, or r where y is not stored, as the dense
     scatter does). The dense loop takes over for the remaining steps.
     """
-    iterations, converged = step_count(alpha, tol, max_iter)
+    a = np.asarray(alpha, dtype=float)
+    counts = {x: step_count(x, tol, max_iter) for x in np.unique(a).tolist()}
     if D.shape[0] != tm.n:
         raise ValueError(f"restart matrix must have shape ({tm.n}, columns), got {D.shape}")
+    if a.ndim and a.shape != (D.shape[1],):
+        raise ValueError(f"alpha must be one value or one per column, got shape {a.shape}")
+    # each column's step count; the block is read out at each distinct one
+    steps = np.array([counts[x][0] for x in np.broadcast_to(a, D.shape[1:]).tolist()], dtype=int)
+    iterations = max(k for k, _ in counts.values())
+    converged = all(c for _, c in counts.values())
     # D has one or two nonzeros per column; its terms are scatter-adds
     # there, which equal the dense adds because adding +0.0 is exact.
     rows, cols, mass = D.row, D.col, D.mass
-    restart = (1.0 - alpha) * mass
+    restart = (1.0 - (a[cols] if a.ndim else a)) * mass
     dangling = np.flatnonzero(tm.dangling)
     M = tm.matrix
     if dangling.size or M.nnz * D.shape[1] < _SPARSE_MIN_WORK:
@@ -331,25 +351,31 @@ def pagerank_batch(
         X[rows, cols] = mass
         done = 0
     else:
-        X, done = _sparse_start(tm, D, alpha, restart, iterations)
-    for _ in range(iterations - done):
-        X_next = M @ X
-        if dangling.size:
-            X_next[rows, cols] += mass * X[dangling].sum(axis=0)[cols]
-        X_next *= alpha
-        X_next[rows, cols] += restart
-        X = X_next
-    return X, converged, iterations
+        X, done = _sparse_start(tm, D, a, restart, int(steps.min()))
+    out = np.empty(D.shape) if a.ndim else None
+    for stop in np.unique(steps).tolist():
+        for _ in range(stop - done):
+            X_next = M @ X
+            if dangling.size:
+                X_next[rows, cols] += mass * X[dangling].sum(axis=0)[cols]
+            X_next *= a
+            X_next[rows, cols] += restart
+            X = X_next
+        done = stop
+        if a.ndim:
+            out[:, steps == stop] = X[:, steps == stop]
+    return (out if a.ndim else X), converged, iterations
 
 
 def _sparse_start(
-    tm: TransitionMatrix, D: RestartBlock, alpha: float, restart: np.ndarray, iterations: int
+    tm: TransitionMatrix, D: RestartBlock, alpha: np.ndarray, restart: np.ndarray, iterations: int
 ) -> tuple[np.ndarray, int]:
     """The first steps of :func:`pagerank_batch` on the sparse
     (columns, nodes) transpose of the iterate, until it fills one entry
     in ``_SPARSE_FILL`` or the steps run out. Returns the dense iterate
     and the number of steps taken. Each row of the transpose is kept in
-    ascending node order, the order in which the product adds terms."""
+    ascending node order, the order in which the product adds terms.
+    ``alpha`` is one value, or one per column (a row of the transpose)."""
     n, width = D.shape
     starts = np.searchsorted(D.col, np.arange(width + 1))
     XT = sparse.csr_matrix((D.mass, D.row, starts), shape=(width, n))
@@ -358,7 +384,7 @@ def _sparse_start(
     while done < iterations and XT.nnz * _SPARSE_FILL < n * width:
         XT = XT @ tm.transposed
         XT.sort_indices()
-        XT.data *= alpha
+        XT.data *= np.repeat(alpha, np.diff(XT.indptr)) if alpha.ndim else alpha
         XT = XT + RT
         done += 1
     X = np.zeros(D.shape)
@@ -405,20 +431,24 @@ def rank_items(
     tm: TransitionMatrix,
     A: sparse.csr_matrix,
     D: RestartBlock,
-    alpha: float,
+    alpha: float | np.ndarray,
     seen: np.ndarray,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank items for a block of restart vectors, one row per column of D.
+    """Rank items for a block of restart vectors, one row per column of D:
+    the per-alpha walk, which is the ranking's specification.
 
     ``D`` is a restart block built by :func:`personalization_matrix`,
     ``A`` the :func:`item_matrix` of ``tm``'s graph and ``seen`` a
-    columns x items mask of the items each row must skip.
+    columns x items mask of the items each row must skip. ``alpha`` is
+    one value, or one per column (see :func:`pagerank_batch`).
     Returns the top-n item rows, best first, with -1 past the last
     unseen item (ties go to the lower row, the smaller item id), and the
     item scores, -inf at seen items. The rows are selected by
     :func:`_top_n`. Whether the scores are certified is
-    ``step_count(alpha)``'s to say.
+    ``step_count(alpha)``'s to say. :func:`series_scores` and
+    :func:`certified_top_n` give the same lists for many alphas at once,
+    where they can prove it.
     """
     X, _, _ = pagerank_batch(tm, D, alpha)
     S = np.ascontiguousarray((A @ X).T)
@@ -426,6 +456,147 @@ def rank_items(
     top = _top_n(S, n)
     top[np.take_along_axis(seen, top, axis=1)] = -1
     return top, S
+
+
+def series_scores(
+    tm: TransitionMatrix, A: sparse.csr_matrix, D: RestartBlock, alphas: Sequence[float]
+) -> list[np.ndarray] | None:
+    """Item scores of restart block ``D`` at every alpha of ``alphas``
+    from one power series, or None where the series does not apply.
+
+    With no dangling node, the k-step iterate of :func:`pagerank_batch`
+    is X_k = alpha**k M**k D + (1 - alpha) sum_{j<k} alpha**j M**j D,
+    linear in the powers M**j D (Boldi, Santini and Vigna, "PageRank as
+    a Function of the Damping Factor", WWW 2005). So one sequence
+    V_0 = D, V_{j+1} = M V_j, run to the largest step count, serves
+    every alpha, each accumulating its item scores in item space:
+    T = sum_{j<k} (1 - alpha) alpha**j A V_j + alpha**k A V_k, with
+    alpha**j by repeated multiplication and k = ``step_count(alpha)``.
+    T equals the item scores of :func:`rank_items` in exact arithmetic;
+    the two differ by rounding alone, which :func:`certified_top_n`
+    bounds. Returns one columns x items array per alpha, in order.
+
+    None when a node is dangling (its mass returns to D, which the
+    series leaves out) or when, for some alpha, the smallest weight of
+    a path, (1 - alpha) m (alpha m)**k with m the smallest positive
+    entry of M or D, is below 2**-1000: then a product could leave
+    float64's normal range and the rounding bound would not hold.
+    """
+    M = tm.matrix
+    if tm.dangling.any():
+        return None
+    m = min(M.data.min(), D.mass[D.mass > 0.0].min(initial=1.0))
+    steps = [step_count(alpha)[0] for alpha in alphas]
+    if any(k * math.log2(alpha * m) + math.log2((1.0 - alpha) * m) < -1000
+           for alpha, k in zip(alphas, steps)):
+        return None
+    # one product per step gives M V_j and A V_j: the rows of M, then A's
+    MA = sparse.vstack([M, A], format="csr")
+    V = np.zeros(D.shape)
+    V[D.row, D.col] = D.mass
+    T = [np.zeros((A.shape[0], D.shape[1])) for _ in alphas]
+    power = [1.0] * len(alphas)
+    for j in range(max(steps, default=0) + 1):
+        W = MA @ V
+        V, AV = W[: tm.n], W[tm.n :]
+        for i, (alpha, k) in enumerate(zip(alphas, steps)):
+            if j <= k:
+                T[i] += (power[i] if j == k else (1.0 - alpha) * power[i]) * AV
+                power[i] *= alpha
+    for i, t in enumerate(T):  # one transposed copy at a time
+        T[i] = np.ascontiguousarray(t.T)
+    return T
+
+
+def twin_items(tm: TransitionMatrix, A: sparse.csr_matrix, D: RestartBlock) -> np.ndarray:
+    """Per item row of ``A``, the first item row it is a twin of, or
+    its own row.
+
+    Twins have equal weights in A, and nodes that, paired in order,
+    carry no restart mass in ``D`` and have equal rows of M. Every
+    power iteration of ``D`` then computes their scores by the same
+    operations on the same values, so :func:`rank_items` and
+    :func:`series_scores` each score twins bitwise alike. Items whose
+    nodes project alike onto one fixed random vector are candidates;
+    each candidate is compared exactly.
+    """
+    restart = np.zeros(tm.n, dtype=bool)
+    restart[D.row] = True
+    projection = A @ (tm.matrix @ np.random.default_rng(0).random(tm.n))
+    _, group = np.unique(projection, return_inverse=True)
+    group = group.ravel()
+    twin = np.arange(A.shape[0])
+    first: dict = {}
+    for item in np.flatnonzero(np.bincount(group)[group] > 1).tolist():
+        twin[item] = first.setdefault((group[item], _twin_key(tm.matrix, A, restart, item)), item)
+    return twin
+
+
+def _twin_key(M: sparse.csr_matrix, A: sparse.csr_matrix, restart: np.ndarray, item: int):
+    """What makes an item's score in every power iteration: its weights
+    in A and its nodes' rows of M, in order, as bytes; an item with a
+    node in ``restart`` is twin to none, and its key is its row."""
+    nodes = A.indices[A.indptr[item] : A.indptr[item + 1]]
+    if restart[nodes].any():
+        return item
+    rows = [slice(M.indptr[p], M.indptr[p + 1]) for p in nodes.tolist()]
+    return (A.data[A.indptr[item] : A.indptr[item + 1]].tobytes(),
+            *(M.indices[row].tobytes() + M.data[row].tobytes() for row in rows))
+
+
+def certified_top_n(
+    tm: TransitionMatrix,
+    A: sparse.csr_matrix,
+    S: np.ndarray,
+    alpha: float,
+    seen: np.ndarray,
+    n: int,
+    twins: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The selection of :func:`rank_items` on the series scores ``S`` of
+    a restart block at ``alpha`` (one array of :func:`series_scores`),
+    and per row whether the list is certified to be the one
+    :func:`rank_items` gives. ``twins`` is the block's
+    :func:`twin_items`.
+
+    Returns the top-n item rows, -1 past the last unseen item, and a
+    boolean per row; ``S`` gets -inf at seen items. Both computations
+    only add and multiply non-negative terms of M, D, alpha and
+    1 - alpha, and a term meets at most m = k (d + 2) + o + 2 roundings
+    on its way to an item score, with k = ``step_count(alpha)``, d the
+    most nonzeros in a row of M and o the most nodes of one item. So
+    each score lies within a relative gamma_m = m u / (1 - m u) of the
+    exact one (u = 2**-53; Higham, "Accuracy and Stability of Numerical
+    Algorithms", section 3.1), and a score is 0 exactly when the exact
+    one is, as :func:`series_scores` keeps products in the normal range.
+    Let s_1 >= ... >= s_n be the selected scores and s_{n+1} the best
+    one left out (-inf if none). The list is certified when every
+    adjacent pair has s_i > s_{i+1} (1 + eps), eps = 8 gamma_m, so that
+    both computations order the pair alike, or s_i = s_{i+1} and both
+    computations tie the pair exactly, so both break the tie by item
+    row: at 0 or -inf, or between twins. A tie at s_n = s_{n+1} needs
+    every item left out at that score to be a twin of the n-th.
+    """
+    d = np.diff(tm.matrix.indptr).max(initial=0)
+    o = np.diff(A.indptr).max(initial=0)
+    m = step_count(alpha)[0] * (d + 2) + o + 2
+    eps = 8.0 * m * 2.0**-53 / (1.0 - m * 2.0**-53)
+    S[seen] = -np.inf
+    top = _top_n(S, n)
+    left = S.copy()
+    np.put_along_axis(left, top, -np.inf, axis=1)
+    chosen = np.take_along_axis(S, top, axis=1)
+    s = np.concatenate([chosen, left.max(axis=1, initial=-np.inf)[:, None]], axis=1)
+    hi, lo = s[:, :-1], s[:, 1:]
+    twin = twins[top]
+    last = twin[:, -1:]
+    twin_tie = np.concatenate(
+        [twin[:, :-1] == twin[:, 1:],
+         ~((left == chosen[:, -1:]) & (twins != last)).any(axis=1, keepdims=True)], axis=1
+    )
+    exact_tie = (hi == lo) & ((hi == 0.0) | (hi == -np.inf) | twin_tie)
+    top[np.take_along_axis(seen, top, axis=1)] = -1
+    return top, ((hi > lo * (1.0 + eps)) | exact_tie).all(axis=1)
 
 
 def _top_n(S: np.ndarray, n: int) -> np.ndarray:

@@ -9,11 +9,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from linkrec import evaluation, ranker
@@ -35,10 +36,10 @@ from linkrec.evaluation import (
     time_average,
     write_report_files,
 )
-from linkrec.graphs import build_bip, build_graph, build_lsg, build_stg
+from linkrec.graphs import RecGraph, build_bip, build_graph, build_lsg, build_stg
 from linkrec.linkstream import Event, LinkStream, split_windows
 from linkrec.ranker import personalization, personalization_matrix, rank_items, recommend
-from linkrec.tuning import ParamGrid, ParamSetting, search
+from linkrec.tuning import GRID_ALPHA, ParamGrid, ParamSetting, leaderboard_csv, search
 
 from conftest import make_stream
 
@@ -1078,7 +1079,7 @@ def test_fold_debug_record_counts_evaluated_and_ranked_users(caplog):
         assert ranked < len(fold.truth)
         assert record.getMessage() == (
             f"lsg fold {fold.k}: {graph.n_nodes} nodes, {graph.n_edges} edges, "
-            f"{len(fold.truth)} evaluated users, {ranked} ranked"
+            f"{len(fold.truth)} evaluated users, {ranked} ranked, 0 lists recomputed"
         )
 
 
@@ -1160,3 +1161,186 @@ def test_ranked_users_match_their_plain_definition(flavor, params):
 def test_f1_components_rejects_mismatched_lengths():
     with pytest.raises(ValueError, match="one hit count and one I_new size per user"):
         f1_components([1, 0], [2], 5)
+
+
+# --- one power series for the alphas of a (beta, n) group ---------------------------
+
+
+def series_off():
+    """Patch the shared series out: every group ranks with the per-alpha walk."""
+    return mock.patch.object(evaluation, "series_scores", lambda *args: None)
+
+
+def outputs(stream, flavor, settings, grid, n):
+    """Every setting's report and the leaderboard of a search over ``grid``."""
+    folds = iter_folds(stream, 4)
+    reports = [report_json(o) if isinstance(o, evaluation.EvaluationReport) else repr(o)
+               for o in evaluation.evaluate_settings(folds, flavor, settings)]
+    result = search(stream, flavor, grid=grid, count=grid.size(flavor), n=n, n_windows=4)
+    return reports, leaderboard_csv(result)
+
+
+def mirrored_bip_stream() -> LinkStream:
+    """One fold in which r's walk reaches x and y alike: c picked x and
+    y, p only x, q only y. Their scores tie exactly, but x's row of M
+    holds p where y's holds q, so they are no twins and the tie cannot
+    be certified."""
+    train = [("c", "x"), ("c", "y"), ("p", "x"), ("q", "y"), ("r", "z"), ("c", "z"), ("s", "w")]
+    events = [Event(t, user, item) for t, (user, item) in enumerate(train, start=1)]
+    return LinkStream.from_events(events + [Event(150, "r", "w")], time_span=(0, 200))
+
+
+@st.composite
+def series_cases(draw):
+    """A small stream and settings of several alphas per (beta, n)."""
+    flavor = draw(st.sampled_from(["bip", "stg", "lsg"]))
+    stream = make_stream(draw(st.integers(0, 10**6)), n_users=draw(st.integers(3, 12)),
+                         n_items=draw(st.integers(3, 15)), n_events=draw(st.integers(20, 120)))
+    alphas = draw(st.lists(st.sampled_from(GRID_ALPHA), min_size=2, max_size=7, unique=True))
+    ns = draw(st.lists(st.sampled_from([1, 3, 10]), min_size=1, max_size=2, unique=True))
+    betas = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=2, unique=True))
+    if flavor != "stg":
+        betas = [None]
+    delta, eta_s = (100.0 if flavor == "stg" else None), (None if flavor == "bip" else 0.2)
+    settings = [ParamSetting(alpha=a, n=n, delta=delta, beta=b, eta_s=eta_s)
+                for b in betas for n in ns for a in alphas]
+    grid = ParamGrid(delta=(100.0,), beta=tuple(b for b in betas if b is not None) or (0.5,),
+                     eta_s=(0.2,), alpha=tuple(alphas))
+    note(f"{flavor} {len(stream)} events, alphas {alphas}, n {ns}, beta {betas}")
+    return flavor, stream, settings, grid, ns[0]
+
+
+@given(series_cases())
+@example(("bip", mirrored_bip_stream(), [ParamSetting(alpha=a, n=3) for a in GRID_ALPHA],
+          ParamGrid(), 3))
+@settings(max_examples=25, deadline=None)
+def test_shared_series_leaves_reports_and_leaderboards_unchanged(case):
+    flavor, stream, settings, grid, n = case
+    ran = []
+    series_scores = evaluation.series_scores
+
+    def counted(*args):
+        ran.append(1)
+        return series_scores(*args)
+
+    with mock.patch.object(evaluation, "series_scores", counted):
+        shared = outputs(stream, flavor, settings, grid, n)
+    note(f"series ran on {len(ran)} blocks")
+    with series_off():
+        assert outputs(stream, flavor, settings, grid, n) == shared
+
+
+def test_bip_tie_without_twins_is_recomputed(caplog):
+    settings = [ParamSetting(alpha=a, n=3) for a in GRID_ALPHA]
+    folds = iter_folds(mirrored_bip_stream(), 2)
+    with caplog.at_level(logging.DEBUG, logger="linkrec.evaluation"):
+        shared = evaluation.evaluate_settings(folds, "bip", settings)
+    (record,) = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert record.endswith(f"1 ranked, {len(GRID_ALPHA)} lists recomputed")
+    with series_off():
+        reference = evaluation.evaluate_settings(folds, "bip", settings)
+    assert [report_json(o) for o in shared] == [report_json(o) for o in reference]
+
+
+def test_group_series_runs_only_where_the_walks_take_twice_its_steps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluation, "series_scores", lambda *args: calls.append(args[3]))
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    folds = iter_folds(stream, 4)
+    run_protocol(stream, "lsg", ParamSetting(alpha=0.9, n=5, eta_s=0.2), n_windows=4, workers=1)
+    # 20 + 35 steps against 35; one alpha per (beta, n)
+    evaluation.evaluate_settings(folds, "lsg", [ParamSetting(alpha=a, n=5, eta_s=0.2)
+                                                for a in (0.3, 0.5)])
+    evaluation.evaluate_settings(folds, "lsg", [ParamSetting(alpha=a, n=n, eta_s=0.2)
+                                                for a, n in ((0.3, 5), (0.5, 3))])
+    assert calls == []
+    # 8 + 11 + 13 steps against 13
+    evaluation.evaluate_settings(folds, "lsg", [ParamSetting(alpha=a, n=5, eta_s=0.2)
+                                                for a in (0.05, 0.1, 0.15)])
+    assert calls and all(alphas == [0.05, 0.1, 0.15] for alphas in calls)
+
+
+def faulty_graphs(monkeypatch, fault):
+    """Patch build_graph so every fold graph has a dangling node (the
+    first item node loses its out-edges) or one edge 1e-300 times as
+    heavy as the others."""
+    build_graph = evaluation.build_graph
+
+    def hand_made(flavor, stream, delta=None, eta_s=None):
+        g = build_graph(flavor, stream, delta=delta, eta_s=eta_s)
+        keep = g.src != g.item_nodes()[0] if fault == "dangling" else np.ones(g.n_edges, bool)
+        weight = g.weight.copy()
+        if fault == "tiny weight":
+            weight[0] = 1e-300
+        return RecGraph.coded(flavor, g.kind, g.ident, g.time, g.src[keep], g.dst[keep],
+                              weight[keep], g.users, g.items, g.delta, g.eta_s)
+
+    monkeypatch.setattr(evaluation, "build_graph", hand_made)
+
+
+@pytest.mark.parametrize("fault", ["dangling", "tiny weight"])
+def test_dangling_or_tiny_weight_graph_takes_the_per_alpha_path(monkeypatch, fault):
+    faulty_graphs(monkeypatch, fault)
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    settings = [ParamSetting(alpha=a, n=5, eta_s=0.2) for a in GRID_ALPHA]
+    folds = iter_folds(stream, 4)
+    declined, walked = [], []
+    series_scores, rank = evaluation.series_scores, evaluation.rank_items
+
+    def series_spy(*args):
+        declined.append(series_scores(*args) is None)
+        return None
+
+    def rank_spy(tm, A, D, alpha, seen, n):
+        walked.append(alpha)
+        return rank(tm, A, D, alpha, seen, n)
+
+    monkeypatch.setattr(evaluation, "series_scores", series_spy)
+    monkeypatch.setattr(evaluation, "rank_items", rank_spy)
+    outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
+    assert declined and all(declined)
+    blocks = len(declined)
+    assert sorted(walked) == sorted(a for a in GRID_ALPHA for _ in range(blocks))
+    assert all(isinstance(o, evaluation.EvaluationReport) for o in outcomes)
+
+
+def test_series_error_stops_every_setting_of_its_group_and_no_other(monkeypatch):
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    folds = iter_folds(stream, 4)
+    settings = [ParamSetting(alpha=a, n=n, eta_s=0.2) for n in (5, 3) for a in GRID_ALPHA]
+    settings.append(ParamSetting(alpha=0.3, n=7, eta_s=0.2))
+    reference = [report_json(o) for o in evaluation.evaluate_settings(folds, "lsg", settings)]
+    series_scores = evaluation.series_scores
+    calls = itertools.count()
+
+    def failing(tm, A, D, alphas):
+        if next(calls) == 0:  # the first group's first block
+            raise BlockError("series failed")
+        return series_scores(tm, A, D, alphas)
+
+    monkeypatch.setattr(evaluation, "series_scores", failing)
+    outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
+    group = len(GRID_ALPHA)
+    assert all(isinstance(o, BlockError) for o in outcomes[:group])
+    assert [report_json(o) for o in outcomes[group:]] == reference[group:]
+
+
+def test_selection_error_stops_only_its_alpha(monkeypatch):
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    folds = iter_folds(stream, 4)
+    settings = [ParamSetting(alpha=a, n=5, eta_s=0.2) for a in GRID_ALPHA]
+    reference = [report_json(o) for o in evaluation.evaluate_settings(folds, "lsg", settings)]
+    certified_top_n = evaluation.certified_top_n
+
+    def failing(tm, A, S, alpha, seen, n, twins):
+        if alpha == 0.5:
+            raise BlockError("selection failed")
+        return certified_top_n(tm, A, S, alpha, seen, n, twins)
+
+    monkeypatch.setattr(evaluation, "certified_top_n", failing)
+    outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
+    bad = GRID_ALPHA.index(0.5)
+    assert isinstance(outcomes[bad], BlockError)
+    assert [report_json(o) for j, o in enumerate(outcomes) if j != bad] == [
+        r for j, r in enumerate(reference) if j != bad
+    ]

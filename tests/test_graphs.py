@@ -241,6 +241,18 @@ def test_stg_slices_are_exact_at_slice_edges(drawn):
     assert {node for node in graph.nodes if node[0] == SESSION} == expected
 
 
+def test_stg_sessions_do_not_wrap_when_users_times_slices_pass_int64():
+    # 10 users and 3e18 one-unit slices: a key of user code x slice
+    # count passes 2**63
+    alpha = EPOCHS[2]
+    events = [Event(alpha + j, f"u{j}", "i") for j in range(10)]
+    events.append(Event(alpha + 3 * 10**18, "u9", "j"))
+    stream = LinkStream.from_events(events)
+    expected = {(SESSION, ev.user, slice_index(ev.t, *stream.time_span, 1)) for ev in events}
+    graph = build_stg(stream, delta=1, eta_s=0.5)
+    assert {node for node in graph.nodes if node[0] == SESSION} == expected
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_stg_session_count_monotone_under_refinement(seed):
     # Holds along divisor chains, where every fine slice nests inside a

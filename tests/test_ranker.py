@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from linkrec.ranker import (
     step_count,
     transition_matrix,
 )
+from linkrec.linkstream import Event, LinkStream
 from linkrec.tuning import GRID_ALPHA, ParamSetting
 
 from conftest import make_stream
@@ -728,3 +730,135 @@ def test_top_n_is_the_head_of_the_stable_argsort(S, n):
     # few distinct values, so most rows have ties, often at the n-th score
     expected = np.argsort(-S, axis=1, kind="stable")[:, :n]
     assert np.array_equal(ranker._top_n(S, n), expected)
+
+
+# --- one power series for many alphas ----------------------------------------------
+
+
+@pytest.mark.parametrize("flavor", ["bip", "lsg-0.5", "stg-0.1", "dangling"])
+def test_pagerank_batch_with_one_alpha_per_column_is_each_alphas_own(monkeypatch, flavor):
+    if flavor == "dangling":
+        rng = random.Random(5)
+        tm = transition_matrix(random_digraph_with_dangling(rng))
+        ds = [random_restart(rng, tm) for _ in range(12)]
+    else:
+        tm, ds = sparse_start_cases(flavor)
+    alphas = np.array((GRID_ALPHA * 2)[:12])
+    for min_work in (math.inf, 0):  # dense from the start, then a sparse start
+        monkeypatch.setattr(ranker, "_SPARSE_MIN_WORK", min_work)
+        X, converged, iterations = pagerank_batch(tm, personalization_matrix(tm, ds[:12]), alphas)
+        assert (converged, iterations) == (False, 100)
+        for j, alpha in enumerate(alphas.tolist()):
+            x, _, _ = pagerank_batch(tm, personalization_matrix(tm, [ds[j]]), alpha)
+            assert X[:, j].tobytes() == x[:, 0].tobytes()
+
+
+def test_pagerank_batch_rejects_alphas_not_one_per_column():
+    tm = transition_matrix(two_node_cycle())
+    D = personalization_matrix(tm, [{0: 1.0}, {1: 1.0}])
+    with pytest.raises(ValueError, match="one value or one per column"):
+        pagerank_batch(tm, D, np.array([0.3, 0.5, 0.7]))
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        pagerank_batch(tm, D, np.array([0.3, 1.0]))
+
+
+def exact_item_scores(tm, A, D, alpha) -> list[list[Fraction]]:
+    """A X_k, columns x items, in exact arithmetic on the float data:
+    X_0 = D, X_{j+1} = alpha M X_j + (1 - alpha) D, with 1 - alpha
+    rounded as the code rounds it."""
+    M, k = tm.matrix, step_count(alpha)[0]
+    a, c = Fraction(alpha), Fraction(1.0 - alpha)
+    rows = [[(int(j), Fraction(w)) for j, w in zip(M.indices[M.indptr[i]:M.indptr[i + 1]],
+                                                    M.data[M.indptr[i]:M.indptr[i + 1]])]
+            for i in range(tm.n)]
+    d = [[Fraction(0)] * D.shape[1] for _ in range(tm.n)]
+    for i, j, m in zip(D.row.tolist(), D.col.tolist(), D.mass.tolist()):
+        d[i][j] = Fraction(m)
+    X = d
+    for _ in range(k):
+        X = [[a * sum(w * X[j][col] for j, w in row) + c * d[i][col] for col in range(D.shape[1])]
+             for i, row in enumerate(rows)]
+    return [[sum(X[p][col] for p in A.indices[A.indptr[r]:A.indptr[r + 1]].tolist())
+             for r in range(A.shape[0])] for col in range(D.shape[1])]
+
+
+# The grid alphas of at most 20 steps
+SHORT_ALPHAS = [alpha for alpha in GRID_ALPHA if step_count(alpha)[0] <= 20]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("flavor", ["bip", "stg", "lsg"])
+def test_both_computations_lie_within_gamma_of_the_exact_scores(flavor, seed):
+    stream = make_stream(seed, n_users=3, n_items=5, n_events=6, t_max=20)
+    graph = {"bip": build_bip, "lsg": lambda s: build_lsg(s, 0.5),
+             "stg": lambda s: build_stg(s, delta=5, eta_s=0.5)}[flavor](stream)
+    tm = transition_matrix(graph)
+    assert 4 <= tm.n <= 16 and not tm.dangling.any()
+    _, A = item_matrix(graph)
+    D = personalization_matrix(tm, [personalization(graph, u, t=stream.omega, beta=0.3)
+                                    for u in sorted(stream.users)])
+    seen = np.zeros((D.shape[1], A.shape[0]), dtype=bool)
+    d, o = np.diff(tm.matrix.indptr).max(), np.diff(A.indptr).max()
+    for alpha, series in zip(SHORT_ALPHAS, ranker.series_scores(tm, A, D, SHORT_ALPHAS)):
+        m = step_count(alpha)[0] * (d + 2) + o + 2
+        gamma = Fraction(int(m), 2**53 - int(m))  # m u / (1 - m u), u = 2**-53
+        _, walk = ranker.rank_items(tm, A, D, alpha, seen, 3)
+        for col, exact in enumerate(exact_item_scores(tm, A, D, alpha)):
+            for r, t in enumerate(exact):
+                for got in (walk[col, r], series[col, r]):
+                    assert abs(Fraction(float(got)) - t) <= gamma * t
+
+
+def test_twin_items_pairs_items_with_equal_rows_and_no_restart_mass():
+    # x and y: picked by a and b alike; z: by a and c
+    stream = LinkStream.from_events([
+        Event(1, "a", "x"), Event(2, "b", "x"), Event(3, "a", "y"), Event(4, "b", "y"),
+        Event(5, "a", "z"), Event(6, "c", "z"),
+    ])
+    graph = build_bip(stream)
+    tm = transition_matrix(graph)
+    items, A = item_matrix(graph)
+    x, y, z = (items.index(i) for i in "xyz")
+    D = personalization_matrix(tm, [personalization(graph, "c")])
+    assert ranker.twin_items(tm, A, D).tolist() == [x, x, z]
+    # mass on y's node makes it twin to none
+    D = personalization_matrix(tm, [{(ITEM, "y"): 0.5, (USER, "c"): 0.5}])
+    assert ranker.twin_items(tm, A, D).tolist() == [x, y, z]
+
+
+@pytest.mark.parametrize("flavor", ["bip", "lsg-0.5", "stg-0.1", "stg-0.9"])
+def test_certified_lists_are_the_per_alpha_lists(flavor):
+    tm, ds = sparse_start_cases(flavor)
+    items, A = item_matrix(tm.graph)
+    rng = np.random.default_rng(7)
+    certified = 0
+    for start in (0, 48):
+        D = personalization_matrix(tm, ds[start:start + 48])
+        twins = ranker.twin_items(tm, A, D)
+        seen = rng.random((D.shape[1], len(items))) < 0.1
+        alphas = list(GRID_ALPHA)
+        for alpha, S in zip(alphas, ranker.series_scores(tm, A, D, alphas)):
+            for n in (1, 10, len(items)):
+                top, sure = ranker.certified_top_n(tm, A, S.copy(), alpha, seen, n, twins)
+                expected, _ = ranker.rank_items(tm, A, D, alpha, seen, n)
+                assert np.array_equal(top[sure], expected[sure])
+                certified += sure.sum()
+    assert certified > 0.9 * 2 * len(GRID_ALPHA) * 3 * min(48, len(ds) - 48)
+
+
+def test_series_declines_dangling_graphs_and_out_of_range_weights():
+    rng = random.Random(3)
+    tm = transition_matrix(random_digraph_with_dangling(rng))
+    _, A = item_matrix(tm.graph)
+    D = personalization_matrix(tm, [random_restart(rng, tm)])
+    assert ranker.series_scores(tm, A, D, [0.3, 0.5]) is None
+    # the smallest entry of M is 1e-30: a path weight of 1e-30 per step
+    # stays above 2**-1000 for 0.05's 8 steps, not for 0.9's 100
+    graph = RecGraph(flavor="bip", nodes=frozenset({(USER, "a"), (ITEM, "b"), (ITEM, "c")}),
+                     edges={((USER, "a"), (ITEM, "b")): 1.0, ((USER, "a"), (ITEM, "c")): 1e-30,
+                            ((ITEM, "b"), (USER, "a")): 1.0, ((ITEM, "c"), (USER, "a")): 1.0})
+    tm = transition_matrix(graph)
+    _, A = item_matrix(graph)
+    D = personalization_matrix(tm, [{(USER, "a"): 1.0}])
+    assert ranker.series_scores(tm, A, D, [0.05]) is not None
+    assert ranker.series_scores(tm, A, D, [0.05, 0.9]) is None
