@@ -342,13 +342,13 @@ def _rank_together(shared: FoldGraph, beta: float | None, n: int, alphas: Sequen
     from one power series per restart block.
 
     Each block's item scores come from :func:`series_scores`, and
-    :func:`certified_top_n` selects each alpha's lists; the lists it
-    cannot certify are recomputed by :func:`rank_items`, every alpha of
-    the block in blocks of up to ``_BATCH_COLUMNS`` columns, one alpha
-    per column, and counted in ``shared.recomputed``. Where the series
-    does not apply, each alpha ranks the block with :func:`rank_items`.
-    Returns per alpha its per-block lists, or the exception that
-    stopped it in its own selection or walk; any other error is raised.
+    :func:`certified_top_n` selects each alpha's lists. The lists it
+    cannot certify, and every list of a block the series declines, are
+    ranked by :func:`rank_items`, every alpha of the block in blocks of
+    up to ``_BATCH_COLUMNS`` columns, one alpha per column, and counted
+    in ``shared.recomputed``. Returns per alpha its per-block lists, or
+    the exception that stopped it in its own selection; any other error
+    is raised.
     """
     tm, A = shared.tm, shared.A
     tops: dict = {alpha: [] for alpha in alphas}
@@ -361,22 +361,24 @@ def _rank_together(shared: FoldGraph, beta: float | None, n: int, alphas: Sequen
         twins = None if scores is None else twin_items(tm, A, D)
         redo = []
         for j, alpha in enumerate(live):
-            try:
-                if scores is None:
-                    top, _ = rank_items(tm, A, D, alpha, seen, n)
-                else:
+            if scores is None:  # the per-alpha walk ranks every list
+                top = np.empty((D.shape[1], min(n, A.shape[0])), dtype=np.intp)
+                certified = np.zeros(D.shape[1], dtype=bool)
+            else:
+                try:
                     top, certified = certified_top_n(tm, A, scores[j], alpha, seen, n, twins)
-                    redo += [(alpha, c) for c in np.flatnonzero(~certified).tolist()]
-            except Exception as exc:  # this alpha stops; the others go on
-                tops[alpha] = exc
-                continue
+                except Exception as exc:  # this alpha stops; the others go on
+                    tops[alpha] = exc
+                    continue
             tops[alpha].append(top)
+            redo += [(alpha, c) for c in np.flatnonzero(~certified).tolist()]
         del scores  # free the accumulators before the recomputation's iterates
+        starts = np.searchsorted(D.col, np.arange(D.shape[1] + 1)).tolist()
         for s in range(0, len(redo), _BATCH_COLUMNS):
             part = redo[s : s + _BATCH_COLUMNS]
             cols = [c for _, c in part]
-            vectors = [dict(zip(D.row[D.col == c].tolist(), D.mass[D.col == c].tolist()))
-                       for c in cols]
+            vectors = [dict(zip(D.row[starts[c] : starts[c + 1]].tolist(),
+                                D.mass[starts[c] : starts[c + 1]].tolist())) for c in cols]
             top, _ = rank_items(tm, A, personalization_matrix(tm, vectors),
                                 np.array([alpha for alpha, _ in part]), seen[cols], n)
             for (alpha, c), row in zip(part, top):
@@ -476,10 +478,11 @@ def evaluate_settings(
     fold order, as a DEBUG record with its node, edge, evaluated-user
     and ranked-user counts and the number of top-n lists that the
     per-alpha walk recomputed because a shared power series could not
-    certify them (0 where no series ran). Each setting's step count is
-    decided once, by :func:`step_count`; when max_iter caps it before
-    the certified count, every fold scored with it is logged as a
-    WARNING with its L1 error bound.
+    certify them or declined their block (0 where no series was
+    tried). Each setting's step count is decided once, by
+    :func:`step_count`; when max_iter caps it before the certified
+    count, every fold scored with it is logged as a WARNING with its
+    L1 error bound.
 
     Each fold is scored by :func:`_score_fold` on every setting, and one
     loop takes the results in fold order, keeping those of the settings

@@ -570,12 +570,14 @@ def certified_top_n(
     Algorithms", section 3.1), and a score is 0 exactly when the exact
     one is, as :func:`series_scores` keeps products in the normal range.
     Let s_1 >= ... >= s_n be the selected scores and s_{n+1} the best
-    one left out (-inf if none). The list is certified when every
-    adjacent pair has s_i > s_{i+1} (1 + eps), eps = 8 gamma_m, so that
-    both computations order the pair alike, or s_i = s_{i+1} and both
-    computations tie the pair exactly, so both break the tie by item
-    row: at 0 or -inf, or between twins. A tie at s_n = s_{n+1} needs
-    every item left out at that score to be a twin of the n-th.
+    score left out (-inf if none) of an item that is no twin of the
+    n-th: twins of the n-th left out score s_n in both computations and
+    lie at higher rows, so both leave them out. The list is certified
+    when every adjacent pair has s_i > s_{i+1} (1 + eps), eps =
+    8 gamma_m, so that both computations order the pair alike, or
+    s_i = s_{i+1} and both computations tie the pair exactly, so both
+    break the tie by item row: at 0 or -inf, or, inside the list,
+    between twins.
     """
     d = np.diff(tm.matrix.indptr).max(initial=0)
     o = np.diff(A.indptr).max(initial=0)
@@ -583,17 +585,14 @@ def certified_top_n(
     eps = 8.0 * m * 2.0**-53 / (1.0 - m * 2.0**-53)
     S[seen] = -np.inf
     top = _top_n(S, n)
-    left = S.copy()
+    twin = twins[top]
+    left = np.where(twins == twin[:, -1:], -np.inf, S)
     np.put_along_axis(left, top, -np.inf, axis=1)
     chosen = np.take_along_axis(S, top, axis=1)
     s = np.concatenate([chosen, left.max(axis=1, initial=-np.inf)[:, None]], axis=1)
     hi, lo = s[:, :-1], s[:, 1:]
-    twin = twins[top]
-    last = twin[:, -1:]
-    twin_tie = np.concatenate(
-        [twin[:, :-1] == twin[:, 1:],
-         ~((left == chosen[:, -1:]) & (twins != last)).any(axis=1, keepdims=True)], axis=1
-    )
+    twin_tie = np.zeros(hi.shape, dtype=bool)
+    twin_tie[:, :-1] = twin[:, :-1] == twin[:, 1:]
     exact_tie = (hi == lo) & ((hi == 0.0) | (hi == -np.inf) | twin_tie)
     top[np.take_along_axis(seen, top, axis=1)] = -1
     return top, ((hi > lo * (1.0 + eps)) | exact_tie).all(axis=1)

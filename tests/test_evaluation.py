@@ -1284,24 +1284,27 @@ def test_dangling_or_tiny_weight_graph_takes_the_per_alpha_path(monkeypatch, fau
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
     settings = [ParamSetting(alpha=a, n=5, eta_s=0.2) for a in GRID_ALPHA]
     folds = iter_folds(stream, 4)
-    declined, walked = [], []
+    declined, columns, walked = [], [], []
     series_scores, rank = evaluation.series_scores, evaluation.rank_items
 
-    def series_spy(*args):
-        declined.append(series_scores(*args) is None)
+    def series_spy(tm, A, D, alphas):
+        declined.append(series_scores(tm, A, D, alphas) is None)
+        columns.append(D.shape[1])
         return None
 
     def rank_spy(tm, A, D, alpha, seen, n):
-        walked.append(alpha)
+        walked.extend(np.broadcast_to(alpha, D.shape[1:]).tolist())
         return rank(tm, A, D, alpha, seen, n)
 
     monkeypatch.setattr(evaluation, "series_scores", series_spy)
     monkeypatch.setattr(evaluation, "rank_items", rank_spy)
     outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
     assert declined and all(declined)
-    blocks = len(declined)
-    assert sorted(walked) == sorted(a for a in GRID_ALPHA for _ in range(blocks))
-    assert all(isinstance(o, evaluation.EvaluationReport) for o in outcomes)
+    # every alpha walks every column of every block
+    assert sorted(walked) == sorted(a for a in GRID_ALPHA for _ in range(sum(columns)))
+    with series_off():
+        reference = evaluation.evaluate_settings(folds, "lsg", settings)
+    assert [report_json(o) for o in outcomes] == [report_json(o) for o in reference]
 
 
 def test_series_error_stops_every_setting_of_its_group_and_no_other(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from linkrec import ranker
 from linkrec.graphs import (
@@ -824,6 +825,27 @@ def test_twin_items_pairs_items_with_equal_rows_and_no_restart_mass():
     # mass on y's node makes it twin to none
     D = personalization_matrix(tm, [{(ITEM, "y"): 0.5, (USER, "c"): 0.5}])
     assert ranker.twin_items(tm, A, D).tolist() == [x, y, z]
+
+
+@pytest.mark.parametrize("scores, n, certified", [
+    # a left-out twin of the n-th does not hide c just below them
+    ([1.0, 1.0, 1.0 - 1e-15], 1, False),
+    ([1.0, 1.0, 0.5], 1, True),
+    # twins tie inside the list; c is clear of them
+    ([1.0, 1.0, 0.5], 2, True),
+    ([1.0, 1.0, 1.0 - 1e-15], 2, False),
+    # an exact tie of items that are no twins
+    ([1.0, 0.5, 0.5], 2, False),
+    ([1.0, 0.0, 0.0], 2, True),
+])
+def test_certified_top_n_compares_the_nth_with_every_non_twin_left_out(scores, n, certified):
+    tm = transition_matrix(two_node_cycle())
+    A = sparse.identity(3, format="csr")
+    twins = np.array([0, 0, 2])  # items 0 and 1 are twins
+    seen = np.zeros((1, 3), dtype=bool)
+    top, sure = ranker.certified_top_n(tm, A, np.array([scores]), 0.3, seen, n, twins)
+    assert top.tolist() == [[0, 1, 2][:n]]
+    assert sure.tolist() == [certified]
 
 
 @pytest.mark.parametrize("flavor", ["bip", "lsg-0.5", "stg-0.1", "stg-0.9"])
