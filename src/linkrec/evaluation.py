@@ -254,11 +254,7 @@ class FoldGraph:
     ranked, so an evaluated user whose new items all first appear in the
     test window scores no hit under any setting and is not ranked. The
     rows of ``seen`` and ``truth`` and the blocks of ``restarts(beta)``
-    follow ``users``.
-
-    ``series`` maps each (beta, n) whose alphas share one power series
-    to those alphas (see :func:`_series_groups`); ``recomputed`` counts
-    the lists of those groups that the per-alpha walk recomputed.
+    follow ``users``. :func:`_rank_group` ranks them.
     """
 
     fold: Fold
@@ -269,10 +265,7 @@ class FoldGraph:
     users: list[str]
     seen: np.ndarray
     truth: np.ndarray
-    series: dict = field(default_factory=dict)
-    recomputed: int = 0
     _restarts: dict = field(default_factory=dict, repr=False)
-    _tops: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(
@@ -308,88 +301,85 @@ class FoldGraph:
             ]
         return self._restarts[beta]
 
-    def top_lists(self, params: "ParamSetting"):
-        """Per block, its slice of ``users`` and their top-n item rows at
-        ``params``, -1 past the last unseen item, as :func:`rank_items`
-        gives them.
 
-        A setting of a (beta, n) in ``series`` takes its lists from the
-        group's ranking of every block for all its alphas, made on first
-        use by :func:`_rank_together` and kept; an error there stops
-        every setting of the group, an error in one alpha's selection
-        only that setting. Any other setting ranks each block with
-        :func:`rank_items` when it is reached.
-        """
-        key = (params.beta, params.n)
-        if params.alpha not in self.series.get(key, ()):
-            for block, D in self.restarts(params.beta):
-                top, _ = rank_items(self.tm, self.A, D, params.alpha, self.seen[block], params.n)
-                yield block, top
-            return
-        if key not in self._tops:
-            try:
-                self._tops[key] = _rank_together(self, params.beta, params.n, self.series[key])
-            except Exception as exc:  # the whole group stops
-                self._tops[key] = dict.fromkeys(self.series[key], exc)
-        tops = self._tops[key][params.alpha]
-        if isinstance(tops, Exception):
-            raise tops
-        yield from zip((block for block, _ in self.restarts(params.beta)), tops)
+def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[float]):
+    """The ranked users' top-n hit flags at every alpha of one (beta, n),
+    each restart block ranked once for all the alphas still running.
 
+    Where the alphas' walks take at least twice the steps of the
+    longest (never for a lone alpha), one power series serves them all:
+    :func:`series_scores` gives each alpha's item scores of a block and
+    :func:`certified_top_n` selects its lists. The series takes as many
+    steps as the longest walk, and recomputing the lists it cannot
+    certify at most as many again: those lists are ranked by
+    :func:`rank_items` in blocks of up to ``_BATCH_COLUMNS`` columns,
+    one alpha per column. Otherwise, and for a block the series
+    declines, :func:`rank_items` ranks the block once per alpha.
 
-def _rank_together(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[float]):
-    """Top-n lists of the ranked users at every alpha of one (beta, n),
-    from one power series per restart block.
-
-    Each block's item scores come from :func:`series_scores`, and
-    :func:`certified_top_n` selects each alpha's lists. The lists it
-    cannot certify, and every list of a block the series declines, are
-    ranked by :func:`rank_items`, every alpha of the block in blocks of
-    up to ``_BATCH_COLUMNS`` columns, one alpha per column, and counted
-    in ``shared.recomputed``. Returns per alpha its per-block lists, or
-    the exception that stopped it in its own selection; any other error
-    is raised.
+    Returns per alpha its hit flags, one list per ranked user, or the
+    exception that stopped it, and the number of lists the per-alpha
+    walk recomputed, declined blocks included. An error in one alpha's
+    selection or walk stops that alpha; any other error stops them all.
     """
     tm, A = shared.tm, shared.A
-    tops: dict = {alpha: [] for alpha in alphas}
-    for block, D in shared.restarts(beta):
-        seen = shared.seen[block]
-        live = [alpha for alpha in alphas if isinstance(tops[alpha], list)]
-        if not live:
-            break
-        scores = series_scores(tm, A, D, live)
-        twins = None if scores is None else twin_items(tm, A, D)
-        redo = []
-        for j, alpha in enumerate(live):
-            if scores is None:  # the per-alpha walk ranks every list
-                top = np.empty((D.shape[1], min(n, A.shape[0])), dtype=np.intp)
-                certified = np.zeros(D.shape[1], dtype=bool)
+    steps = [step_count(alpha)[0] for alpha in alphas]
+    series = sum(steps) >= 2 * max(steps)
+    flags: dict = {alpha: [] for alpha in alphas}
+    recomputed = 0
+    try:
+        for block, D in shared.restarts(beta):
+            seen = shared.seen[block]
+            live = [alpha for alpha in alphas if isinstance(flags[alpha], list)]
+            if not live:
+                break
+            tops = {}
+            scores = series_scores(tm, A, D, live) if series else None
+            if scores is None:
+                for alpha in live:
+                    try:
+                        tops[alpha], _ = rank_items(tm, A, D, alpha, seen, n)
+                    except Exception as exc:  # this alpha stops; the others go on
+                        flags[alpha] = exc
+                if series:
+                    recomputed += len(tops) * D.shape[1]
             else:
-                try:
-                    top, certified = certified_top_n(tm, A, scores[j], alpha, seen, n, twins)
-                except Exception as exc:  # this alpha stops; the others go on
-                    tops[alpha] = exc
-                    continue
-            tops[alpha].append(top)
-            redo += [(alpha, c) for c in np.flatnonzero(~certified).tolist()]
-        del scores  # free the accumulators before the recomputation's iterates
-        starts = np.searchsorted(D.col, np.arange(D.shape[1] + 1)).tolist()
-        for s in range(0, len(redo), _BATCH_COLUMNS):
-            part = redo[s : s + _BATCH_COLUMNS]
-            cols = [c for _, c in part]
-            vectors = [dict(zip(D.row[starts[c] : starts[c + 1]].tolist(),
-                                D.mass[starts[c] : starts[c + 1]].tolist())) for c in cols]
-            top, _ = rank_items(tm, A, personalization_matrix(tm, vectors),
-                                np.array([alpha for alpha, _ in part]), seen[cols], n)
-            for (alpha, c), row in zip(part, top):
-                tops[alpha][-1][c] = row
-        shared.recomputed += len(redo)
-    return tops
+                twins, redo = twin_items(tm, A, D), []
+                for j, alpha in enumerate(live):
+                    try:
+                        tops[alpha], certified = certified_top_n(
+                            tm, A, scores[j], alpha, seen, n, twins)
+                    except Exception as exc:  # this alpha stops; the others go on
+                        flags[alpha] = exc
+                        continue
+                    redo += [(alpha, c) for c in np.flatnonzero(~certified).tolist()]
+                del scores  # free the accumulators before the recomputation's iterates
+                starts = np.searchsorted(D.col, np.arange(D.shape[1] + 1)).tolist()
+                for s in range(0, len(redo), _BATCH_COLUMNS):
+                    part = redo[s : s + _BATCH_COLUMNS]
+                    cols = [c for _, c in part]
+                    vectors = [dict(zip(D.row[starts[c] : starts[c + 1]].tolist(),
+                                        D.mass[starts[c] : starts[c + 1]].tolist())) for c in cols]
+                    top, _ = rank_items(tm, A, personalization_matrix(tm, vectors),
+                                        np.array([alpha for alpha, _ in part]), seen[cols], n)
+                    for (alpha, c), row in zip(part, top):
+                        tops[alpha][c] = row
+                recomputed += len(redo)
+            for alpha, top in tops.items():
+                # truth and seen items are disjoint, so hits stop where unseen items do
+                hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
+                flags[alpha].extend(hits.astype(int).tolist())
+    except Exception as exc:  # a graph or series error stops every alpha
+        return dict.fromkeys(alphas, exc), recomputed
+    return flags, recomputed
 
 
-def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponents:
-    """Components of one fold for one setting, from its top-n lists
-    (:meth:`FoldGraph.top_lists`), ranked in this thread.
+def _evaluate_fold(shared: FoldGraph, settings: Sequence["ParamSetting"]):
+    """Components of one fold for every setting, ranked in this thread.
+
+    Returns per setting its components or the exception that stopped
+    it, and the number of lists recomputed. :func:`_rank_group` ranks
+    each (beta, n) of ``settings`` once for all its alphas, and each
+    setting takes its alpha's hit flags.
 
     Every other evaluated user has no new item in the graph, so their
     hit flags are all zero; they are appended after the ranked users'.
@@ -397,46 +387,43 @@ def _evaluate_fold(shared: FoldGraph, params: "ParamSetting") -> MetricComponent
     integer sums do not depend on order and the AP sum only adds +0.0
     for them, which is exact, so the components equal ranking them all.
     """
-    fold, users = shared.fold, shared.users
-    flags: list[list[int]] = []
-    for block, top in shared.top_lists(params):
-        # truth and seen items are disjoint, so hits stop where unseen items do
-        hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
-        flags.extend(hits.astype(int).tolist())
-    flags.extend([0] * params.n for _ in range(len(fold.truth) - len(users)))
-    hit_counts = [sum(h) for h in flags]
-    new_counts = [len(items) for items in fold.truth.values()]
-
-    return MetricComponents(
-        window=fold.k,
-        users=len(fold.truth),
-        f1=f1_components(hit_counts, new_counts, params.n),
-        hr=hit_ratio_components(hit_counts),
-        map=map_components(flags, params.n),
-    )
-
-
-def _series_groups(settings: Sequence["ParamSetting"]) -> dict:
-    """The (beta, n) of ``settings`` whose distinct alphas share one power
-    series per restart block, with those alphas: the groups whose
-    per-alpha walks take at least twice the steps of the longest. The
-    series takes that many, and recomputing the lists it cannot certify
-    at most as many again. A lone alpha never shares one."""
-    steps: dict = {}
+    fold = shared.fold
+    groups: dict = {}
     for params in settings:
-        steps.setdefault((params.beta, params.n), {})[params.alpha] = step_count(params.alpha)[0]
-    return {key: list(k) for key, k in steps.items() if sum(k.values()) >= 2 * max(k.values())}
+        groups.setdefault((params.beta, params.n), {})[params.alpha] = None
+    new_counts = [len(items) for items in fold.truth.values()]
+    scored: dict = {}
+    recomputed = 0
+    for (beta, n), alphas in groups.items():
+        outcomes, redone = _rank_group(shared, beta, n, list(alphas))
+        recomputed += redone
+        for alpha, flags in outcomes.items():
+            if isinstance(flags, Exception):
+                scored[beta, n, alpha] = flags
+                continue
+            flags += [[0] * n for _ in range(len(fold.truth) - len(shared.users))]
+            hit_counts = [sum(h) for h in flags]
+            scored[beta, n, alpha] = MetricComponents(
+                window=fold.k,
+                users=len(fold.truth),
+                f1=f1_components(hit_counts, new_counts, n),
+                hr=hit_ratio_components(hit_counts),
+                map=map_components(flags, n),
+            )
+    return [scored[params.beta, params.n, params.alpha] for params in settings], recomputed
 
 
 def _score_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
-    """Build one fold's shared graph and score every setting on it.
+    """Build one fold's shared graph and score every setting on it in
+    one pass (:func:`_evaluate_fold`).
 
     Returns ``(counts, outcomes)``: ``counts`` is the fold's (nodes,
     edges, ranked users, recomputed lists), or None when no graph was
     built, and ``outcomes`` holds per setting its components, the skipped (0, 0)
     components of a fold without evaluated users, or the exception that
-    stopped it; an error building the graph is every setting's
-    exception. The graph is freed on return.
+    stopped it: an error building the graph is every setting's, and a
+    ranking error belongs to the settings it stopped, so no scoring
+    error escapes. The graph is freed on return.
     """
     if not fold.truth:
         skipped = MetricComponents(
@@ -448,15 +435,8 @@ def _score_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
         shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
     except Exception as exc:  # the whole group stops; the caller reports it
         return None, [exc] * len(settings)
-    shared.series = _series_groups(settings)
-    scored: list = []
-    for params in settings:
-        try:
-            scored.append(_evaluate_fold(shared, params))
-        except Exception as exc:  # this setting stops; the others go on
-            scored.append(exc)
-    counts = (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users), shared.recomputed)
-    return counts, scored
+    scored, recomputed = _evaluate_fold(shared, settings)
+    return (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users), recomputed), scored
 
 
 def evaluate_settings(
@@ -469,20 +449,22 @@ def evaluate_settings(
 
     All settings must share delta and eta_s, so each fold's graph and
     matrices are built once and every setting (alpha, beta, n) is scored
-    on them. Returns one outcome per setting, in order: its report, or
-    the exception that stopped it. An error building a fold's shared
-    graph stops every setting still running; an error scoring one
-    setting stops only that one; the first error in fold order wins.
-    Folds without evaluable users contribute (0, 0) components and are
-    marked skipped. Each fold whose graph is built is logged once, in
-    fold order, as a DEBUG record with its node, edge, evaluated-user
-    and ranked-user counts and the number of top-n lists that the
-    per-alpha walk recomputed because a shared power series could not
-    certify them or declined their block (0 where no series was
-    tried). Each setting's step count is decided once, by
-    :func:`step_count`; when max_iter caps it before the certified
-    count, every fold scored with it is logged as a WARNING with its
-    L1 error bound.
+    on them in one pass, each restart block ranked once per (beta, n)
+    for all its alphas (:func:`_rank_group`). Returns one outcome per
+    setting, in order: its report, or the exception that stopped it. An
+    error building a fold's shared graph stops every setting still
+    running; a graph or series error while ranking a (beta, n) stops its
+    settings, and an error in one alpha's selection or walk only that
+    alpha's; the first error in fold order wins. Folds without evaluable
+    users contribute (0, 0) components and are marked skipped. Each fold
+    whose graph is built is logged once, in fold order, as a DEBUG
+    record with its node, edge, evaluated-user and ranked-user counts
+    and the number of top-n lists that the per-alpha walk recomputed
+    because a shared power series could not certify them or declined
+    their block (0 where no series was tried). Each setting's step count
+    is decided once, by :func:`step_count`; when max_iter caps it before
+    the certified count, every fold scored with it is logged as a
+    WARNING with its L1 error bound.
 
     Each fold is scored by :func:`_score_fold` on every setting, and one
     loop takes the results in fold order, keeping those of the settings

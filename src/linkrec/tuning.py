@@ -9,11 +9,11 @@ metrics are kept, so the best row can be read off for any metric.
 
 Settings that share a graph key (flavor, delta, eta_s) share work: the
 folds are computed once per campaign, and each fold's graph, transition
-matrix and item matrix once per key, with every alpha (and beta) of the
-key scored on them, and the alphas of one beta share one power series
-per restart block where it saves steps (see ``evaluation``). Results are
-keyed by sample index, so the output does not depend on the number of
-workers.
+matrix and item matrix once per key, with every setting of the key
+scored on them in one pass that ranks each restart block of a (beta, n)
+once for all its alphas, by one power series where it saves steps (see
+``evaluation``). Results are keyed by sample index, so the output does
+not depend on the number of workers.
 """
 
 from __future__ import annotations

@@ -731,14 +731,15 @@ def test_serial_and_pooled_runs_give_the_same_outcomes_and_records(
     folds = iter_folds(LinkStream.from_events(events, time_span=(-200, 1000)), 6)
     assert not folds[0].truth and all(fold.truth for fold in folds[1:])
     settings = [dataclasses.replace(params, alpha=0.8), dataclasses.replace(params, alpha=0.9)]
-    evaluate_fold = evaluation._evaluate_fold
+    rank_group = evaluation._rank_group
 
-    def failing(shared, setting):
-        if setting == settings[1] and shared.fold.k == 3:
-            raise BlockError(shared.fold.k)
-        return evaluate_fold(shared, setting)
+    def failing(shared, beta, n, alphas):
+        flags, recomputed = rank_group(shared, beta, n, alphas)
+        if shared.fold.k == 3:
+            flags[settings[1].alpha] = BlockError(shared.fold.k)
+        return flags, recomputed
 
-    monkeypatch.setattr(evaluation, "_evaluate_fold", failing)
+    monkeypatch.setattr(evaluation, "_rank_group", failing)
     runs = []
     for pool in (nullcontext(), ThreadPoolExecutor(2)):
         caplog.clear()
@@ -1305,6 +1306,42 @@ def test_dangling_or_tiny_weight_graph_takes_the_per_alpha_path(monkeypatch, fau
     with series_off():
         reference = evaluation.evaluate_settings(folds, "lsg", settings)
     assert [report_json(o) for o in outcomes] == [report_json(o) for o in reference]
+
+
+@pytest.mark.parametrize("fault", ["dangling", "tiny weight"])
+def test_declined_blocks_count_as_recomputed_lists(monkeypatch, caplog, fault):
+    faulty_graphs(monkeypatch, fault)
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    settings = [ParamSetting(alpha=a, n=5, eta_s=0.2) for a in GRID_ALPHA]
+    with caplog.at_level(logging.DEBUG, logger="linkrec.evaluation"):
+        evaluation.evaluate_settings(iter_folds(stream, 4), "lsg", settings)
+    records = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert records
+    for record in records:
+        ranked = int(record.split(", ")[-2].split()[0])
+        # every alpha walks every ranked user's list
+        assert ranked and record.endswith(
+            f"{ranked} ranked, {len(GRID_ALPHA) * ranked} lists recomputed")
+
+
+def test_duplicate_settings_share_one_walk(monkeypatch):
+    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    folds = iter_folds(stream, 4)
+    setting = ParamSetting(alpha=0.3, n=5, eta_s=0.2)
+    blocks = [D.shape[1] for fold in folds if fold.truth
+              for _, D in evaluation.FoldGraph.build(fold, "lsg", None, 0.2).restarts(None)]
+    walked = []
+    rank = evaluation.rank_items
+
+    def rank_spy(tm, A, D, alpha, seen, n):
+        walked.append(D.shape[1])
+        return rank(tm, A, D, alpha, seen, n)
+
+    monkeypatch.setattr(evaluation, "rank_items", rank_spy)
+    first, second = evaluation.evaluate_settings(folds, "lsg", [setting, setting])
+    assert len(blocks) > len(folds) and walked == blocks
+    assert report_json(first) == report_json(second)
 
 
 def test_series_error_stops_every_setting_of_its_group_and_no_other(monkeypatch):
