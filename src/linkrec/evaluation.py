@@ -19,9 +19,9 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from operator import add
 from pathlib import Path
@@ -97,9 +97,9 @@ def _usable_cores() -> int:
 class Fold:
     """Training/test split for one evaluation step.
 
-    ``truth`` maps each evaluated user to their new test-window items
-    (never empty sets); ``rec_time`` is the exact right edge of the
-    training span, the time recommendations are issued at.
+    ``rec_time`` is the exact right edge of the training span, the time
+    recommendations are issued at. ``train_items`` and ``truth`` are
+    read from ``train`` and ``test`` on first use and kept.
     """
 
     k: int
@@ -107,8 +107,24 @@ class Fold:
     test_window: Window
     test: LinkStream
     rec_time: Fraction
-    train_items: dict[str, set[str]]
-    truth: dict[str, set[str]]
+
+    @cached_property
+    def train_items(self) -> dict[str, set[str]]:
+        """Each training user's distinct items."""
+        return self.train.items_by_user()
+
+    @cached_property
+    def truth(self) -> dict[str, set[str]]:
+        """Each evaluated user's new test-window items (never empty sets);
+        ``{}`` for an empty test window, which reads no training item."""
+        if not len(self.test):
+            return {}
+        train_items = self.train_items
+        return {
+            user: new
+            for user, items in self.test.items_by_user().items()
+            if user in train_items and (new := items - train_items[user])
+        }
 
 
 @dataclass(frozen=True)
@@ -206,12 +222,12 @@ def time_average(components: Iterable[MetricComponents]) -> tuple[float, float, 
 
 
 def iter_folds(stream: LinkStream, n_windows: int = 8) -> list[Fold]:
-    """Materialize the sliding train/test folds of the protocol.
+    """Cut the sliding train/test folds of the protocol.
 
     Windows are runs of the time-sorted stream, so each fold's training
-    stream is a prefix of the stream's columns. Each fold is read from
-    its own windows alone: its training items from that prefix, its
-    truth from its test window.
+    stream is a prefix of the stream's columns and its test stream one
+    window's run. Only the windows are cut here: each fold reads its
+    training items and truth from its own slices when first asked.
     """
     windows = split_windows(stream, n_windows)
     folds = []
@@ -220,22 +236,8 @@ def iter_folds(stream: LinkStream, n_windows: int = 8) -> list[Fold]:
         (w_train, sub), (w_test, test_sub) = windows[k - 1], windows[k]
         end += len(sub)
         train = stream.slice(0, end, (stream.alpha, w_train.end))
-        train_items = train.items_by_user()
-        truth = {}
-        for user, items in test_sub.items_by_user().items():
-            if user in train_items and (new := items - train_items[user]):
-                truth[user] = new
-        folds.append(
-            Fold(
-                k=k,
-                train=train,
-                test_window=w_test,
-                test=test_sub,
-                rec_time=w_train.end,
-                train_items=train_items,
-                truth=truth,
-            )
-        )
+        folds.append(Fold(k=k, train=train, test_window=w_test, test=test_sub,
+                          rec_time=w_train.end))
     return folds
 
 
@@ -246,8 +248,9 @@ class FoldGraph:
     Settings with the same graph key (flavor, delta, eta_s) build the
     graph, transition matrix and item aggregation matrix of a fold
     once, with users x items masks of the ranked users' training items
-    (``seen``) and new test-window items (``truth``); the restart
-    blocks are kept per beta on first use.
+    (``seen``) and new test-window items (``truth``). It keeps nothing
+    per beta: :func:`_rank_group` builds a (beta, n)'s restart blocks
+    once, by :meth:`restarts`.
 
     ``users`` are the ranked users: the evaluated users, sorted, with at
     least one new item among the graph's items. Only graph items can be
@@ -265,7 +268,6 @@ class FoldGraph:
     users: list[str]
     seen: np.ndarray
     truth: np.ndarray
-    _restarts: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(
@@ -286,20 +288,15 @@ class FoldGraph:
     def restarts(self, beta: float | None) -> list[tuple[slice, RestartBlock]]:
         """The ranked users cut into blocks of ``_BATCH_COLUMNS``: per
         block, its slice of ``users`` and the restart block of those
-        users' vectors, in order, built and checked once per beta; every
-        alpha of the fold ranks them. LSG looks users up at the last
-        training event's time, which finds the nodes ``rec_time`` would.
-        Ranked users are evaluated users, who all have training nodes,
-        so leaving the others out removes no error that building their
-        vectors could raise."""
-        if beta not in self._restarts:
-            t = self.fold.train.columns.t[-1].item()
-            vectors = _restart_vectors(self.graph, self.users, t, beta)
-            blocks = [slice(s, s + _BATCH_COLUMNS) for s in range(0, len(vectors), _BATCH_COLUMNS)]
-            self._restarts[beta] = [
-                (block, personalization_matrix(self.tm, vectors[block])) for block in blocks
-            ]
-        return self._restarts[beta]
+        users' vectors, in order, built and checked on each call. LSG
+        looks users up at the last training event's time, which finds
+        the nodes ``rec_time`` would. Ranked users are evaluated users,
+        who all have training nodes, so leaving the others out removes
+        no error that building their vectors could raise."""
+        t = self.fold.train.columns.t[-1].item()
+        vectors = _restart_vectors(self.graph, self.users, t, beta)
+        blocks = [slice(s, s + _BATCH_COLUMNS) for s in range(0, len(vectors), _BATCH_COLUMNS)]
+        return [(block, personalization_matrix(self.tm, vectors[block])) for block in blocks]
 
 
 def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[float]):
@@ -381,17 +378,18 @@ def _evaluate_fold(shared: FoldGraph, settings: Sequence["ParamSetting"]):
     each (beta, n) of ``settings`` once for all its alphas, and each
     setting takes its alpha's hit flags.
 
-    Every other evaluated user has no new item in the graph, so their
-    hit flags are all zero; they are appended after the ranked users'.
-    The users and denominators still count every evaluated user. The
-    integer sums do not depend on order and the AP sum only adds +0.0
-    for them, which is exact, so the components equal ranking them all.
+    Every other evaluated user has no new item in the graph, so they
+    are only counted: each scores a hit count of 0, and the AP sum
+    leaves out their AP of 0.0, whose addition is exact. The users and
+    denominators still count every evaluated user, so the components
+    equal ranking them all.
     """
     fold = shared.fold
     groups: dict = {}
     for params in settings:
         groups.setdefault((params.beta, params.n), {})[params.alpha] = None
     new_counts = [len(items) for items in fold.truth.values()]
+    unranked = [0] * (len(fold.truth) - len(shared.users))
     scored: dict = {}
     recomputed = 0
     for (beta, n), alphas in groups.items():
@@ -401,14 +399,13 @@ def _evaluate_fold(shared: FoldGraph, settings: Sequence["ParamSetting"]):
             if isinstance(flags, Exception):
                 scored[beta, n, alpha] = flags
                 continue
-            flags += [[0] * n for _ in range(len(fold.truth) - len(shared.users))]
-            hit_counts = [sum(h) for h in flags]
+            hit_counts = [sum(h) for h in flags] + unranked
             scored[beta, n, alpha] = MetricComponents(
                 window=fold.k,
                 users=len(fold.truth),
                 f1=f1_components(hit_counts, new_counts, n),
                 hr=hit_ratio_components(hit_counts),
-                map=map_components(flags, n),
+                map=(map_components(flags, n)[0], float(len(fold.truth))),
             )
     return [scored[params.beta, params.n, params.alpha] for params in settings], recomputed
 
@@ -550,10 +547,10 @@ def run_protocol(
 
     The one-setting case of :func:`evaluate_settings`, raising what
     stopped the setting. ``workers`` threads (default: every usable
-    core; below 1: ``ValueError``) each take whole folds, largest first,
-    from one pool that lives for this call, so no more threads than
-    folds are ever busy; with one, no pool is made and the folds run in
-    order in this thread. A report where every fold was skipped has None
+    core; below 1: ``ValueError``), but no more than there are folds,
+    each take whole folds, largest first, from one pool that lives for
+    this call; with one, no pool is made and the folds run in order in
+    this thread. A report where every fold was skipped has None
     for the time-averaged metrics and ``nothing_evaluated`` set.
     """
     if workers is None:
@@ -561,6 +558,7 @@ def run_protocol(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     folds = iter_folds(stream, n_windows)
+    workers = min(workers, len(folds))
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         (outcome,) = evaluate_settings(folds, flavor, [params], pool)
     if isinstance(outcome, Exception):

@@ -6,7 +6,8 @@ import math
 import random
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -598,6 +599,34 @@ def test_one_worker_makes_no_thread_pool(monkeypatch):
     assert not report.nothing_evaluated
 
 
+def test_protocol_pool_is_capped_at_the_fold_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs each task when submitted, on no thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    params = ParamSetting(alpha=0.3, n=5, eta_s=0.2)
+    serial = report_json(run_protocol(drifting_stream(), "lsg", params, n_windows=4, workers=1))
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", InlinePool)
+    report = run_protocol(drifting_stream(), "lsg", params, n_windows=4, workers=10**6)
+    assert sizes == [3]
+    assert report_json(report) == serial
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_rejected(workers):
     params = ParamSetting(alpha=0.3, n=5)
@@ -923,7 +952,6 @@ def test_fold_restart_blocks_are_column_blocks_of_all_ranked_users(monkeypatch, 
             continue
         shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
         pairs = shared.restarts(params.beta)
-        assert shared.restarts(params.beta) is pairs
         ranked = range(len(shared.users))
         assert [r for block, _ in pairs for r in ranked[block]] == list(ranked)
         whole = personalization_matrix(shared.tm, [
@@ -1157,6 +1185,47 @@ def test_ranked_users_match_their_plain_definition(flavor, params):
             ranked += len(shared.users)
             unranked += len(fold.truth) - len(shared.users)
     assert ranked and unranked
+
+
+# --- costs bounded by the data, not by a flag value ---------------------------------
+
+
+def test_unranked_users_take_no_memory_per_list_slot():
+    # u2 and u3 are evaluated, but their new items first appear in the
+    # test window, so they are not ranked; u1 is ranked
+    stream = LinkStream.from_events([
+        Event(0, "u1", "a"), Event(1, "u2", "b"), Event(2, "u3", "a"), Event(3, "u3", "b"),
+        Event(5, "u1", "b"), Event(6, "u2", "c"), Event(7, "u3", "d"), Event(8, "u1", "e"),
+    ])
+    n = 10**6
+    folds = iter_folds(stream, 2)
+    tracemalloc.start()
+    try:
+        (report,) = evaluation.evaluate_settings(folds, "bip", [ParamSetting(alpha=0.3, n=n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # n list slots for each unranked user would take 8n bytes
+    (window,) = report.windows
+    assert window.users == 3
+    assert window.f1 == (2.0, 3.0 * n + 4)
+    assert window.hr == (1.0, 3.0) and window.map == (1.0, 3.0)
+
+
+def test_folds_with_empty_test_windows_read_no_item_sets(monkeypatch):
+    stream = make_stream(3, n_users=5, n_items=8, n_events=30)
+    items_by_user = LinkStream.items_by_user
+    calls = itertools.count()
+
+    def counting(self):
+        next(calls)
+        return items_by_user(self)
+
+    monkeypatch.setattr(LinkStream, "items_by_user", counting)
+    report = run_protocol(stream, "bip", ParamSetting(alpha=0.3, n=5), n_windows=2000, workers=1)
+    # one training and one test read per fold whose test window has events
+    assert next(calls) <= 2 * 29
+    assert not report.nothing_evaluated
 
 
 def test_f1_components_rejects_mismatched_lengths():
