@@ -43,7 +43,6 @@ from .ranker import (
     series_scores,
     step_count,
     transition_matrix,
-    twin_items,
 )
 
 if TYPE_CHECKING:
@@ -308,15 +307,17 @@ def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[
     :func:`series_scores` gives each alpha's item scores of a block and
     :func:`certified_top_n` selects its lists. The series takes as many
     steps as the longest walk, and recomputing the lists it cannot
-    certify at most as many again: those lists are ranked by
-    :func:`rank_items` in blocks of up to ``_BATCH_COLUMNS`` columns,
-    one alpha per column. Otherwise, and for a block the series
-    declines, :func:`rank_items` ranks the block once per alpha.
+    certify at most as many again: per alpha, :func:`rank_items` re-walks
+    that alpha's uncertified users of the block as one block at that
+    alpha, whose rows are bitwise those of the whole block's walk.
+    Otherwise, and for a block the series declines, :func:`rank_items`
+    ranks the block once per alpha.
 
     Returns per alpha its hit flags, one list per ranked user, or the
     exception that stopped it, and the number of lists the per-alpha
     walk recomputed, declined blocks included. An error in one alpha's
-    selection or walk stops that alpha; any other error stops them all.
+    selection, or in its walk of a declined block, stops that alpha;
+    any other error, a recomputation's included, stops them all.
     """
     tm, A = shared.tm, shared.A
     steps = [step_count(alpha)[0] for alpha in alphas]
@@ -340,27 +341,24 @@ def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[
                 if series:
                     recomputed += len(tops) * D.shape[1]
             else:
-                twins, redo = twin_items(tm, A, D), []
+                redo = {}
                 for j, alpha in enumerate(live):
                     try:
-                        tops[alpha], certified = certified_top_n(
-                            tm, A, scores[j], alpha, seen, n, twins)
+                        tops[alpha], certified = certified_top_n(tm, A, scores[j], alpha, seen, n)
                     except Exception as exc:  # this alpha stops; the others go on
                         flags[alpha] = exc
                         continue
-                    redo += [(alpha, c) for c in np.flatnonzero(~certified).tolist()]
+                    redo[alpha] = np.flatnonzero(~certified)
                 del scores  # free the accumulators before the recomputation's iterates
                 starts = np.searchsorted(D.col, np.arange(D.shape[1] + 1)).tolist()
-                for s in range(0, len(redo), _BATCH_COLUMNS):
-                    part = redo[s : s + _BATCH_COLUMNS]
-                    cols = [c for _, c in part]
-                    vectors = [dict(zip(D.row[starts[c] : starts[c + 1]].tolist(),
-                                        D.mass[starts[c] : starts[c + 1]].tolist())) for c in cols]
-                    top, _ = rank_items(tm, A, personalization_matrix(tm, vectors),
-                                        np.array([alpha for alpha, _ in part]), seen[cols], n)
-                    for (alpha, c), row in zip(part, top):
-                        tops[alpha][c] = row
-                recomputed += len(redo)
+                for alpha, cols in redo.items():
+                    if cols.size:
+                        vectors = [dict(zip(D.row[starts[c] : starts[c + 1]].tolist(),
+                                            D.mass[starts[c] : starts[c + 1]].tolist()))
+                                   for c in cols.tolist()]
+                        tops[alpha][cols], _ = rank_items(
+                            tm, A, personalization_matrix(tm, vectors), alpha, seen[cols], n)
+                recomputed += sum(cols.size for cols in redo.values())
             for alpha, top in tops.items():
                 # truth and seen items are disjoint, so hits stop where unseen items do
                 hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
@@ -450,18 +448,19 @@ def evaluate_settings(
     for all its alphas (:func:`_rank_group`). Returns one outcome per
     setting, in order: its report, or the exception that stopped it. An
     error building a fold's shared graph stops every setting still
-    running; a graph or series error while ranking a (beta, n) stops its
-    settings, and an error in one alpha's selection or walk only that
-    alpha's; the first error in fold order wins. Folds without evaluable
-    users contribute (0, 0) components and are marked skipped. Each fold
-    whose graph is built is logged once, in fold order, as a DEBUG
-    record with its node, edge, evaluated-user and ranked-user counts
-    and the number of top-n lists that the per-alpha walk recomputed
-    because a shared power series could not certify them or declined
-    their block (0 where no series was tried). Each setting's step count
-    is decided once, by :func:`step_count`; when max_iter caps it before
-    the certified count, every fold scored with it is logged as a
-    WARNING with its L1 error bound.
+    running; a graph, series or recomputation error while ranking a
+    (beta, n) stops its settings, and an error in one alpha's selection
+    or walk only that alpha's; the first error in fold order wins. Folds
+    without evaluable users contribute (0, 0) components and are marked
+    skipped. Each fold whose graph is built is logged once, in fold
+    order, as a DEBUG record with its node, edge, evaluated-user and
+    ranked-user counts and the number of top-n lists that the per-alpha
+    walk recomputed, each alpha's as one block, because a shared power
+    series could not certify them or declined their block (0 where no
+    series was tried). Each setting's step count is decided once, by
+    :func:`step_count`; when max_iter caps it before the certified
+    count, every fold scored with it is logged as a WARNING with its L1
+    error bound.
 
     Each fold is scored by :func:`_score_fold` on every setting, and one
     loop takes the results in fold order, keeping those of the settings

@@ -130,12 +130,15 @@ class LinkStream:
 
     :attr:`columns` holds the stream. :attr:`events`, :attr:`users` and
     :attr:`items` are rendered from it on first read. Two streams are
-    equal when their events and time spans are.
+    equal when their events and time spans are. A :meth:`slice` pickles
+    as its root stream and its bounds, so slices of one stream pickled
+    together send that stream once.
     """
 
     def __init__(self, columns: StreamColumns, time_span: tuple[float, float]):
         self.columns = columns
         self.time_span = tuple(time_span)
+        self._root: tuple[LinkStream, int] | None = None  # a slice's stream and offset
 
     @classmethod
     def from_events(
@@ -256,11 +259,20 @@ class LinkStream:
         so nothing is sorted again.
         """
         c = self.columns
-        return LinkStream(
+        out = LinkStream(
             StreamColumns(c.t[lo:hi], c.user_code[lo:hi], c.item_code[lo:hi],
                           c.rating[lo:hi], c.users, c.items),
             time_span,
         )
+        root, start = self._root or (self, 0)
+        out._root = (root, start + range(len(self))[lo:hi].start)
+        return out
+
+    def __reduce_ex__(self, protocol):
+        if self._root is None:
+            return super().__reduce_ex__(protocol)
+        root, start = self._root
+        return root.slice, (start, start + len(self), self.time_span)
 
     def _take(self, rows: np.ndarray) -> "LinkStream":
         """The events at ``rows`` (a mask, or ascending indices) over this

@@ -53,7 +53,6 @@ __all__ = [
     "item_matrix",
     "rank_items",
     "series_scores",
-    "twin_items",
     "certified_top_n",
     "recommend",
 ]
@@ -296,11 +295,11 @@ def step_count(
 def pagerank_batch(
     tm: TransitionMatrix,
     D: RestartBlock,
-    alpha: float | np.ndarray,
+    alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, bool, int]:
-    """Power iteration for many restart vectors at once.
+    """Power iteration at one alpha for many restart vectors at once.
 
     ``D`` holds one restart vector per column, as
     :func:`personalization_matrix` builds and checks it. The recurrence
@@ -313,12 +312,9 @@ def pagerank_batch(
     by watching the change per step. Returns (scores, converged,
     iterations).
 
-    ``alpha`` is one value for every column, or an array of one per
-    column. A column then takes its own alpha's step count and is read
-    out when the block reaches it; each column of a product reads only
-    its own column, so it is bitwise the column a block at its alpha
-    alone gives. ``converged`` then says whether every column converged
-    and ``iterations`` is the largest step count.
+    Each column of a product reads only its own column, so a column's
+    scores are bitwise the same in any block that holds it, whatever its
+    companions and the block's width.
 
     A large block without dangling nodes starts sparse: while its
     iterate is mostly zeros, a step is ``X.T @ M.T`` on the sparse
@@ -330,20 +326,13 @@ def pagerank_batch(
     added as alpha * y + r, or r where y is not stored, as the dense
     scatter does). The dense loop takes over for the remaining steps.
     """
-    a = np.asarray(alpha, dtype=float)
-    counts = {x: step_count(x, tol, max_iter) for x in np.unique(a).tolist()}
+    iterations, converged = step_count(alpha, tol, max_iter)
     if D.shape[0] != tm.n:
         raise ValueError(f"restart matrix must have shape ({tm.n}, columns), got {D.shape}")
-    if a.ndim and a.shape != (D.shape[1],):
-        raise ValueError(f"alpha must be one value or one per column, got shape {a.shape}")
-    # each column's step count; the block is read out at each distinct one
-    steps = np.array([counts[x][0] for x in np.broadcast_to(a, D.shape[1:]).tolist()], dtype=int)
-    iterations = max(k for k, _ in counts.values())
-    converged = all(c for _, c in counts.values())
     # D has one or two nonzeros per column; its terms are scatter-adds
     # there, which equal the dense adds because adding +0.0 is exact.
     rows, cols, mass = D.row, D.col, D.mass
-    restart = (1.0 - (a[cols] if a.ndim else a)) * mass
+    restart = (1.0 - alpha) * mass
     dangling = np.flatnonzero(tm.dangling)
     M = tm.matrix
     if dangling.size or M.nnz * D.shape[1] < _SPARSE_MIN_WORK:
@@ -351,31 +340,25 @@ def pagerank_batch(
         X[rows, cols] = mass
         done = 0
     else:
-        X, done = _sparse_start(tm, D, a, restart, int(steps.min()))
-    out = np.empty(D.shape) if a.ndim else None
-    for stop in np.unique(steps).tolist():
-        for _ in range(stop - done):
-            X_next = M @ X
-            if dangling.size:
-                X_next[rows, cols] += mass * X[dangling].sum(axis=0)[cols]
-            X_next *= a
-            X_next[rows, cols] += restart
-            X = X_next
-        done = stop
-        if a.ndim:
-            out[:, steps == stop] = X[:, steps == stop]
-    return (out if a.ndim else X), converged, iterations
+        X, done = _sparse_start(tm, D, alpha, restart, iterations)
+    for _ in range(iterations - done):
+        X_next = M @ X
+        if dangling.size:
+            X_next[rows, cols] += mass * X[dangling].sum(axis=0)[cols]
+        X_next *= alpha
+        X_next[rows, cols] += restart
+        X = X_next
+    return X, converged, iterations
 
 
 def _sparse_start(
-    tm: TransitionMatrix, D: RestartBlock, alpha: np.ndarray, restart: np.ndarray, iterations: int
+    tm: TransitionMatrix, D: RestartBlock, alpha: float, restart: np.ndarray, iterations: int
 ) -> tuple[np.ndarray, int]:
     """The first steps of :func:`pagerank_batch` on the sparse
     (columns, nodes) transpose of the iterate, until it fills one entry
     in ``_SPARSE_FILL`` or the steps run out. Returns the dense iterate
     and the number of steps taken. Each row of the transpose is kept in
-    ascending node order, the order in which the product adds terms.
-    ``alpha`` is one value, or one per column (a row of the transpose)."""
+    ascending node order, the order in which the product adds terms."""
     n, width = D.shape
     starts = np.searchsorted(D.col, np.arange(width + 1))
     XT = sparse.csr_matrix((D.mass, D.row, starts), shape=(width, n))
@@ -384,7 +367,7 @@ def _sparse_start(
     while done < iterations and XT.nnz * _SPARSE_FILL < n * width:
         XT = XT @ tm.transposed
         XT.sort_indices()
-        XT.data *= np.repeat(alpha, np.diff(XT.indptr)) if alpha.ndim else alpha
+        XT.data *= alpha
         XT = XT + RT
         done += 1
     X = np.zeros(D.shape)
@@ -431,17 +414,18 @@ def rank_items(
     tm: TransitionMatrix,
     A: sparse.csr_matrix,
     D: RestartBlock,
-    alpha: float | np.ndarray,
+    alpha: float,
     seen: np.ndarray,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank items for a block of restart vectors, one row per column of D:
-    the per-alpha walk, which is the ranking's specification.
+    """Rank items at one alpha for a block of restart vectors, one row
+    per column of D: the per-alpha walk, which is the ranking's
+    specification.
 
     ``D`` is a restart block built by :func:`personalization_matrix`,
     ``A`` the :func:`item_matrix` of ``tm``'s graph and ``seen`` a
-    columns x items mask of the items each row must skip. ``alpha`` is
-    one value, or one per column (see :func:`pagerank_batch`).
+    columns x items mask of the items each row must skip. A row does
+    not depend on the block's other columns (see :func:`pagerank_batch`).
     Returns the top-n item rows, best first, with -1 past the last
     unseen item (ties go to the lower row, the smaller item id), and the
     item scores, -inf at seen items. The rows are selected by
@@ -508,42 +492,6 @@ def series_scores(
     return T
 
 
-def twin_items(tm: TransitionMatrix, A: sparse.csr_matrix, D: RestartBlock) -> np.ndarray:
-    """Per item row of ``A``, the first item row it is a twin of, or
-    its own row.
-
-    Twins have equal weights in A, and nodes that, paired in order,
-    carry no restart mass in ``D`` and have equal rows of M. Every
-    power iteration of ``D`` then computes their scores by the same
-    operations on the same values, so :func:`rank_items` and
-    :func:`series_scores` each score twins bitwise alike. Items whose
-    nodes project alike onto one fixed random vector are candidates;
-    each candidate is compared exactly.
-    """
-    restart = np.zeros(tm.n, dtype=bool)
-    restart[D.row] = True
-    projection = A @ (tm.matrix @ np.random.default_rng(0).random(tm.n))
-    _, group = np.unique(projection, return_inverse=True)
-    group = group.ravel()
-    twin = np.arange(A.shape[0])
-    first: dict = {}
-    for item in np.flatnonzero(np.bincount(group)[group] > 1).tolist():
-        twin[item] = first.setdefault((group[item], _twin_key(tm.matrix, A, restart, item)), item)
-    return twin
-
-
-def _twin_key(M: sparse.csr_matrix, A: sparse.csr_matrix, restart: np.ndarray, item: int):
-    """What makes an item's score in every power iteration: its weights
-    in A and its nodes' rows of M, in order, as bytes; an item with a
-    node in ``restart`` is twin to none, and its key is its row."""
-    nodes = A.indices[A.indptr[item] : A.indptr[item + 1]]
-    if restart[nodes].any():
-        return item
-    rows = [slice(M.indptr[p], M.indptr[p + 1]) for p in nodes.tolist()]
-    return (A.data[A.indptr[item] : A.indptr[item + 1]].tobytes(),
-            *(M.indices[row].tobytes() + M.data[row].tobytes() for row in rows))
-
-
 def certified_top_n(
     tm: TransitionMatrix,
     A: sparse.csr_matrix,
@@ -551,13 +499,11 @@ def certified_top_n(
     alpha: float,
     seen: np.ndarray,
     n: int,
-    twins: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The selection of :func:`rank_items` on the series scores ``S`` of
     a restart block at ``alpha`` (one array of :func:`series_scores`),
     and per row whether the list is certified to be the one
-    :func:`rank_items` gives. ``twins`` is the block's
-    :func:`twin_items`.
+    :func:`rank_items` gives.
 
     Returns the top-n item rows, -1 past the last unseen item, and a
     boolean per row; ``S`` gets -inf at seen items. Both computations
@@ -570,14 +516,11 @@ def certified_top_n(
     Algorithms", section 3.1), and a score is 0 exactly when the exact
     one is, as :func:`series_scores` keeps products in the normal range.
     Let s_1 >= ... >= s_n be the selected scores and s_{n+1} the best
-    score left out (-inf if none) of an item that is no twin of the
-    n-th: twins of the n-th left out score s_n in both computations and
-    lie at higher rows, so both leave them out. The list is certified
-    when every adjacent pair has s_i > s_{i+1} (1 + eps), eps =
-    8 gamma_m, so that both computations order the pair alike, or
-    s_i = s_{i+1} and both computations tie the pair exactly, so both
-    break the tie by item row: at 0 or -inf, or, inside the list,
-    between twins.
+    score left out (-inf if none). The list is certified when every
+    adjacent pair has s_i > s_{i+1} (1 + eps), eps = 8 gamma_m, so that
+    both computations order the pair alike, or s_i = s_{i+1} at 0 or
+    -inf, where both computations tie the pair exactly and so break the
+    tie by item row.
     """
     d = np.diff(tm.matrix.indptr).max(initial=0)
     o = np.diff(A.indptr).max(initial=0)
@@ -585,15 +528,12 @@ def certified_top_n(
     eps = 8.0 * m * 2.0**-53 / (1.0 - m * 2.0**-53)
     S[seen] = -np.inf
     top = _top_n(S, n)
-    twin = twins[top]
-    left = np.where(twins == twin[:, -1:], -np.inf, S)
+    left = S.copy()
     np.put_along_axis(left, top, -np.inf, axis=1)
     chosen = np.take_along_axis(S, top, axis=1)
     s = np.concatenate([chosen, left.max(axis=1, initial=-np.inf)[:, None]], axis=1)
     hi, lo = s[:, :-1], s[:, 1:]
-    twin_tie = np.zeros(hi.shape, dtype=bool)
-    twin_tie[:, :-1] = twin[:, :-1] == twin[:, 1:]
-    exact_tie = (hi == lo) & ((hi == 0.0) | (hi == -np.inf) | twin_tie)
+    exact_tie = (hi == lo) & ((hi == 0.0) | (hi == -np.inf))
     top[np.take_along_axis(seen, top, axis=1)] = -1
     return top, ((hi > lo * (1.0 + eps)) | exact_tie).all(axis=1)
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import logging
 import math
+import pickle
 import random
 import sys
 import threading
@@ -10,6 +11,7 @@ import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -43,6 +45,8 @@ from linkrec.ranker import personalization, personalization_matrix, rank_items, 
 from linkrec.tuning import GRID_ALPHA, ParamGrid, ParamSetting, leaderboard_csv, search
 
 from conftest import make_stream
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def comp(window, users, f1, hr, map_, skipped=False):
@@ -1228,6 +1232,25 @@ def test_folds_with_empty_test_windows_read_no_item_sets(monkeypatch):
     assert not report.nothing_evaluated
 
 
+@pytest.mark.parametrize("workload", ["protocol-lsg", "campaign-lsg"])
+def test_folds_pickle_their_stream_once(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import streams
+    import workloads
+
+    path = tmp_path / "stream.tsv"
+    streams.write_tsv(streams.generate(1, workloads.WORKLOADS[workload].smoke_shape), path)
+    stream = workloads.load(path, workloads.WORKLOADS[workload])
+    folds = iter_folds(stream, workloads.WINDOWS)
+    data = pickle.dumps(folds)
+    # every training prefix and test window is a slice of the one stream
+    assert len(data) <= 1.2 * len(pickle.dumps(stream))
+    back = pickle.loads(data)
+    assert back == folds
+    assert [f.train.time_span for f in back] == [f.train.time_span for f in folds]
+    assert [f.test.time_span for f in back] == [f.test.time_span for f in folds]
+
+
 def test_f1_components_rejects_mismatched_lengths():
     with pytest.raises(ValueError, match="one hit count and one I_new size per user"):
         f1_components([1, 0], [2], 5)
@@ -1441,10 +1464,10 @@ def test_selection_error_stops_only_its_alpha(monkeypatch):
     reference = [report_json(o) for o in evaluation.evaluate_settings(folds, "lsg", settings)]
     certified_top_n = evaluation.certified_top_n
 
-    def failing(tm, A, S, alpha, seen, n, twins):
+    def failing(tm, A, S, alpha, seen, n):
         if alpha == 0.5:
             raise BlockError("selection failed")
-        return certified_top_n(tm, A, S, alpha, seen, n, twins)
+        return certified_top_n(tm, A, S, alpha, seen, n)
 
     monkeypatch.setattr(evaluation, "certified_top_n", failing)
     outcomes = evaluation.evaluate_settings(folds, "lsg", settings)

@@ -1,4 +1,5 @@
 import io
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -443,3 +444,19 @@ def test_items_by_user_matches_per_event_definition(triples, lo, hi):
 def test_blank_record_after_first_data_row_is_skipped(blank):
     stream = parse_link_stream(f"u1\ti1\t1\n{blank}\nu2\ti2\t2\n".encode(), fmt="tsv")
     assert [(ev.t, ev.user, ev.item) for ev in stream.events] == [(1, "u1", "i1"), (2, "u2", "i2")]
+
+
+def test_slices_pickle_as_their_root_stream_and_bounds():
+    stream = make_stream(4, n_users=6, n_items=9, n_events=40)
+    outer = stream.slice(5, 30, stream.time_span)
+    slices = [outer, outer.slice(3, 12, stream.time_span), outer.slice(-4, 99, (0, 10**9)),
+              outer.slice(20, 2, stream.time_span), stream.slice(0, 0, stream.time_span)]
+    back = pickle.loads(pickle.dumps([stream] + slices))
+    assert back == [stream] + slices
+    assert [s.time_span for s in back] == [s.time_span for s in [stream] + slices]
+    assert [s.events for s in back[1:]] == [stream.events[5:30], stream.events[8:17],
+                                            stream.events[26:30], (), ()]
+    # the root is sent once, whatever the number of slices
+    assert len(pickle.dumps([stream] + slices)) < 1.2 * len(pickle.dumps(stream))
+    # an unpickled slice pickles again
+    assert pickle.loads(pickle.dumps(back[2])) == slices[1]

@@ -34,7 +34,6 @@ from linkrec.ranker import (
     step_count,
     transition_matrix,
 )
-from linkrec.linkstream import Event, LinkStream
 from linkrec.tuning import GRID_ALPHA, ParamSetting
 
 from conftest import make_stream
@@ -435,6 +434,8 @@ def test_pagerank_batch_rejects_block_of_another_graph():
     assert other.n != tm.n
     with pytest.raises(ValueError, match="restart matrix must have shape"):
         pagerank_batch(tm, personalization_matrix(other, [{0: 1.0}]), alpha=0.5)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        pagerank_batch(tm, personalization_matrix(tm, [{0: 1.0}]), alpha=1.0)
 
 
 def test_personalization_matrix_sums_a_node_given_by_index_and_tuple():
@@ -737,30 +738,25 @@ def test_top_n_is_the_head_of_the_stable_argsort(S, n):
 
 
 @pytest.mark.parametrize("flavor", ["bip", "lsg-0.5", "stg-0.1", "dangling"])
-def test_pagerank_batch_with_one_alpha_per_column_is_each_alphas_own(monkeypatch, flavor):
+def test_pagerank_batch_column_is_the_same_in_any_block(monkeypatch, flavor):
     if flavor == "dangling":
         rng = random.Random(5)
         tm = transition_matrix(random_digraph_with_dangling(rng))
         ds = [random_restart(rng, tm) for _ in range(12)]
     else:
         tm, ds = sparse_start_cases(flavor)
-    alphas = np.array((GRID_ALPHA * 2)[:12])
+    # the shape of a recomputation: some of a block's users, in order
+    subset = sorted(random.Random(3).sample(range(12), 5))
     for min_work in (math.inf, 0):  # dense from the start, then a sparse start
         monkeypatch.setattr(ranker, "_SPARSE_MIN_WORK", min_work)
-        X, converged, iterations = pagerank_batch(tm, personalization_matrix(tm, ds[:12]), alphas)
-        assert (converged, iterations) == (False, 100)
-        for j, alpha in enumerate(alphas.tolist()):
-            x, _, _ = pagerank_batch(tm, personalization_matrix(tm, [ds[j]]), alpha)
-            assert X[:, j].tobytes() == x[:, 0].tobytes()
-
-
-def test_pagerank_batch_rejects_alphas_not_one_per_column():
-    tm = transition_matrix(two_node_cycle())
-    D = personalization_matrix(tm, [{0: 1.0}, {1: 1.0}])
-    with pytest.raises(ValueError, match="one value or one per column"):
-        pagerank_batch(tm, D, np.array([0.3, 0.5, 0.7]))
-    with pytest.raises(ValueError, match="alpha must lie in"):
-        pagerank_batch(tm, D, np.array([0.3, 1.0]))
+        for alpha in GRID_ALPHA:
+            X, converged, iterations = pagerank_batch(tm, personalization_matrix(tm, ds[:12]), alpha)
+            assert (iterations, converged) == step_count(alpha)
+            for j in range(12):
+                x, _, _ = pagerank_batch(tm, personalization_matrix(tm, [ds[j]]), alpha)
+                assert X[:, j].tobytes() == x[:, 0].tobytes()
+            Y, _, _ = pagerank_batch(tm, personalization_matrix(tm, [ds[j] for j in subset]), alpha)
+            assert Y.tobytes() == np.ascontiguousarray(X[:, subset]).tobytes()
 
 
 def exact_item_scores(tm, A, D, alpha) -> list[list[Fraction]]:
@@ -810,40 +806,22 @@ def test_both_computations_lie_within_gamma_of_the_exact_scores(flavor, seed):
                     assert abs(Fraction(float(got)) - t) <= gamma * t
 
 
-def test_twin_items_pairs_items_with_equal_rows_and_no_restart_mass():
-    # x and y: picked by a and b alike; z: by a and c
-    stream = LinkStream.from_events([
-        Event(1, "a", "x"), Event(2, "b", "x"), Event(3, "a", "y"), Event(4, "b", "y"),
-        Event(5, "a", "z"), Event(6, "c", "z"),
-    ])
-    graph = build_bip(stream)
-    tm = transition_matrix(graph)
-    items, A = item_matrix(graph)
-    x, y, z = (items.index(i) for i in "xyz")
-    D = personalization_matrix(tm, [personalization(graph, "c")])
-    assert ranker.twin_items(tm, A, D).tolist() == [x, x, z]
-    # mass on y's node makes it twin to none
-    D = personalization_matrix(tm, [{(ITEM, "y"): 0.5, (USER, "c"): 0.5}])
-    assert ranker.twin_items(tm, A, D).tolist() == [x, y, z]
-
-
 @pytest.mark.parametrize("scores, n, certified", [
-    # a left-out twin of the n-th does not hide c just below them
+    # the n-th ties the best one left out, or is just above it
     ([1.0, 1.0, 1.0 - 1e-15], 1, False),
-    ([1.0, 1.0, 0.5], 1, True),
-    # twins tie inside the list; c is clear of them
-    ([1.0, 1.0, 0.5], 2, True),
+    ([1.0, 1.0, 0.5], 1, False),
+    # a tie above 0 inside the list
+    ([1.0, 1.0, 0.5], 2, False),
     ([1.0, 1.0, 1.0 - 1e-15], 2, False),
-    # an exact tie of items that are no twins
+    # an exact tie above 0 with the best one left out, and one at 0
     ([1.0, 0.5, 0.5], 2, False),
     ([1.0, 0.0, 0.0], 2, True),
 ])
 def test_certified_top_n_compares_the_nth_with_every_non_twin_left_out(scores, n, certified):
     tm = transition_matrix(two_node_cycle())
     A = sparse.identity(3, format="csr")
-    twins = np.array([0, 0, 2])  # items 0 and 1 are twins
     seen = np.zeros((1, 3), dtype=bool)
-    top, sure = ranker.certified_top_n(tm, A, np.array([scores]), 0.3, seen, n, twins)
+    top, sure = ranker.certified_top_n(tm, A, np.array([scores]), 0.3, seen, n)
     assert top.tolist() == [[0, 1, 2][:n]]
     assert sure.tolist() == [certified]
 
@@ -856,12 +834,11 @@ def test_certified_lists_are_the_per_alpha_lists(flavor):
     certified = 0
     for start in (0, 48):
         D = personalization_matrix(tm, ds[start:start + 48])
-        twins = ranker.twin_items(tm, A, D)
         seen = rng.random((D.shape[1], len(items))) < 0.1
         alphas = list(GRID_ALPHA)
         for alpha, S in zip(alphas, ranker.series_scores(tm, A, D, alphas)):
             for n in (1, 10, len(items)):
-                top, sure = ranker.certified_top_n(tm, A, S.copy(), alpha, seen, n, twins)
+                top, sure = ranker.certified_top_n(tm, A, S.copy(), alpha, seen, n)
                 expected, _ = ranker.rank_items(tm, A, D, alpha, seen, n)
                 assert np.array_equal(top[sure], expected[sure])
                 certified += sure.sum()
