@@ -284,18 +284,18 @@ class FoldGraph:
             truth[r, [item_row[i] for i in fold.truth[user] if i in item_row]] = True
         return cls(fold, graph, tm, items, A, users, seen, truth)
 
-    def restarts(self, beta: float | None) -> list[tuple[slice, RestartBlock]]:
+    def restarts(self, beta: float | None) -> list[tuple[slice, list[dict], RestartBlock]]:
         """The ranked users cut into blocks of ``_BATCH_COLUMNS``: per
-        block, its slice of ``users`` and the restart block of those
-        users' vectors, in order, built and checked on each call. LSG
-        looks users up at the last training event's time, which finds
+        block, its slice of ``users``, their restart vectors and the
+        restart block of those, in order, built and checked on each call.
+        LSG looks users up at the last training event's time, which finds
         the nodes ``rec_time`` would. Ranked users are evaluated users,
         who all have training nodes, so leaving the others out removes
         no error that building their vectors could raise."""
         t = self.fold.train.columns.t[-1].item()
         vectors = _restart_vectors(self.graph, self.users, t, beta)
         blocks = [slice(s, s + _BATCH_COLUMNS) for s in range(0, len(vectors), _BATCH_COLUMNS)]
-        return [(block, personalization_matrix(self.tm, vectors[block])) for block in blocks]
+        return [(b, vectors[b], personalization_matrix(self.tm, vectors[b])) for b in blocks]
 
 
 def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[float]):
@@ -303,21 +303,20 @@ def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[
     each restart block ranked once for all the alphas still running.
 
     Where the alphas' walks take at least twice the steps of the
-    longest (never for a lone alpha), one power series serves them all:
-    :func:`series_scores` gives each alpha's item scores of a block and
-    :func:`certified_top_n` selects its lists. The series takes as many
-    steps as the longest walk, and recomputing the lists it cannot
-    certify at most as many again: per alpha, :func:`rank_items` re-walks
-    that alpha's uncertified users of the block as one block at that
-    alpha, whose rows are bitwise those of the whole block's walk.
-    Otherwise, and for a block the series declines, :func:`rank_items`
-    ranks the block once per alpha.
+    longest (never for a lone alpha), one power series is tried per
+    block: :func:`series_scores` gives each alpha's item scores and
+    :func:`certified_top_n` selects its lists, certifying those equal
+    to the walk's. Then per alpha, :func:`rank_items` walks every list
+    not certified: the whole block where no series ran or it declined,
+    else a sub-block of the uncertified users, whose rows are bitwise
+    those of the whole block's walk. An alpha's accumulator is freed
+    once its lists are selected.
 
     Returns per alpha its hit flags, one list per ranked user, or the
-    exception that stopped it, and the number of lists the per-alpha
-    walk recomputed, declined blocks included. An error in one alpha's
-    selection, or in its walk of a declined block, stops that alpha;
-    any other error, a recomputation's included, stops them all.
+    exception that stopped it, and the number of lists walked where a
+    series was tried (0 otherwise). An error in one alpha's selection
+    or walk stops that alpha; a graph, restart-block or series error
+    stops them all.
     """
     tm, A = shared.tm, shared.A
     steps = [step_count(alpha)[0] for alpha in alphas]
@@ -325,45 +324,32 @@ def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[
     flags: dict = {alpha: [] for alpha in alphas}
     recomputed = 0
     try:
-        for block, D in shared.restarts(beta):
-            seen = shared.seen[block]
+        for block, vectors, D in shared.restarts(beta):
             live = [alpha for alpha in alphas if isinstance(flags[alpha], list)]
             if not live:
                 break
-            tops = {}
+            seen = shared.seen[block]
             scores = series_scores(tm, A, D, live) if series else None
-            if scores is None:
-                for alpha in live:
-                    try:
-                        tops[alpha], _ = rank_items(tm, A, D, alpha, seen, n)
-                    except Exception as exc:  # this alpha stops; the others go on
-                        flags[alpha] = exc
-                if series:
-                    recomputed += len(tops) * D.shape[1]
-            else:
-                redo = {}
-                for j, alpha in enumerate(live):
-                    try:
-                        tops[alpha], certified = certified_top_n(tm, A, scores[j], alpha, seen, n)
-                    except Exception as exc:  # this alpha stops; the others go on
-                        flags[alpha] = exc
-                        continue
-                    redo[alpha] = np.flatnonzero(~certified)
-                del scores  # free the accumulators before the recomputation's iterates
-                starts = np.searchsorted(D.col, np.arange(D.shape[1] + 1)).tolist()
-                for alpha, cols in redo.items():
-                    if cols.size:
-                        vectors = [dict(zip(D.row[starts[c] : starts[c + 1]].tolist(),
-                                            D.mass[starts[c] : starts[c + 1]].tolist()))
-                                   for c in cols.tolist()]
-                        tops[alpha][cols], _ = rank_items(
-                            tm, A, personalization_matrix(tm, vectors), alpha, seen[cols], n)
-                recomputed += sum(cols.size for cols in redo.values())
-            for alpha, top in tops.items():
+            for j, alpha in enumerate(live):
+                try:
+                    if scores is None:
+                        top, _ = rank_items(tm, A, D, alpha, seen, n)
+                        recomputed += len(top) if series else 0
+                    else:
+                        top, certified = certified_top_n(tm, A, scores[j], alpha, seen, n)
+                        scores[j] = None  # free this alpha's accumulator before its walk
+                        redo = np.flatnonzero(~certified).tolist()
+                        if redo:
+                            sub = personalization_matrix(tm, [vectors[c] for c in redo])
+                            top[redo], _ = rank_items(tm, A, sub, alpha, seen[redo], n)
+                        recomputed += len(redo)
+                except Exception as exc:  # this alpha stops; the others go on
+                    flags[alpha] = exc
+                    continue
                 # truth and seen items are disjoint, so hits stop where unseen items do
                 hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
                 flags[alpha].extend(hits.astype(int).tolist())
-    except Exception as exc:  # a graph or series error stops every alpha
+    except Exception as exc:  # a graph, restart-block or series error stops every alpha
         return dict.fromkeys(alphas, exc), recomputed
     return flags, recomputed
 
@@ -448,19 +434,18 @@ def evaluate_settings(
     for all its alphas (:func:`_rank_group`). Returns one outcome per
     setting, in order: its report, or the exception that stopped it. An
     error building a fold's shared graph stops every setting still
-    running; a graph, series or recomputation error while ranking a
+    running; a graph, restart-block or series error while ranking a
     (beta, n) stops its settings, and an error in one alpha's selection
     or walk only that alpha's; the first error in fold order wins. Folds
     without evaluable users contribute (0, 0) components and are marked
     skipped. Each fold whose graph is built is logged once, in fold
     order, as a DEBUG record with its node, edge, evaluated-user and
     ranked-user counts and the number of top-n lists that the per-alpha
-    walk recomputed, each alpha's as one block, because a shared power
-    series could not certify them or declined their block (0 where no
-    series was tried). Each setting's step count is decided once, by
-    :func:`step_count`; when max_iter caps it before the certified
-    count, every fold scored with it is logged as a WARNING with its L1
-    error bound.
+    walk computed because a shared power series could not certify them
+    or declined their block (0 where no series was tried). Each
+    setting's step count is decided once, by :func:`step_count`; when
+    max_iter caps it before the certified count, every fold scored with
+    it is logged as a WARNING with its L1 error bound.
 
     Each fold is scored by :func:`_score_fold` on every setting, and one
     loop takes the results in fold order, keeping those of the settings

@@ -47,7 +47,6 @@ __all__ = [
     "personalization_matrix",
     "pagerank",
     "pagerank_batch",
-    "certified_steps",
     "step_count",
     "item_scores",
     "item_matrix",
@@ -264,31 +263,26 @@ class RestartBlock:
     mass: np.ndarray
 
 
-def certified_steps(alpha: float, tol: float) -> int:
-    """Power-iteration steps after which every column is within tol in L1.
-
-    The update is an alpha-contraction in L1 started from X = D, so the
-    error after k steps is at most 2 * alpha**k; the smallest k with
-    2 * alpha**k <= tol is ceil(log(tol / 2) / log(alpha)), and at least
-    one step is always taken.
-    """
-    return max(1, math.ceil(math.log(tol / 2.0) / math.log(alpha)))
-
-
 def step_count(
     alpha: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> tuple[int, bool]:
     """(steps, converged) of :func:`pagerank_batch` at alpha, known
-    before any iteration: ``min(certified_steps(alpha, tol), max_iter)``
-    steps, not converged when the cap cut them short (the L1 bound is
-    then 2 * alpha**max_iter, e.g. 5.3e-5 at alpha = 0.9 after 100)."""
+    before any iteration: the one place that decides step counts.
+
+    The update is an alpha-contraction in L1 started from X = D, so the
+    error after k steps is at most 2 * alpha**k; the smallest k with
+    2 * alpha**k <= tol is ceil(log(tol / 2) / log(alpha)), and at least
+    one step is always taken. max_iter caps the steps, which are then
+    not converged (the L1 bound is 2 * alpha**max_iter, e.g. 5.3e-5 at
+    alpha = 0.9 after 100).
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    steps = certified_steps(alpha, tol)
+    steps = max(1, math.ceil(math.log(tol / 2.0) / math.log(alpha)))
     return min(steps, max_iter), steps <= max_iter
 
 
@@ -405,7 +399,10 @@ def item_matrix(graph: RecGraph) -> tuple[list[str], sparse.csr_matrix]:
 
 
 def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
-    """Per-item scores of ``pr``, collapsed through :func:`item_matrix`."""
+    """Per-item scores of ``pr``, collapsed through :func:`item_matrix`.
+    Raises ValueError when ``pr`` holds scores of another graph."""
+    if pr.tm.graph is not graph:
+        raise ValueError("pr holds the scores of another graph")
     items, A = item_matrix(graph)
     return dict(zip(items, (A @ pr.x).tolist()))
 
@@ -569,9 +566,12 @@ def recommend(
 ) -> list[tuple[str, float]]:
     """The protocol's ranking for one user: :func:`rank_items` on a block
     of one. Returns up to ``params.n`` (item, score) pairs not in
-    ``seen``, by descending score, ties by ascending item id."""
+    ``seen``, by descending score, ties by ascending item id. Raises
+    ValueError when ``tm`` is the transition matrix of another graph."""
     if tm is None:
         tm = transition_matrix(graph)
+    elif tm.graph is not graph:
+        raise ValueError("tm is the transition matrix of another graph")
     D = personalization_matrix(tm, _restart_vectors(graph, [user], t, params.beta))
     items, A = item_matrix(graph)
     mask = np.array([[item in seen for item in items]], dtype=bool)

@@ -930,7 +930,7 @@ def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, pa
         if not fold.truth:
             continue
         shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
-        for block, D in shared.restarts(params.beta):
+        for block, _, D in shared.restarts(params.beta):
             top, _ = rank_items(
                 shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n
             )
@@ -955,20 +955,22 @@ def test_fold_restart_blocks_are_column_blocks_of_all_ranked_users(monkeypatch, 
         if not fold.truth:
             continue
         shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
-        pairs = shared.restarts(params.beta)
+        blocks = shared.restarts(params.beta)
         ranked = range(len(shared.users))
-        assert [r for block, _ in pairs for r in ranked[block]] == list(ranked)
+        assert [r for block, _, _ in blocks for r in ranked[block]] == list(ranked)
         whole = personalization_matrix(shared.tm, [
             personalization(shared.graph, user, t=fold.rec_time, beta=params.beta)
             for user in shared.users
         ])
         expected = np.zeros(whole.shape)
         expected[whole.row, whole.col] = whole.mass
-        for block, D in pairs:
-            got = np.zeros(D.shape)
-            got[D.row, D.col] = D.mass
-            assert np.array_equal(got, expected[:, block])
-        cut += len(pairs) > 1
+        for block, vectors, D in blocks:
+            # the block, and the block its vectors build, as a sub-block's are built
+            for B in (D, personalization_matrix(shared.tm, vectors)):
+                got = np.zeros(B.shape)
+                got[B.row, B.col] = B.mass
+                assert np.array_equal(got, expected[:, block])
+        cut += len(blocks) > 1
     assert cut
 
 
@@ -1264,11 +1266,15 @@ def series_off():
     return mock.patch.object(evaluation, "series_scores", lambda *args: None)
 
 
+def setting_reports(folds, flavor, settings):
+    """Each setting's report, or the repr of the error that stopped it."""
+    return [report_json(o) if isinstance(o, evaluation.EvaluationReport) else repr(o)
+            for o in evaluation.evaluate_settings(folds, flavor, settings)]
+
+
 def outputs(stream, flavor, settings, grid, n):
     """Every setting's report and the leaderboard of a search over ``grid``."""
-    folds = iter_folds(stream, 4)
-    reports = [report_json(o) if isinstance(o, evaluation.EvaluationReport) else repr(o)
-               for o in evaluation.evaluate_settings(folds, flavor, settings)]
+    reports = setting_reports(iter_folds(stream, 4), flavor, settings)
     result = search(stream, flavor, grid=grid, count=grid.size(flavor), n=n, n_windows=4)
     return reports, leaderboard_csv(result)
 
@@ -1321,6 +1327,9 @@ def test_shared_series_leaves_reports_and_leaderboards_unchanged(case):
     note(f"series ran on {len(ran)} blocks")
     with series_off():
         assert outputs(stream, flavor, settings, grid, n) == shared
+    # each setting's report is its report when evaluated alone
+    folds = iter_folds(stream, 4)
+    assert shared[0] == [r for s in settings for r in setting_reports(folds, flavor, [s])]
 
 
 def test_bip_tie_without_twins_is_recomputed(caplog):
@@ -1422,7 +1431,7 @@ def test_duplicate_settings_share_one_walk(monkeypatch):
     folds = iter_folds(stream, 4)
     setting = ParamSetting(alpha=0.3, n=5, eta_s=0.2)
     blocks = [D.shape[1] for fold in folds if fold.truth
-              for _, D in evaluation.FoldGraph.build(fold, "lsg", None, 0.2).restarts(None)]
+              for _, _, D in evaluation.FoldGraph.build(fold, "lsg", None, 0.2).restarts(None)]
     walked = []
     rank = evaluation.rank_items
 
@@ -1472,6 +1481,35 @@ def test_selection_error_stops_only_its_alpha(monkeypatch):
     monkeypatch.setattr(evaluation, "certified_top_n", failing)
     outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
     bad = GRID_ALPHA.index(0.5)
+    assert isinstance(outcomes[bad], BlockError)
+    assert [report_json(o) for j, o in enumerate(outcomes) if j != bad] == [
+        r for j, r in enumerate(reference) if j != bad
+    ]
+
+
+def test_recomputation_error_stops_only_its_alpha(monkeypatch):
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    folds = iter_folds(stream, 4)
+    settings = [ParamSetting(alpha=a, n=5, eta_s=0.2) for a in GRID_ALPHA]
+    reference = [report_json(o) for o in evaluation.evaluate_settings(folds, "lsg", settings)]
+    certified_top_n, pagerank_batch = evaluation.certified_top_n, ranker.pagerank_batch
+    walked = []
+
+    def uncertified(tm, A, S, alpha, seen, n):
+        top, certified = certified_top_n(tm, A, S, alpha, seen, n)
+        return top, certified & (alpha != 0.5)
+
+    def failing(tm, D, alpha, *args, **kwargs):
+        walked.append(alpha)
+        if alpha == 0.5:
+            raise BlockError("recomputation failed")
+        return pagerank_batch(tm, D, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "certified_top_n", uncertified)
+    monkeypatch.setattr(ranker, "pagerank_batch", failing)
+    outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
+    bad = GRID_ALPHA.index(0.5)
+    assert 0.5 in walked
     assert isinstance(outcomes[bad], BlockError)
     assert [report_json(o) for j, o in enumerate(outcomes) if j != bad] == [
         r for j, r in enumerate(reference) if j != bad

@@ -21,9 +21,9 @@ from linkrec.graphs import (
     build_lsg,
     build_stg,
 )
+from linkrec.linkstream import Event, LinkStream
 from linkrec.ranker import (
     DEFAULT_TOL,
-    certified_steps,
     item_matrix,
     item_scores,
     pagerank,
@@ -338,7 +338,8 @@ def test_step_count_matches_pagerank_batch(max_iter, capped):
         iterations, converged = step_count(alpha, max_iter=max_iter)
         _, batch_converged, batch_iterations = pagerank_batch(tm, D, alpha, max_iter=max_iter)
         assert (converged, iterations) == (batch_converged, batch_iterations)
-        assert iterations == min(certified_steps(alpha, DEFAULT_TOL), max_iter)
+        certified = math.ceil(math.log(DEFAULT_TOL / 2) / math.log(alpha))
+        assert iterations == min(certified, max_iter)
     assert [a for a in GRID_ALPHA if not step_count(a, max_iter=max_iter)[1]] == capped
 
 
@@ -665,6 +666,25 @@ def test_recommend_lsg_personalizes_on_latest_activity(toy_stream):
         graph, "u2", 5.5, ParamSetting(alpha=0.5, n=2, eta_s=0.5), seen={"i3", "i4"}
     )
     assert sorted(item for item, _ in recs) == ["i1", "i2"]
+
+
+def test_recommend_and_item_scores_reject_another_graphs_matrix():
+    # two 4-node BIP graphs: a rank with the other's matrix would be silently wrong
+    def bip(pairs):
+        return build_bip(LinkStream.from_events(
+            [Event(t, user, item) for t, (user, item) in enumerate(pairs, start=1)]))
+
+    graph = bip([("a", "x"), ("b", "y"), ("a", "y")])
+    other = bip([("a", "y"), ("b", "x"), ("a", "x"), ("b", "y")])
+    assert graph.n_nodes == other.n_nodes == 4
+    tm, other_tm = transition_matrix(graph), transition_matrix(other)
+    params = ParamSetting(alpha=0.5, n=2)
+    assert recommend(graph, "b", 3, params, seen=set(), tm=tm)
+    with pytest.raises(ValueError, match="transition matrix of another graph"):
+        recommend(graph, "b", 3, params, seen=set(), tm=other_tm)
+    assert item_scores(graph, pagerank(tm, personalization(graph, "b"), 0.5))
+    with pytest.raises(ValueError, match="scores of another graph"):
+        item_scores(graph, pagerank(other_tm, personalization(other, "b"), 0.5))
 
 
 def test_recommend_excludes_seen_always(toy_stream):
