@@ -69,13 +69,13 @@ def parse_duration(text: str) -> float:
     """Seconds from '3600', '1.5h', '7d', '2w' style strings. Anything else,
     or a duration that is not positive and finite, raises
     ``ArgumentTypeError``, which argparse reports naming the flag."""
-    text = str(text).strip().lower()
+    number = str(text).strip().lower()
     unit = 1.0
-    if text and text[-1] in _DURATION_UNITS:
-        unit = _DURATION_UNITS[text[-1]]
-        text = text[:-1]
+    if number and number[-1] in _DURATION_UNITS:
+        unit = _DURATION_UNITS[number[-1]]
+        number = number[:-1]
     try:
-        value = float(text)
+        value = float(number)
     except ValueError:
         raise argparse.ArgumentTypeError(f"unparseable duration {text!r}") from None
     seconds = value * unit
@@ -234,7 +234,7 @@ def _load_stream(cfg: dict) -> LinkStream:
         raise ConfigError("--input is required")
     if not Path(path).exists():
         raise ConfigError(f"input file not found: {path}")
-    fmt = cfg["format"] or ("csv" if str(path).endswith(".csv") else "tsv")
+    fmt = cfg["format"] or ("csv" if Path(path).suffix.lower() == ".csv" else "tsv")
     columns = None
     if cfg["columns"]:
         columns = [c.strip() for c in cfg["columns"].split(",")]

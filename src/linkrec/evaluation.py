@@ -354,21 +354,33 @@ def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[
     return flags, recomputed
 
 
-def _evaluate_fold(shared: FoldGraph, settings: Sequence["ParamSetting"]):
-    """Components of one fold for every setting, ranked in this thread.
+def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
+    """Skip, build, rank and score one fold for every setting.
 
-    Returns per setting its components or the exception that stopped
-    it, and the number of lists recomputed. :func:`_rank_group` ranks
-    each (beta, n) of ``settings`` once for all its alphas, and each
-    setting takes its alpha's hit flags.
+    Returns ``(counts, outcomes)``: ``counts`` is the fold's (nodes,
+    edges, ranked users, recomputed lists), or None when no graph was
+    built, and ``outcomes`` holds per setting its components, the
+    skipped (0, 0) components of a fold without evaluated users, or the
+    exception that stopped it. An error building the :class:`FoldGraph`
+    is every setting's; :func:`_rank_group` ranks each (beta, n) once for
+    all its alphas, and an error there belongs to the settings it
+    stopped. No scoring error escapes. The graph is freed on return.
 
-    Every other evaluated user has no new item in the graph, so they
-    are only counted: each scores a hit count of 0, and the AP sum
-    leaves out their AP of 0.0, whose addition is exact. The users and
-    denominators still count every evaluated user, so the components
-    equal ranking them all.
+    An evaluated user with no new item in the graph is only counted: they
+    score a hit count of 0, and the AP sum leaves out their AP of 0.0,
+    whose addition is exact. The users and denominators still count
+    every evaluated user, so the components equal ranking them all.
     """
-    fold = shared.fold
+    if not fold.truth:
+        skipped = MetricComponents(
+            window=fold.k, users=0, f1=(0.0, 0.0), hr=(0.0, 0.0), map=(0.0, 0.0), skipped=True
+        )
+        return None, [skipped] * len(settings)
+    first = settings[0]
+    try:
+        shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
+    except Exception as exc:  # the whole group stops; the caller reports it
+        return None, [exc] * len(settings)
     groups: dict = {}
     for params in settings:
         groups.setdefault((params.beta, params.n), {})[params.alpha] = None
@@ -391,33 +403,8 @@ def _evaluate_fold(shared: FoldGraph, settings: Sequence["ParamSetting"]):
                 hr=hit_ratio_components(hit_counts),
                 map=(map_components(flags, n)[0], float(len(fold.truth))),
             )
-    return [scored[params.beta, params.n, params.alpha] for params in settings], recomputed
-
-
-def _score_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
-    """Build one fold's shared graph and score every setting on it in
-    one pass (:func:`_evaluate_fold`).
-
-    Returns ``(counts, outcomes)``: ``counts`` is the fold's (nodes,
-    edges, ranked users, recomputed lists), or None when no graph was
-    built, and ``outcomes`` holds per setting its components, the skipped (0, 0)
-    components of a fold without evaluated users, or the exception that
-    stopped it: an error building the graph is every setting's, and a
-    ranking error belongs to the settings it stopped, so no scoring
-    error escapes. The graph is freed on return.
-    """
-    if not fold.truth:
-        skipped = MetricComponents(
-            window=fold.k, users=0, f1=(0.0, 0.0), hr=(0.0, 0.0), map=(0.0, 0.0), skipped=True
-        )
-        return None, [skipped] * len(settings)
-    first = settings[0]
-    try:
-        shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
-    except Exception as exc:  # the whole group stops; the caller reports it
-        return None, [exc] * len(settings)
-    scored, recomputed = _evaluate_fold(shared, settings)
-    return (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users), recomputed), scored
+    counts = (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users), recomputed)
+    return counts, [scored[params.beta, params.n, params.alpha] for params in settings]
 
 
 def evaluate_settings(
@@ -447,10 +434,11 @@ def evaluate_settings(
     max_iter caps it before the certified count, every fold scored with
     it is logged as a WARNING with its L1 error bound.
 
-    Each fold is scored by :func:`_score_fold` on every setting, and one
-    loop takes the results in fold order, keeping those of the settings
-    still running; it stops once none is. With ``pool``, each fold is
-    one task, submitted largest training prefix first so the longest
+    Each fold is one call of :func:`_evaluate_fold`, which skips,
+    builds, ranks and scores it for every setting, and one loop takes
+    the results in fold order, keeping those of the settings still
+    running; it stops once none is. With ``pool``, each fold is one
+    task, submitted largest training prefix first so the longest
     fold does not start last, and the tasks not yet started are
     cancelled when the loop stops. Without a pool, each fold is scored
     in this thread when the loop reaches it, so none is built once every
@@ -468,10 +456,10 @@ def evaluate_settings(
     steps = [step_count(s.alpha) for s in settings]
     if pool is None:
         tasks = []
-        results = (_score_fold(fold, flavor, settings) for fold in folds)
+        results = (_evaluate_fold(fold, flavor, settings) for fold in folds)
     else:
         # training prefixes grow with k: the last fold is the largest task
-        tasks = [pool.submit(_score_fold, fold, flavor, settings) for fold in reversed(folds)]
+        tasks = [pool.submit(_evaluate_fold, fold, flavor, settings) for fold in reversed(folds)]
         results = (task.result() for task in reversed(tasks))
     for fold, (counts, scored) in zip(folds, results):
         if counts is not None:

@@ -383,13 +383,16 @@ def _read_lines(source) -> list[str]:
 
 def map_columns(columns: Sequence[str]) -> dict[str, int]:
     """Field -> position for column names, ``"-"`` skipping a column; a
-    ``ValueError`` names an unknown name or a required field left out."""
+    ``ValueError`` names an unknown name, a field named twice or a
+    required field left out."""
     mapping: dict[str, int] = {}
     for pos, name in enumerate(columns):
         if name and name != "-":
             key = _HEADER_NAMES.get(name.strip().lower())
             if key is None:
                 raise ValueError(f"unknown column name {name!r}")
+            if key in mapping:
+                raise ValueError(f"field {key!r} named twice")
             mapping[key] = pos
     for required in ("user", "item", "timestamp"):
         if required not in mapping:
@@ -425,15 +428,14 @@ def parse_link_stream(
     if columns is not None:
         mapping = map_columns(columns)
     else:
-        header = {}
-        for pos, cell in enumerate(cell.strip().lower() for cell in first[1]):
-            key = _HEADER_NAMES.get(cell)
-            if key is not None:
-                header[key] = pos
+        keys = [_HEADER_NAMES.get(cell.strip().lower()) for cell in first[1]]
         # A first row only counts as a header when it names all three
         # required fields; otherwise short ids would shadow data rows.
-        if all(key in header for key in ("user", "item", "timestamp")):
-            mapping = header
+        if {"user", "item", "timestamp"} <= set(keys):
+            try:
+                mapping = map_columns([c if key else "-" for c, key in zip(first[1], keys)])
+            except ValueError as exc:  # a field named twice
+                raise ParseError(first[0], str(exc)) from None
             rows = records
         else:
             mapping = {"user": 0, "item": 1, "timestamp": 2, "rating": 3}
@@ -515,8 +517,15 @@ def window_index(t: float, alpha: float, omega: float, n: int) -> int:
 
     Window k covers [start, end) except the last, which is closed at
     omega; its edges are the exact rationals of :class:`Window`, so a
-    time on an edge lands in the window that edge starts.
+    time on an edge lands in the window that edge starts. A ``ValueError``
+    rejects n below 1, a span that is not positive and t outside it.
     """
+    if n < 1:
+        raise ValueError(f"need at least one window, got {n}")
+    if not omega > alpha:
+        raise ValueError("time span must have positive duration to split")
+    if not alpha <= t <= omega:
+        raise ValueError(f"time {t} outside [{alpha}, {omega}]")
     a = Fraction(alpha)
     return min(math.floor((Fraction(t) - a) * n / (Fraction(omega) - a)) + 1, n)
 

@@ -143,6 +143,13 @@ def test_evaluate_positive_filter_and_csv(rated_dataset, tmp_path):
     assert report["config"]["positive_filter"] is True
 
 
+def test_uppercase_csv_suffix_reads_csv(tmp_path, capsys):
+    path = tmp_path / "events.CSV"
+    path.write_text("".join(f"u{k % 3},i{k % 4},{10 * k}\n" for k in range(12)))
+    assert main(["inspect", "--input", str(path)]) == EXIT_OK
+    assert "events (links):     12\n" in capsys.readouterr().out
+
+
 def test_malformed_input_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "bad.tsv"
     path.write_text("u\ti\t10\nu\tj\tnot-a-time\n")
@@ -434,7 +441,8 @@ def test_evaluate_stg_happy_path(dataset, tmp_path, capsys):
     ("abc", "argument --delta: unparseable duration 'abc'"),
     ("nan", "argument --delta: duration must be positive and finite"),
     ("inf", "argument --delta: duration must be positive and finite"),
-], ids=["zero", "text", "nan", "inf"])
+    ("3dd", "argument --delta: unparseable duration '3dd'"),
+], ids=["zero", "text", "nan", "inf", "double-unit"])
 def test_bad_delta_flag_is_usage_error(dataset, capsys, value, message):
     code = main(["evaluate", "--input", str(dataset), *STG, "--delta", value])
     assert code == EXIT_CONFIG
@@ -655,8 +663,9 @@ def test_inspect_bad_eta_s_is_config_error_before_output(dataset, tmp_path, caps
     ("evaluate", "user,item,when", True, "unknown column name 'when'"),
     ("inspect", "user,item,when", False, "unknown column name 'when'"),
     ("inspect", "user,item", True, "no column mapped to 'timestamp'"),
+    ("inspect", "user,item,timestamp,u", False, "field 'user' named twice"),
 ], ids=["evaluate-unknown", "evaluate-missing", "evaluate-config-unknown",
-        "inspect-unknown", "inspect-config-missing"])
+        "inspect-unknown", "inspect-config-missing", "inspect-repeated"])
 def test_bad_columns_are_config_error(dataset, tmp_path, capsys, command, columns, config,
                                       message):
     args = [command, "--input", str(dataset)]

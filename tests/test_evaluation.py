@@ -1078,17 +1078,18 @@ def test_fold_with_only_cold_new_items_is_scored_without_pagerank(
         time_span=(0, 300),
     )
     shared_of, ranked_on = {}, []
-    evaluate_fold, pagerank_batch = evaluation._evaluate_fold, ranker.pagerank_batch
+    build, pagerank_batch = evaluation.FoldGraph.build, ranker.pagerank_batch
 
-    def fold_spy(shared, *args):
+    def build_spy(*args):
+        shared = build(*args)
         shared_of[shared.fold.k] = shared
-        return evaluate_fold(shared, *args)
+        return shared
 
     def pagerank_spy(tm, *args, **kwargs):
         ranked_on.append(tm)
         return pagerank_batch(tm, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "_evaluate_fold", fold_spy)
+    monkeypatch.setattr(evaluation.FoldGraph, "build", build_spy)
     monkeypatch.setattr(ranker, "pagerank_batch", pagerank_spy)
     report = run_protocol(stream, flavor, params, n_windows=3, workers=1)
     cold, warm = report.windows

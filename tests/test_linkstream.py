@@ -44,6 +44,13 @@ def test_parse_header_reorders_columns():
     assert stream.events[0] == Event(5, "u", "i")
 
 
+@pytest.mark.parametrize("header", ["user,item,timestamp,user", "u,item,t,user_id"])
+def test_parse_header_naming_a_field_twice_names_its_line(header):
+    text = f"\n{header}\na,x,10,b\n"
+    with pytest.raises(ParseError, match="line 2: field 'user' named twice"):
+        parse_link_stream(io.StringIO(text), fmt="csv")
+
+
 def test_parse_explicit_column_mapping_with_skip():
     text = "x,10,u,i\ny,20,v,j\n"
     stream = parse_link_stream(
@@ -343,6 +350,18 @@ def test_window_index_exact_on_fractional_widths():
     assert window_index(6, 0, 10, 3) == 2
     assert window_index(7, 0, 10, 3) == 3
     assert window_index(10, 0, 10, 3) == 3
+
+
+@pytest.mark.parametrize("args,message", [
+    ((5, 0, 10, 0), "at least one window"),
+    ((5, 0, 0, 8), "positive duration"),
+    ((5, 10, 0, 8), "positive duration"),
+    ((-5, 0, 10, 2), r"time -5 outside \[0, 10\]"),
+    ((15, 0, 10, 2), r"time 15 outside \[0, 10\]"),
+], ids=["no-windows", "empty-span", "reversed-span", "before-span", "after-span"])
+def test_window_index_rejects_bad_input(args, message):
+    with pytest.raises(ValueError, match=message):
+        window_index(*args)
 
 
 
