@@ -171,9 +171,14 @@ def effective_config(args: argparse.Namespace) -> dict:
     """Merge flags over config-file values over defaults."""
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
-        if not Path(args.config).exists():
-            raise ConfigError(f"config file not found: {args.config}")
-        file_values = read_config_file(args.config)
+        try:
+            file_values = read_config_file(args.config)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {args.config}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file is not UTF-8 text: {args.config}") from None
     cfg: dict = {}
     for key, (kind, default, _, _) in OPTIONS.items():
         value = getattr(args, key, None)

@@ -32,18 +32,7 @@ from scipy import sparse
 
 from .graphs import RecGraph, build_graph
 from .linkstream import LinkStream, Window, split_windows
-from .ranker import (
-    RestartBlock,
-    TransitionMatrix,
-    _restart_vectors,
-    certified_top_n,
-    item_matrix,
-    personalization_matrix,
-    rank_items,
-    series_scores,
-    step_count,
-    transition_matrix,
-)
+from .ranker import TransitionMatrix, item_matrix, rank_users, step_count, transition_matrix
 
 if TYPE_CHECKING:
     from .tuning import ParamSetting
@@ -71,18 +60,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 EVALUATED_USERS_RULE = "present in training with at least one new item in the test window"
-
-# Users are scored in column blocks so one sparse product serves many
-# walks. Results do not depend on the width, as the step count is fixed
-# by alpha. A 48-column iterate of 17.9k nodes takes 6.9 MB (a 128-column
-# one 18 MB), and 48 still scores a fold of up to 48 users, as in a small
-# search campaign, in one product per step; 32 split such folds and
-# slowed the campaign. The protocol runs
-# whole folds on its threads, so each thread holds one fold graph and
-# one live block, and peak memory grows with the thread count, hence
-# with the core count by default, up to the fold count: the protocol-lsg
-# stream peaked at 82 MB on one thread and about 100 MB on two.
-_BATCH_COLUMNS = 48
 
 
 def _usable_cores() -> int:
@@ -248,15 +225,15 @@ class FoldGraph:
     graph, transition matrix and item aggregation matrix of a fold
     once, with users x items masks of the ranked users' training items
     (``seen``) and new test-window items (``truth``). It keeps nothing
-    per beta: :func:`_rank_group` builds a (beta, n)'s restart blocks
-    once, by :meth:`restarts`.
+    per beta: :func:`rank_users` builds the restart blocks on each call.
 
     ``users`` are the ranked users: the evaluated users, sorted, with at
     least one new item among the graph's items. Only graph items can be
     ranked, so an evaluated user whose new items all first appear in the
-    test window scores no hit under any setting and is not ranked. The
-    rows of ``seen`` and ``truth`` and the blocks of ``restarts(beta)``
-    follow ``users``. :func:`_rank_group` ranks them.
+    test window scores no hit under any setting and is not ranked. Every
+    evaluated user has training nodes, so leaving them out hides no
+    restart-vector error. The rows of ``seen`` and ``truth`` follow
+    ``users``.
     """
 
     fold: Fold
@@ -284,75 +261,6 @@ class FoldGraph:
             truth[r, [item_row[i] for i in fold.truth[user] if i in item_row]] = True
         return cls(fold, graph, tm, items, A, users, seen, truth)
 
-    def restarts(self, beta: float | None) -> list[tuple[slice, list[dict], RestartBlock]]:
-        """The ranked users cut into blocks of ``_BATCH_COLUMNS``: per
-        block, its slice of ``users``, their restart vectors and the
-        restart block of those, in order, built and checked on each call.
-        LSG looks users up at the last training event's time, which finds
-        the nodes ``rec_time`` would. Ranked users are evaluated users,
-        who all have training nodes, so leaving the others out removes
-        no error that building their vectors could raise."""
-        t = self.fold.train.columns.t[-1].item()
-        vectors = _restart_vectors(self.graph, self.users, t, beta)
-        blocks = [slice(s, s + _BATCH_COLUMNS) for s in range(0, len(vectors), _BATCH_COLUMNS)]
-        return [(b, vectors[b], personalization_matrix(self.tm, vectors[b])) for b in blocks]
-
-
-def _rank_group(shared: FoldGraph, beta: float | None, n: int, alphas: Sequence[float]):
-    """The ranked users' top-n hit flags at every alpha of one (beta, n),
-    each restart block ranked once for all the alphas still running.
-
-    Where the alphas' walks take at least twice the steps of the
-    longest (never for a lone alpha), one power series is tried per
-    block: :func:`series_scores` gives each alpha's item scores and
-    :func:`certified_top_n` selects its lists, certifying those equal
-    to the walk's. Then per alpha, :func:`rank_items` walks every list
-    not certified: the whole block where no series ran or it declined,
-    else a sub-block of the uncertified users, whose rows are bitwise
-    those of the whole block's walk. An alpha's accumulator is freed
-    once its lists are selected.
-
-    Returns per alpha its hit flags, one list per ranked user, or the
-    exception that stopped it, and the number of lists walked where a
-    series was tried (0 otherwise). An error in one alpha's selection
-    or walk stops that alpha; a graph, restart-block or series error
-    stops them all.
-    """
-    tm, A = shared.tm, shared.A
-    steps = [step_count(alpha)[0] for alpha in alphas]
-    series = sum(steps) >= 2 * max(steps)
-    flags: dict = {alpha: [] for alpha in alphas}
-    recomputed = 0
-    try:
-        for block, vectors, D in shared.restarts(beta):
-            live = [alpha for alpha in alphas if isinstance(flags[alpha], list)]
-            if not live:
-                break
-            seen = shared.seen[block]
-            scores = series_scores(tm, A, D, live) if series else None
-            for j, alpha in enumerate(live):
-                try:
-                    if scores is None:
-                        top, _ = rank_items(tm, A, D, alpha, seen, n)
-                        recomputed += len(top) if series else 0
-                    else:
-                        top, certified = certified_top_n(tm, A, scores[j], alpha, seen, n)
-                        scores[j] = None  # free this alpha's accumulator before its walk
-                        redo = np.flatnonzero(~certified).tolist()
-                        if redo:
-                            sub = personalization_matrix(tm, [vectors[c] for c in redo])
-                            top[redo], _ = rank_items(tm, A, sub, alpha, seen[redo], n)
-                        recomputed += len(redo)
-                except Exception as exc:  # this alpha stops; the others go on
-                    flags[alpha] = exc
-                    continue
-                # truth and seen items are disjoint, so hits stop where unseen items do
-                hits = np.take_along_axis(shared.truth[block], top, axis=1) & (top >= 0)
-                flags[alpha].extend(hits.astype(int).tolist())
-    except Exception as exc:  # a graph, restart-block or series error stops every alpha
-        return dict.fromkeys(alphas, exc), recomputed
-    return flags, recomputed
-
 
 def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
     """Skip, build, rank and score one fold for every setting.
@@ -362,7 +270,7 @@ def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
     built, and ``outcomes`` holds per setting its components, the
     skipped (0, 0) components of a fold without evaluated users, or the
     exception that stopped it. An error building the :class:`FoldGraph`
-    is every setting's; :func:`_rank_group` ranks each (beta, n) once for
+    is every setting's; :func:`rank_users` ranks each (beta, n) once for
     all its alphas, and an error there belongs to the settings it
     stopped. No scoring error escapes. The graph is freed on return.
 
@@ -386,15 +294,20 @@ def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
         groups.setdefault((params.beta, params.n), {})[params.alpha] = None
     new_counts = [len(items) for items in fold.truth.values()]
     unranked = [0] * (len(fold.truth) - len(shared.users))
+    t = fold.train.columns.t[-1].item()  # LSG finds at the last event the nodes rec_time would
     scored: dict = {}
     recomputed = 0
     for (beta, n), alphas in groups.items():
-        outcomes, redone = _rank_group(shared, beta, n, list(alphas))
-        recomputed += redone
-        for alpha, flags in outcomes.items():
-            if isinstance(flags, Exception):
-                scored[beta, n, alpha] = flags
+        tops, walked = rank_users(shared.tm, shared.A, shared.users, t, beta, list(alphas),
+                                  shared.seen, n)
+        recomputed += walked
+        for alpha, top in tops.items():
+            if isinstance(top, Exception):
+                scored[beta, n, alpha] = top
                 continue
+            # truth and seen items are disjoint, so hits stop where unseen items do
+            hits = np.take_along_axis(shared.truth, top, axis=1) & (top >= 0)
+            flags = hits.astype(int).tolist()
             hit_counts = [sum(h) for h in flags] + unranked
             scored[beta, n, alpha] = MetricComponents(
                 window=fold.k,
@@ -418,10 +331,10 @@ def evaluate_settings(
     All settings must share delta and eta_s, so each fold's graph and
     matrices are built once and every setting (alpha, beta, n) is scored
     on them in one pass, each restart block ranked once per (beta, n)
-    for all its alphas (:func:`_rank_group`). Returns one outcome per
+    for all its alphas (:func:`rank_users`). Returns one outcome per
     setting, in order: its report, or the exception that stopped it. An
     error building a fold's shared graph stops every setting still
-    running; a graph, restart-block or series error while ranking a
+    running; a restart-vector, restart-block or series error while ranking a
     (beta, n) stops its settings, and an error in one alpha's selection
     or walk only that alpha's; the first error in fold order wins. Folds
     without evaluable users contribute (0, 0) components and are marked

@@ -22,6 +22,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -334,7 +335,10 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("sigma_u", "sigma_i"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 

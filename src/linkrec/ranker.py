@@ -16,16 +16,18 @@ Restart vectors depend on the graph flavor:
   recommendation time.
 
 :func:`rank_items` is the ranking's specification: one power iteration
-per alpha. The evaluation protocol calls it per block of users;
-:func:`recommend` is the protocol's ranking for one user. When several
-alphas rank the same block, :func:`series_scores` computes all their
-item scores from one power series and :func:`certified_top_n` proves
-each top-n list equal to :func:`rank_items`' own, or says it cannot.
+per alpha. :func:`rank_users` is the protocol's ranking of a fold's
+users at every alpha of one (beta, n), and :func:`recommend` its
+ranking for one user. When several alphas rank the same block,
+:func:`series_scores` computes all their item scores from one power
+series and :func:`certified_top_n` proves each top-n list equal to
+:func:`rank_items`' own, or says it cannot.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -51,13 +53,24 @@ __all__ = [
     "item_scores",
     "item_matrix",
     "rank_items",
-    "series_scores",
-    "certified_top_n",
+    "rank_users",
     "recommend",
 ]
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
+
+# Users are scored in column blocks so one sparse product serves many
+# walks. Results do not depend on the width, as the step count is fixed
+# by alpha. A 48-column iterate of 17.9k nodes takes 6.9 MB (a 128-column
+# one 18 MB), and 48 still scores a fold of up to 48 users, as in a small
+# search campaign, in one product per step; 32 split such folds and
+# slowed the campaign. The protocol runs
+# whole folds on its threads, so each thread holds one fold graph and
+# one live block, and peak memory grows with the thread count, hence
+# with the core count by default, up to the fold count: the protocol-lsg
+# stream peaked at 82 MB on one thread and about 100 MB on two.
+_BATCH_COLUMNS = 48
 
 # pagerank_batch starts a block sparse only when one dense product of
 # it is at least this large (M.nnz * columns). A sparse step costs about
@@ -278,8 +291,10 @@ def step_count(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool):
+        raise ValueError("max_iter must be an integer")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     steps = max(1, math.ceil(math.log(tol / 2.0) / math.log(alpha)))
@@ -533,6 +548,71 @@ def certified_top_n(
     exact_tie = (hi == lo) & ((hi == 0.0) | (hi == -np.inf))
     top[np.take_along_axis(seen, top, axis=1)] = -1
     return top, ((hi > lo * (1.0 + eps)) | exact_tie).all(axis=1)
+
+
+def rank_users(
+    tm: TransitionMatrix,
+    A: sparse.csr_matrix,
+    users: Sequence[str],
+    t: float | None,
+    beta: float | None,
+    alphas: Sequence[float],
+    seen: np.ndarray,
+    n: int,
+) -> tuple[dict, int]:
+    """Rank ``users`` at every alpha of ``alphas`` for one (beta, n): the
+    protocol's ranking of a fold's users, with :func:`rank_items`' lists.
+
+    ``A`` is the :func:`item_matrix` of ``tm``'s graph and ``seen`` a
+    users x items mask of the items each user must skip. The restart
+    vectors (at time t for LSG) are looked up once and cut into blocks
+    of ``_BATCH_COLUMNS``, each ranked once for the alphas still
+    running. Where their walks take at least twice the steps of the
+    longest (never for a lone alpha), :func:`series_scores` is tried
+    per block and :func:`certified_top_n` selects each alpha's lists.
+    :func:`rank_items` walks every list not certified: the whole block
+    where no series ran or it declined, else a sub-block of the
+    uncertified users, whose rows are bitwise the whole block's.
+
+    Returns per alpha a users x min(n, items) array of item rows, best
+    first, -1 past the last unseen item, or the exception that stopped
+    it; and the number of lists walked where a series was tried (0
+    otherwise). An error in one alpha's selection or walk stops that
+    alpha; a restart-vector, restart-block or series error stops them
+    all, and the count keeps the lists walked before it.
+    """
+    steps = [step_count(alpha)[0] for alpha in alphas]
+    series = sum(steps) >= 2 * max(steps)
+    tops: dict = {a: np.empty((len(users), min(n, A.shape[0])), np.intp) for a in alphas}
+    walked = 0
+    try:
+        vectors = _restart_vectors(tm.graph, users, t, beta)
+        blocks = [slice(s, s + _BATCH_COLUMNS) for s in range(0, len(vectors), _BATCH_COLUMNS)]
+        for block, D in [(b, personalization_matrix(tm, vectors[b])) for b in blocks]:
+            live = [alpha for alpha in alphas if isinstance(tops[alpha], np.ndarray)]
+            if not live:
+                break
+            block_seen = seen[block]
+            scores = series_scores(tm, A, D, live) if series else None
+            for j, alpha in enumerate(live):
+                try:
+                    if scores is None:
+                        top, _ = rank_items(tm, A, D, alpha, block_seen, n)
+                        walked += len(top) if series else 0
+                    else:
+                        top, certified = certified_top_n(tm, A, scores[j], alpha, block_seen, n)
+                        scores[j] = None  # free this alpha's accumulator before its walk
+                        redo = np.flatnonzero(~certified).tolist()
+                        if redo:
+                            sub = personalization_matrix(tm, [vectors[block][c] for c in redo])
+                            top[redo], _ = rank_items(tm, A, sub, alpha, block_seen[redo], n)
+                        walked += len(redo)
+                    tops[alpha][block] = top
+                except Exception as exc:  # this alpha stops; the others go on
+                    tops[alpha] = exc
+    except Exception as exc:  # a restart-vector, restart-block or series error stops every alpha
+        return dict.fromkeys(alphas, exc), walked
+    return tops, walked
 
 
 def _top_n(S: np.ndarray, n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ import csv
 import io
 import logging
 import math
+import numbers
 import random
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
@@ -80,6 +81,8 @@ class ParamSetting:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise ValueError("n must be an integer")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.delta is not None and not 0.0 < self.delta < math.inf:

@@ -17,7 +17,7 @@ from linkrec.cli import (
     main,
     parse_duration,
 )
-from linkrec import cli, evaluation
+from linkrec import cli, ranker
 from linkrec.evaluation import REPORT_SCHEMA
 
 
@@ -309,7 +309,7 @@ def evaluate_lsg(dataset, out_dir, *flags):
 
 def test_evaluate_report_identical_for_any_workers(dataset, tmp_path, monkeypatch):
     # blocks of two users, so each fold's blocks are shared among threads
-    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 2)
+    monkeypatch.setattr(ranker, "_BATCH_COLUMNS", 2)
     out_dir = tmp_path / "run"
     reports = []
     for flags in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"]):
@@ -721,16 +721,23 @@ FLAT = "".join(f"u\ti\t{t}\n" for t in range(0, 100, 10))  # never a new test it
      None, EXIT_CONFIG, "config error: config file not found: {cfg}"),
     (["evaluate", "--input", "{data}", "--graph", "bip", "--alpha", "0.3", "--config", "{cfg}"],
      "n = 5\nwindows 4", EXIT_CONFIG, "config error: {cfg}:2: expected 'key = value'"),
+    (["evaluate", "--input", "{data}", "--graph", "bip", "--alpha", "0.3", "--config", "{dir}"],
+     None, EXIT_CONFIG, "config error: cannot read config file {dir}: Is a directory"),
+    (["evaluate", "--input", "{data}", "--graph", "bip", "--alpha", "0.3", "--config", "{cfg}"],
+     b"n = 5 # \xe9t\xe9", EXIT_CONFIG, "config error: config file is not UTF-8 text: {cfg}"),
     (["search", "--input", "{data}"],
      None, EXIT_CONFIG, "config error: --graph is required (bip, stg or lsg)"),
     (["search", "--input", "{flat}", "--graph", "bip", "--count", "2"],
      None, EXIT_NOTHING_EVALUATED, "nothing evaluated: every sampled setting failed"),
 ], ids=["evaluate-windows", "search-windows", "no-input", "no-config-file", "config-line",
-        "search-no-graph", "search-all-failed"])
+        "config-dir", "config-not-utf8", "search-no-graph", "search-all-failed"])
 def test_cli_errors(dataset, tmp_path, capsys, args, config, code, message):
     (tmp_path / "flat.tsv").write_text(FLAT)
-    names = {"data": dataset, "flat": tmp_path / "flat.tsv", "cfg": tmp_path / "run.cfg"}
-    if config is not None:
+    names = {"data": dataset, "flat": tmp_path / "flat.tsv", "cfg": tmp_path / "run.cfg",
+             "dir": tmp_path}
+    if isinstance(config, bytes):
+        names["cfg"].write_bytes(config)
+    elif config is not None:
         names["cfg"].write_text(config + "\n")
     argv = [arg.format(**names) for arg in args] + ["--out-dir", str(tmp_path / "run")]
     assert main(argv) == code

@@ -25,7 +25,6 @@ from linkrec.evaluation import (
     EVALUATED_USERS_RULE,
     REPORT_SCHEMA,
     MetricComponents,
-    _restart_vectors,
     average_precision,
     f1_components,
     hit_ratio_components,
@@ -41,7 +40,7 @@ from linkrec.evaluation import (
 )
 from linkrec.graphs import RecGraph, build_bip, build_graph, build_lsg, build_stg
 from linkrec.linkstream import Event, LinkStream, split_windows
-from linkrec.ranker import personalization, personalization_matrix, rank_items, recommend
+from linkrec.ranker import _restart_vectors, personalization, personalization_matrix, recommend
 from linkrec.tuning import GRID_ALPHA, ParamGrid, ParamSetting, leaderboard_csv, search
 
 from conftest import make_stream
@@ -558,7 +557,7 @@ def test_run_protocol_independent_of_block_width(monkeypatch, flavor, params):
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
     reports = {}
     for width in (1, 5, 128):
-        monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", width)
+        monkeypatch.setattr(ranker, "_BATCH_COLUMNS", width)
         reports[width] = report_json(run_protocol(stream, flavor, params, n_windows=4))
     assert max(c["users"] for c in json.loads(reports[1])["windows"]) > 5
     assert reports[1] == reports[5] == reports[128]
@@ -567,7 +566,7 @@ def test_run_protocol_independent_of_block_width(monkeypatch, flavor, params):
 @pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
 def test_run_protocol_identical_for_1_2_3_workers(monkeypatch, flavor, params):
     # narrow blocks, so each fold is several blocks spread over the threads
-    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    monkeypatch.setattr(ranker, "_BATCH_COLUMNS", 3)
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
     reports = {
         workers: report_json(run_protocol(stream, flavor, params, n_windows=4, workers=workers))
@@ -580,7 +579,7 @@ def test_run_protocol_identical_for_1_2_3_workers(monkeypatch, flavor, params):
 def test_run_protocol_identical_with_more_threads_than_cores(monkeypatch):
     # more threads than blocks and a switch every microsecond, so blocks
     # finish out of order; a lost or misplaced block changes the report
-    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 2)
+    monkeypatch.setattr(ranker, "_BATCH_COLUMNS", 2)
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
     params = ParamSetting(alpha=0.5, n=5, eta_s=0.2)
     serial = report_json(run_protocol(stream, "lsg", params, n_windows=4, workers=1))
@@ -656,7 +655,7 @@ def fail_third_block(monkeypatch, alpha=None):
             raise BlockError("block failed")
         return pagerank_batch(tm, D, a)
 
-    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    monkeypatch.setattr(ranker, "_BATCH_COLUMNS", 3)
     monkeypatch.setattr(ranker, "pagerank_batch", failing)
 
 
@@ -764,15 +763,17 @@ def test_serial_and_pooled_runs_give_the_same_outcomes_and_records(
     folds = iter_folds(LinkStream.from_events(events, time_span=(-200, 1000)), 6)
     assert not folds[0].truth and all(fold.truth for fold in folds[1:])
     settings = [dataclasses.replace(params, alpha=0.8), dataclasses.replace(params, alpha=0.9)]
-    rank_group = evaluation._rank_group
+    rank_users = evaluation.rank_users
+    # each fold's users are ranked at its last training event's time
+    fold_at = {fold.train.columns.t[-1].item(): fold.k for fold in folds[1:]}
 
-    def failing(shared, beta, n, alphas):
-        flags, recomputed = rank_group(shared, beta, n, alphas)
-        if shared.fold.k == 3:
-            flags[settings[1].alpha] = BlockError(shared.fold.k)
-        return flags, recomputed
+    def failing(tm, A, users, t, beta, alphas, seen, n):
+        tops, walked = rank_users(tm, A, users, t, beta, alphas, seen, n)
+        if fold_at[t] == 3:
+            tops[settings[1].alpha] = BlockError(fold_at[t])
+        return tops, walked
 
-    monkeypatch.setattr(evaluation, "_rank_group", failing)
+    monkeypatch.setattr(evaluation, "rank_users", failing)
     runs = []
     for pool in (nullcontext(), ThreadPoolExecutor(2)):
         caplog.clear()
@@ -923,53 +924,58 @@ def test_evaluate_settings_with_no_settings_is_empty():
 @pytest.mark.parametrize("seed", range(3))
 def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, params):
     # small blocks, so several blocks per fold are compared
-    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    monkeypatch.setattr(ranker, "_BATCH_COLUMNS", 3)
     stream = make_stream(20 + seed, n_users=12, n_items=25, n_events=250)
     compared = 0
     for fold in iter_folds(stream, 4):
         if not fold.truth:
             continue
         shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
-        for block, _, D in shared.restarts(params.beta):
-            top, _ = rank_items(
-                shared.tm, shared.A, D, params.alpha, shared.seen[block], params.n
+        tops, _ = ranker.rank_users(
+            shared.tm, shared.A, shared.users, fold.train.columns.t[-1].item(), params.beta,
+            [params.alpha], shared.seen, params.n,
+        )
+        for user, rows in zip(shared.users, tops[params.alpha].tolist()):
+            expected = recommend(
+                shared.graph, user, fold.rec_time, params,
+                seen=fold.train_items[user], tm=shared.tm,
             )
-            for user, rows in zip(shared.users[block], top.tolist()):
-                expected = recommend(
-                    shared.graph, user, fold.rec_time, params,
-                    seen=fold.train_items[user], tm=shared.tm,
-                )
-                assert [shared.items[r] for r in rows if r >= 0] == [
-                    item for item, _ in expected
-                ]
-                compared += 1
+            assert [shared.items[r] for r in rows if r >= 0] == [item for item, _ in expected]
+            compared += 1
     assert compared > 10
 
 
 @pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
 def test_fold_restart_blocks_are_column_blocks_of_all_ranked_users(monkeypatch, flavor, params):
-    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    monkeypatch.setattr(ranker, "_BATCH_COLUMNS", 3)
     stream = make_stream(21, n_users=12, n_items=25, n_events=250)
+    blocks = []
+
+    def spy(tm, vectors):
+        blocks.append(personalization_matrix(tm, vectors))
+        return blocks[-1]
+
+    monkeypatch.setattr(ranker, "personalization_matrix", spy)
     cut = 0
     for fold in iter_folds(stream, 4):
         if not fold.truth:
             continue
+        blocks.clear()
+        # one alpha, so no sub-block is built: the blocks are those ranked
+        evaluation._evaluate_fold(fold, flavor, [params])
         shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
-        blocks = shared.restarts(params.beta)
-        ranked = range(len(shared.users))
-        assert [r for block, _, _ in blocks for r in ranked[block]] == list(ranked)
+        widths = [B.shape[1] for B in blocks]
+        assert widths[:-1] == [3] * (len(widths) - 1) and sum(widths) == len(shared.users)
         whole = personalization_matrix(shared.tm, [
             personalization(shared.graph, user, t=fold.rec_time, beta=params.beta)
             for user in shared.users
         ])
         expected = np.zeros(whole.shape)
         expected[whole.row, whole.col] = whole.mass
-        for block, vectors, D in blocks:
-            # the block, and the block its vectors build, as a sub-block's are built
-            for B in (D, personalization_matrix(shared.tm, vectors)):
-                got = np.zeros(B.shape)
-                got[B.row, B.col] = B.mass
-                assert np.array_equal(got, expected[:, block])
+        for start, B in zip(range(0, len(shared.users), 3), blocks):
+            got = np.zeros(B.shape)
+            got[B.row, B.col] = B.mass
+            assert np.array_equal(got, expected[:, start:start + 3])
         cut += len(blocks) > 1
     assert cut
 
@@ -1047,7 +1053,7 @@ def test_protocol_with_cold_new_items_matches_per_user_reference(
     monkeypatch, flavor, params, workers
 ):
     # narrow blocks, so each fold's ranked users span several blocks
-    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 2)
+    monkeypatch.setattr(ranker, "_BATCH_COLUMNS", 2)
     stream = cold_item_stream()
     folds = iter_folds(stream, 4)
     kinds = set()
@@ -1264,7 +1270,7 @@ def test_f1_components_rejects_mismatched_lengths():
 
 def series_off():
     """Patch the shared series out: every group ranks with the per-alpha walk."""
-    return mock.patch.object(evaluation, "series_scores", lambda *args: None)
+    return mock.patch.object(ranker, "series_scores", lambda *args: None)
 
 
 def setting_reports(folds, flavor, settings):
@@ -1317,13 +1323,13 @@ def series_cases(draw):
 def test_shared_series_leaves_reports_and_leaderboards_unchanged(case):
     flavor, stream, settings, grid, n = case
     ran = []
-    series_scores = evaluation.series_scores
+    series_scores = ranker.series_scores
 
     def counted(*args):
         ran.append(1)
         return series_scores(*args)
 
-    with mock.patch.object(evaluation, "series_scores", counted):
+    with mock.patch.object(ranker, "series_scores", counted):
         shared = outputs(stream, flavor, settings, grid, n)
     note(f"series ran on {len(ran)} blocks")
     with series_off():
@@ -1347,7 +1353,7 @@ def test_bip_tie_without_twins_is_recomputed(caplog):
 
 def test_group_series_runs_only_where_the_walks_take_twice_its_steps(monkeypatch):
     calls = []
-    monkeypatch.setattr(evaluation, "series_scores", lambda *args: calls.append(args[3]))
+    monkeypatch.setattr(ranker, "series_scores", lambda *args: calls.append(args[3]))
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
     folds = iter_folds(stream, 4)
     run_protocol(stream, "lsg", ParamSetting(alpha=0.9, n=5, eta_s=0.2), n_windows=4, workers=1)
@@ -1388,7 +1394,7 @@ def test_dangling_or_tiny_weight_graph_takes_the_per_alpha_path(monkeypatch, fau
     settings = [ParamSetting(alpha=a, n=5, eta_s=0.2) for a in GRID_ALPHA]
     folds = iter_folds(stream, 4)
     declined, columns, walked = [], [], []
-    series_scores, rank = evaluation.series_scores, evaluation.rank_items
+    series_scores, rank = ranker.series_scores, ranker.rank_items
 
     def series_spy(tm, A, D, alphas):
         declined.append(series_scores(tm, A, D, alphas) is None)
@@ -1399,8 +1405,8 @@ def test_dangling_or_tiny_weight_graph_takes_the_per_alpha_path(monkeypatch, fau
         walked.extend(np.broadcast_to(alpha, D.shape[1:]).tolist())
         return rank(tm, A, D, alpha, seen, n)
 
-    monkeypatch.setattr(evaluation, "series_scores", series_spy)
-    monkeypatch.setattr(evaluation, "rank_items", rank_spy)
+    monkeypatch.setattr(ranker, "series_scores", series_spy)
+    monkeypatch.setattr(ranker, "rank_items", rank_spy)
     outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
     assert declined and all(declined)
     # every alpha walks every column of every block
@@ -1427,22 +1433,29 @@ def test_declined_blocks_count_as_recomputed_lists(monkeypatch, caplog, fault):
 
 
 def test_duplicate_settings_share_one_walk(monkeypatch):
-    monkeypatch.setattr(evaluation, "_BATCH_COLUMNS", 3)
+    monkeypatch.setattr(ranker, "_BATCH_COLUMNS", 3)
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
     folds = iter_folds(stream, 4)
     setting = ParamSetting(alpha=0.3, n=5, eta_s=0.2)
-    blocks = [D.shape[1] for fold in folds if fold.truth
-              for _, _, D in evaluation.FoldGraph.build(fold, "lsg", None, 0.2).restarts(None)]
-    walked = []
-    rank = evaluation.rank_items
+    ranked = sum(len(evaluation.FoldGraph.build(fold, "lsg", None, 0.2).users)
+                 for fold in folds if fold.truth)
+    blocks, walked = [], []
+    block, rank = ranker.personalization_matrix, ranker.rank_items
+
+    def block_spy(tm, vectors):
+        D = block(tm, vectors)
+        blocks.append(D.shape[1])
+        return D
 
     def rank_spy(tm, A, D, alpha, seen, n):
         walked.append(D.shape[1])
         return rank(tm, A, D, alpha, seen, n)
 
-    monkeypatch.setattr(evaluation, "rank_items", rank_spy)
+    monkeypatch.setattr(ranker, "personalization_matrix", block_spy)
+    monkeypatch.setattr(ranker, "rank_items", rank_spy)
     first, second = evaluation.evaluate_settings(folds, "lsg", [setting, setting])
-    assert len(blocks) > len(folds) and walked == blocks
+    # each ranked user is in one block, and each block is walked once
+    assert len(blocks) > len(folds) and sum(blocks) == ranked and walked == blocks
     assert report_json(first) == report_json(second)
 
 
@@ -1452,7 +1465,7 @@ def test_series_error_stops_every_setting_of_its_group_and_no_other(monkeypatch)
     settings = [ParamSetting(alpha=a, n=n, eta_s=0.2) for n in (5, 3) for a in GRID_ALPHA]
     settings.append(ParamSetting(alpha=0.3, n=7, eta_s=0.2))
     reference = [report_json(o) for o in evaluation.evaluate_settings(folds, "lsg", settings)]
-    series_scores = evaluation.series_scores
+    series_scores = ranker.series_scores
     calls = itertools.count()
 
     def failing(tm, A, D, alphas):
@@ -1460,7 +1473,7 @@ def test_series_error_stops_every_setting_of_its_group_and_no_other(monkeypatch)
             raise BlockError("series failed")
         return series_scores(tm, A, D, alphas)
 
-    monkeypatch.setattr(evaluation, "series_scores", failing)
+    monkeypatch.setattr(ranker, "series_scores", failing)
     outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
     group = len(GRID_ALPHA)
     assert all(isinstance(o, BlockError) for o in outcomes[:group])
@@ -1472,14 +1485,14 @@ def test_selection_error_stops_only_its_alpha(monkeypatch):
     folds = iter_folds(stream, 4)
     settings = [ParamSetting(alpha=a, n=5, eta_s=0.2) for a in GRID_ALPHA]
     reference = [report_json(o) for o in evaluation.evaluate_settings(folds, "lsg", settings)]
-    certified_top_n = evaluation.certified_top_n
+    certified_top_n = ranker.certified_top_n
 
     def failing(tm, A, S, alpha, seen, n):
         if alpha == 0.5:
             raise BlockError("selection failed")
         return certified_top_n(tm, A, S, alpha, seen, n)
 
-    monkeypatch.setattr(evaluation, "certified_top_n", failing)
+    monkeypatch.setattr(ranker, "certified_top_n", failing)
     outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
     bad = GRID_ALPHA.index(0.5)
     assert isinstance(outcomes[bad], BlockError)
@@ -1493,7 +1506,7 @@ def test_recomputation_error_stops_only_its_alpha(monkeypatch):
     folds = iter_folds(stream, 4)
     settings = [ParamSetting(alpha=a, n=5, eta_s=0.2) for a in GRID_ALPHA]
     reference = [report_json(o) for o in evaluation.evaluate_settings(folds, "lsg", settings)]
-    certified_top_n, pagerank_batch = evaluation.certified_top_n, ranker.pagerank_batch
+    certified_top_n, pagerank_batch = ranker.certified_top_n, ranker.pagerank_batch
     walked = []
 
     def uncertified(tm, A, S, alpha, seen, n):
@@ -1506,7 +1519,7 @@ def test_recomputation_error_stops_only_its_alpha(monkeypatch):
             raise BlockError("recomputation failed")
         return pagerank_batch(tm, D, alpha, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "certified_top_n", uncertified)
+    monkeypatch.setattr(ranker, "certified_top_n", uncertified)
     monkeypatch.setattr(ranker, "pagerank_batch", failing)
     outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
     bad = GRID_ALPHA.index(0.5)

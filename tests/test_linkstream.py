@@ -283,6 +283,14 @@ def test_filter_config_rejects_negative_thresholds():
         FilterConfig(sigma_u=-1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), 1.5, 2.0, True], ids=["nan", "1.5", "2.0", "bool"])
+def test_filter_config_rejects_non_integer_thresholds(value):
+    with pytest.raises(ValueError, match="sigma_u must be an integer"):
+        FilterConfig(sigma_u=value)
+    with pytest.raises(ValueError, match="sigma_i must be an integer"):
+        FilterConfig(sigma_i=value)
+
+
 # --- windows ------------------------------------------------------------------
 
 

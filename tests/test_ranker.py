@@ -725,7 +725,10 @@ def test_scaled_weights_leave_ranking_unchanged(seed, c):
     ({"alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
     ({"alpha": 0.5, "tol": 0.0}, "tol must be positive"),
     ({"alpha": 0.5, "max_iter": 0}, "max_iter must be at least 1"),
-], ids=["alpha-0", "alpha-1", "tol", "max-iter"])
+    ({"alpha": 0.5, "tol": math.inf}, "tol must be positive and finite"),
+    ({"alpha": 0.5, "tol": math.nan}, "tol must be positive and finite"),
+    ({"alpha": 0.5, "max_iter": 2.5}, "max_iter must be an integer"),
+], ids=["alpha-0", "alpha-1", "tol", "max-iter", "tol-inf", "tol-nan", "max-iter-2.5"])
 def test_step_count_rejects_bad_arguments(kwargs, message):
     with pytest.raises(ValueError, match=message):
         step_count(**kwargs)

@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import linkrec.evaluation as evaluation
@@ -43,6 +44,18 @@ def test_param_setting_validation():
         ParamSetting(alpha=0.5, beta=1.5)
     with pytest.raises(ValueError):
         ParamSetting(alpha=0.5, eta_s=-0.1)
+
+
+@pytest.mark.parametrize("n", [2.5, 5.0, True, "5"])
+def test_param_setting_rejects_a_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ParamSetting(alpha=0.3, n=n)
+
+
+def test_param_setting_accepts_a_numpy_integer_n():
+    report = run_protocol(make_stream(11, n_users=20, n_items=30, n_events=300), "bip",
+                          ParamSetting(alpha=0.3, n=np.int64(2)), n_windows=4, workers=1)
+    assert not report.nothing_evaluated
 
 
 def test_default_grid_matches_predefined_values():
@@ -467,10 +480,10 @@ def test_search_raises_the_fold_error_run_protocol_raises():
 
 FORK_SCRIPT = """
 from conftest import make_stream
-from linkrec import evaluation
+from linkrec import evaluation, ranker
 from linkrec.tuning import ParamGrid, ParamSetting, search
 
-evaluation._BATCH_COLUMNS = 3
+ranker._BATCH_COLUMNS = 3
 stream = make_stream(11, n_users=20, n_items=30, n_events=300)
 params = ParamSetting(alpha=0.3, n=5, eta_s=0.5)
 evaluation.run_protocol(stream, "lsg", params, n_windows=4, workers=2)
