@@ -143,18 +143,16 @@ def f1_components(
     hit_counts: Sequence[int], new_counts: Sequence[int], n: int
 ) -> tuple[float, float]:
     """F1@N components: (sum of 2*hit_N(u), sum of |I_new(u)| + N)."""
-    if len(hit_counts) != len(new_counts):
+    if np.shape(hit_counts) != np.shape(new_counts):
         raise ValueError("one hit count and one I_new size per user")
-    if any(c < 1 for c in new_counts):
+    if np.any(np.less(new_counts, 1)):
         raise ValueError("every evaluated user needs at least one relevant item")
-    if not hit_counts:
-        return (0.0, 0.0)
-    return (2.0 * sum(hit_counts), float(sum(c + n for c in new_counts)))
+    return (2.0 * int(np.sum(hit_counts)), float(int(np.sum(new_counts)) + n * len(new_counts)))
 
 
 def hit_ratio_components(hit_counts: Sequence[int]) -> tuple[float, float]:
     """HR@N components: (#users with a hit, #users evaluated)."""
-    return (float(sum(1 for c in hit_counts if c > 0)), float(len(hit_counts)))
+    return (float(np.count_nonzero(np.greater(hit_counts, 0))), float(len(hit_counts)))
 
 
 def _fadd(values: Iterable[float]) -> float:
@@ -173,13 +171,21 @@ def average_precision(h: Sequence[int], n: int) -> float:
 
 
 def map_components(
-    flags_per_user: Sequence[Sequence[int]], n: int
+    flags_per_user: np.ndarray | Sequence[Sequence[int]], n: int
 ) -> tuple[float, float]:
-    """MAP@N components: (sum of AP_N(u), #users evaluated)."""
-    return (
-        _fadd(average_precision(h, n) for h in flags_per_user),
-        float(len(flags_per_user)),
-    )
+    """MAP@N components: (sum of AP_N(u), #users evaluated), from a users
+    x ranks hit array or one flag list per user, whose missing ranks are
+    misses (their terms add exactly 0.0). Left-to-right cumsums add each
+    AP and then the APs, bitwise as :func:`_fadd` adds them."""
+    h = flags_per_user
+    if not isinstance(h, np.ndarray):  # pad the lists with misses
+        h = np.zeros((len(h), max(map(len, h), default=0)), dtype=np.intp)
+        for u, flags in enumerate(flags_per_user):
+            h[u, : len(flags)] = flags
+    hit_k = np.cumsum(h, axis=1)
+    terms = np.hstack([np.zeros((len(h), 1)), hit_k * h / np.arange(1, h.shape[1] + 1)])
+    ap = np.cumsum(terms, axis=1)[:, -1] / np.maximum(h.sum(axis=1), 1)  # 0.0 without hits
+    return float(np.cumsum(np.append(0.0, ap))[-1]), float(len(h))
 
 
 def time_average(components: Iterable[MetricComponents]) -> tuple[float, float, float]:
@@ -293,7 +299,6 @@ def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
     for params in settings:
         groups.setdefault((params.beta, params.n), {})[params.alpha] = None
     new_counts = [len(items) for items in fold.truth.values()]
-    unranked = [0] * (len(fold.truth) - len(shared.users))
     t = fold.train.columns.t[-1].item()  # LSG finds at the last event the nodes rec_time would
     scored: dict = {}
     recomputed = 0
@@ -307,14 +312,14 @@ def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
                 continue
             # truth and seen items are disjoint, so hits stop where unseen items do
             hits = np.take_along_axis(shared.truth, top, axis=1) & (top >= 0)
-            flags = hits.astype(int).tolist()
-            hit_counts = [sum(h) for h in flags] + unranked
+            # row sums, then a 0 for each unranked user, whom minlength counts
+            hit_counts = np.bincount(hits.nonzero()[0], minlength=len(new_counts))
             scored[beta, n, alpha] = MetricComponents(
                 window=fold.k,
                 users=len(fold.truth),
                 f1=f1_components(hit_counts, new_counts, n),
                 hr=hit_ratio_components(hit_counts),
-                map=(map_components(flags, n)[0], float(len(fold.truth))),
+                map=(map_components(hits, n)[0], float(len(fold.truth))),
             )
     counts = (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users), recomputed)
     return counts, [scored[params.beta, params.n, params.alpha] for params in settings]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -94,19 +95,22 @@ class TransitionMatrix:
 
     ``matrix[y, x]`` is w(x, y) / out_weight(x); columns of dangling
     nodes (zero out-weight) are empty and flagged in ``dangling``.
-    ``transposed`` is ``matrix.T`` in CSR, built with it for the sparse
-    start of :func:`pagerank_batch`. ``nodes`` and ``index`` are the
-    rendered tagged-tuple view of that order, built on first read.
+    ``transposed`` is ``matrix.T`` in CSR, built on first read by the
+    sparse start of :func:`pagerank_batch`. ``nodes`` and ``index`` are
+    the rendered tagged-tuple view of that order, built on first read.
     """
 
     graph: RecGraph
     matrix: sparse.csr_matrix
     dangling: np.ndarray  # bool mask over node indices
-    transposed: sparse.csr_matrix
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def transposed(self) -> sparse.csr_matrix:
+        return self.matrix.T.tocsr()
 
     @property
     def nodes(self) -> list:
@@ -154,9 +158,7 @@ def transition_matrix(graph: RecGraph) -> TransitionMatrix:
     out_weight = np.bincount(graph.src, weights=graph.weight, minlength=n)
     data = graph.weight / out_weight[graph.src]
     matrix = sparse.csr_matrix((data, (graph.dst, graph.src)), shape=(n, n))
-    return TransitionMatrix(
-        graph=graph, matrix=matrix, dangling=out_weight == 0.0, transposed=matrix.T.tocsr()
-    )
+    return TransitionMatrix(graph=graph, matrix=matrix, dangling=out_weight == 0.0)
 
 
 def _restart_vectors(
@@ -291,8 +293,8 @@ def step_count(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    if not sys.float_info.min <= tol < math.inf:  # the least subnormal halves to 0.0
+        raise ValueError("tol must be positive and finite, and not subnormal")
     if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool):
         raise ValueError("max_iter must be an integer")
     if max_iter < 1:
@@ -441,17 +443,14 @@ def rank_items(
     Returns the top-n item rows, best first, with -1 past the last
     unseen item (ties go to the lower row, the smaller item id), and the
     item scores, -inf at seen items. The rows are selected by
-    :func:`_top_n`. Whether the scores are certified is
+    :func:`_select`. Whether the scores are certified is
     ``step_count(alpha)``'s to say. :func:`series_scores` and
     :func:`certified_top_n` give the same lists for many alphas at once,
     where they can prove it.
     """
     X, _, _ = pagerank_batch(tm, D, alpha)
     S = np.ascontiguousarray((A @ X).T)
-    S[seen] = -np.inf
-    top = _top_n(S, n)
-    top[np.take_along_axis(seen, top, axis=1)] = -1
-    return top, S
+    return _select(S, seen, n)[0], S
 
 
 def series_scores(
@@ -528,25 +527,19 @@ def certified_top_n(
     Algorithms", section 3.1), and a score is 0 exactly when the exact
     one is, as :func:`series_scores` keeps products in the normal range.
     Let s_1 >= ... >= s_n be the selected scores and s_{n+1} the best
-    score left out (-inf if none). The list is certified when every
-    adjacent pair has s_i > s_{i+1} (1 + eps), eps = 8 gamma_m, so that
-    both computations order the pair alike, or s_i = s_{i+1} at 0 or
-    -inf, where both computations tie the pair exactly and so break the
-    tie by item row.
+    score left out, if any, from the same selection. The list is
+    certified when every adjacent pair has s_i > s_{i+1} (1 + eps),
+    eps = 8 gamma_m, so that both computations order the pair alike, or
+    s_i = s_{i+1} at 0 or -inf, where both computations tie the pair
+    exactly and so break the tie by item row.
     """
     d = np.diff(tm.matrix.indptr).max(initial=0)
     o = np.diff(A.indptr).max(initial=0)
     m = step_count(alpha)[0] * (d + 2) + o + 2
     eps = 8.0 * m * 2.0**-53 / (1.0 - m * 2.0**-53)
-    S[seen] = -np.inf
-    top = _top_n(S, n)
-    left = S.copy()
-    np.put_along_axis(left, top, -np.inf, axis=1)
-    chosen = np.take_along_axis(S, top, axis=1)
-    s = np.concatenate([chosen, left.max(axis=1, initial=-np.inf)[:, None]], axis=1)
+    top, s = _select(S, seen, n)
     hi, lo = s[:, :-1], s[:, 1:]
     exact_tie = (hi == lo) & ((hi == 0.0) | (hi == -np.inf))
-    top[np.take_along_axis(seen, top, axis=1)] = -1
     return top, ((hi > lo * (1.0 + eps)) | exact_tie).all(axis=1)
 
 
@@ -613,6 +606,18 @@ def rank_users(
     except Exception as exc:  # a restart-vector, restart-block or series error stops every alpha
         return dict.fromkeys(alphas, exc), walked
     return tops, walked
+
+
+def _select(S: np.ndarray, seen: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of :func:`rank_items` from scores ``S``, which get -inf at
+    ``seen`` items, and the scores of one :func:`_top_n` of n + 1: the
+    rows' scores, then the best score left out, if any."""
+    S[seen] = -np.inf
+    top = _top_n(S, n + 1)
+    s = np.take_along_axis(S, top, axis=1)
+    top = top[:, :n]
+    top[np.take_along_axis(seen, top, axis=1)] = -1
+    return top, s
 
 
 def _top_n(S: np.ndarray, n: int) -> np.ndarray:

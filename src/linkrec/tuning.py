@@ -85,6 +85,9 @@ class ParamSetting:
             raise ValueError("n must be an integer")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        for name in ("delta", "beta", "eta_s"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         if self.delta is not None and not 0.0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
@@ -108,6 +111,8 @@ class ParamGrid:
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"grid list {name!r} is empty")
+            if any(isinstance(v, bool) for v in values):
+                raise ValueError(f"grid list {name!r} holds a bool")
             repeated = [v for k, v in enumerate(values) if v in values[:k]]
             if repeated:
                 raise ValueError(f"grid list {name!r} repeats {repeated[0]!r}")

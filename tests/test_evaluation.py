@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from linkrec import evaluation, ranker
 from linkrec.evaluation import (
@@ -193,6 +194,63 @@ def test_map_sums_add_left_to_right():
     comps = [comp(k, 1, (0.0, 1.0), (0.0, 1.0), (num, float(k == 1))) for k, num in
              enumerate(numerators, start=1)]
     assert time_average(comps)[2] == 1.0
+
+
+def bits(components) -> list[str]:
+    """A components pair bit for bit, and only if both are Python floats
+    (numpy 2 reprs a np.float64 as "np.float64(x)", and report_csv
+    writes repr)."""
+    assert all(type(v) is float for v in components)
+    return [v.hex() for v in components]
+
+
+@st.composite
+def ranked_and_unranked(draw):
+    """A ranked users x ranks hit array, a count of unranked users, and one
+    I_new size per user, ranked first."""
+    hits = draw(arrays(np.bool_, st.tuples(st.integers(0, 12), st.integers(0, 10))))
+    users = len(hits) + draw(st.integers(0, 5))
+    return hits, users, draw(st.lists(st.integers(1, 5), min_size=users, max_size=users))
+
+
+@given(ranked_and_unranked(), st.integers(0, 3))
+@example((np.zeros((0, 0), bool), 0, []), 0)  # no users
+@example((np.zeros((3, 0), bool), 5, [1, 2, 3, 1, 2]), 1)  # no ranks, two users unranked
+@settings(max_examples=300, deadline=None)
+def test_array_scoring_is_bitwise_the_per_user_specification(case, extra):
+    # the unranked users enter the hit counts as a count, as in _evaluate_fold
+    hits, users, new_counts = case
+    n = hits.shape[1] + extra
+    flags = hits.astype(int).tolist()
+    hit_counts = [sum(h) for h in flags] + [0] * (users - len(flags))
+    counts = np.bincount(hits.nonzero()[0], minlength=users)
+    assert bits(f1_components(counts, new_counts, n)) == bits(
+        (2.0 * sum(hit_counts), float(sum(c + n for c in new_counts))))
+    assert bits(hit_ratio_components(counts)) == bits(
+        (float(sum(1 for c in hit_counts if c > 0)), float(users)))
+    expected = evaluation._fadd(average_precision(h, n) for h in flags)
+    assert bits(map_components(hits, n)) == bits((expected, float(len(flags))))
+
+
+@given(st.lists(st.lists(st.integers(0, 1), max_size=10), max_size=12), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_map_components_scores_ragged_flag_lists(flags, extra):
+    # a list shorter than n misses at its missing ranks, which add exactly 0.0
+    n = max(map(len, flags), default=0) + extra
+    expected = evaluation._fadd(average_precision(h, n) for h in flags)
+    assert bits(map_components(flags, n)) == bits((expected, float(len(flags))))
+    padded = np.array([h + [0] * (n - len(h)) for h in flags], bool).reshape(len(flags), n)
+    assert bits(map_components(padded, n)) == bits(map_components(flags, n))
+
+
+def test_protocol_components_are_python_floats():
+    report = run_protocol(make_stream(3, n_users=20, n_items=30, n_events=300), "bip",
+                          ParamSetting(alpha=0.3, n=3), n_windows=4, workers=1)
+    assert not report.nothing_evaluated
+    for c in report.windows:
+        for pair in (c.f1, c.hr, c.map):
+            bits(pair)
+    assert "np." not in report_csv(report)
 
 
 # --- monotonicity: a miss turned into a hit never hurts ---------------------------

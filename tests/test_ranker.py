@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
@@ -734,6 +735,18 @@ def test_step_count_rejects_bad_arguments(kwargs, message):
         step_count(**kwargs)
 
 
+@pytest.mark.parametrize("tol", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0)])
+def test_step_count_and_pagerank_reject_a_subnormal_tol(tol):
+    # half the least subnormal rounds to 0.0, which has no log
+    with pytest.raises(ValueError, match="tol must be positive and finite, and not subnormal"):
+        step_count(0.5, tol=tol)
+    tm = transition_matrix(two_node_cycle())
+    with pytest.raises(ValueError, match="not subnormal"):
+        pagerank(tm, {0: 1.0}, 0.5, tol=tol)
+    # the least normal tol still counts its steps: 2 * 0.5**1024 <= 2**-1022
+    assert step_count(0.5, tol=sys.float_info.min, max_iter=2000) == (1024, True)
+
+
 def test_transition_matrix_rejects_empty_graph():
     with pytest.raises(ValueError, match="cannot build transition matrix of empty graph"):
         transition_matrix(RecGraph(flavor="bip", nodes=frozenset(), edges={}))
@@ -755,6 +768,35 @@ def test_top_n_is_the_head_of_the_stable_argsort(S, n):
     # few distinct values, so most rows have ties, often at the n-th score
     expected = np.argsort(-S, axis=1, kind="stable")[:, :n]
     assert np.array_equal(ranker._top_n(S, n), expected)
+
+
+@st.composite
+def scores_and_seen(draw):
+    shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 12)))
+    S = draw(arrays(np.float64, shape, elements=st.sampled_from([-math.inf, 0.0, 0.25, 1.0])))
+    return S, draw(arrays(np.bool_, shape))
+
+
+@given(scores_and_seen(), st.integers(min_value=1, max_value=15))
+@example((np.array([[0.5, 0.0, 1.0], [0.0, -math.inf, 0.0]]),  # an all-seen row, n = items
+          np.array([[True, True, True], [False, True, False]])), 3)
+@example((np.array([[0.0, 0.0, -math.inf, 0.0, -math.inf]]),  # ties at 0 and -inf left out
+          np.array([[False, True, False, False, False]])), 1)
+@settings(max_examples=300, deadline=None)
+def test_select_is_the_masked_stable_argsort_head_and_the_best_left_out(case, n):
+    S, seen = case
+    masked = np.where(seen, -math.inf, S)
+    order = np.argsort(-masked, axis=1, kind="stable")
+    listed, left_out = order[:, :n], np.take_along_axis(masked, order[:, n:], axis=1)
+    S = S.copy()
+    top, s = ranker._select(S, seen, n)
+    assert np.array_equal(S, masked)
+    assert np.array_equal(top, np.where(np.take_along_axis(seen, listed, axis=1), -1, listed))
+    assert np.array_equal(s[:, :n], np.take_along_axis(masked, listed, axis=1))
+    if S.shape[1] > n:  # then the best score left out follows
+        assert np.array_equal(s[:, n], left_out.max(axis=1))
+    else:
+        assert s.shape == S.shape
 
 
 # --- one power series for many alphas ----------------------------------------------

@@ -52,6 +52,16 @@ def test_param_setting_rejects_a_non_integer_n(n):
         ParamSetting(alpha=0.3, n=n)
 
 
+@pytest.mark.parametrize("name", ["delta", "beta", "eta_s"])
+@pytest.mark.parametrize("value", [True, False])
+def test_param_setting_and_grid_reject_bools(name, value):
+    # a bool passes the range checks, and a report holding it breaks REPORT_SCHEMA
+    with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+        ParamSetting(alpha=0.3, **{name: value})
+    with pytest.raises(ValueError, match=f"grid list '{name}' holds a bool"):
+        ParamGrid(**{name: (0.5, value)})
+
+
 def test_param_setting_accepts_a_numpy_integer_n():
     report = run_protocol(make_stream(11, n_users=20, n_items=30, n_events=300), "bip",
                           ParamSetting(alpha=0.3, n=np.int64(2)), n_windows=4, workers=1)
