@@ -143,11 +143,14 @@ def f1_components(
     hit_counts: Sequence[int], new_counts: Sequence[int], n: int
 ) -> tuple[float, float]:
     """F1@N components: (sum of 2*hit_N(u), sum of |I_new(u)| + N)."""
-    if np.shape(hit_counts) != np.shape(new_counts):
+    hit_counts, new_counts = np.asarray(hit_counts), np.asarray(new_counts)
+    if hit_counts.shape != new_counts.shape:
         raise ValueError("one hit count and one I_new size per user")
-    if np.any(np.less(new_counts, 1)):
+    if (new_counts < 1).any():
         raise ValueError("every evaluated user needs at least one relevant item")
-    return (2.0 * int(np.sum(hit_counts)), float(int(np.sum(new_counts)) + n * len(new_counts)))
+    if (hit_counts > np.minimum(new_counts, n)).any():
+        raise ValueError("a hit count exceeds min(n, |I_new|) of its user")
+    return (2.0 * int(hit_counts.sum()), float(int(new_counts.sum()) + n * len(new_counts)))
 
 
 def hit_ratio_components(hit_counts: Sequence[int]) -> tuple[float, float]:
@@ -162,7 +165,9 @@ def _fadd(values: Iterable[float]) -> float:
 
 
 def average_precision(h: Sequence[int], n: int) -> float:
-    """AP@N from per-rank hit flags; 0 when nothing was hit."""
+    """AP@N from at most n per-rank hit flags; 0 when nothing was hit."""
+    if len(h) > n:
+        raise ValueError(f"{len(h)} hit flags for a top-{n} list")
     hit_k = list(accumulate(h))
     hit_n = hit_k[-1] if hit_k else 0
     if hit_n == 0:
@@ -174,14 +179,17 @@ def map_components(
     flags_per_user: np.ndarray | Sequence[Sequence[int]], n: int
 ) -> tuple[float, float]:
     """MAP@N components: (sum of AP_N(u), #users evaluated), from a users
-    x ranks hit array or one flag list per user, whose missing ranks are
-    misses (their terms add exactly 0.0). Left-to-right cumsums add each
-    AP and then the APs, bitwise as :func:`_fadd` adds them."""
+    x ranks hit array or one flag list per user, at most n ranks wide,
+    whose missing ranks are misses (their terms add exactly 0.0).
+    Left-to-right cumsums add each AP and then the APs, bitwise as
+    :func:`_fadd` adds them."""
     h = flags_per_user
     if not isinstance(h, np.ndarray):  # pad the lists with misses
         h = np.zeros((len(h), max(map(len, h), default=0)), dtype=np.intp)
         for u, flags in enumerate(flags_per_user):
             h[u, : len(flags)] = flags
+    if h.shape[1] > n:
+        raise ValueError(f"{h.shape[1]} ranks of hit flags for a top-{n} list")
     hit_k = np.cumsum(h, axis=1)
     terms = np.hstack([np.zeros((len(h), 1)), hit_k * h / np.arange(1, h.shape[1] + 1)])
     ap = np.cumsum(terms, axis=1)[:, -1] / np.maximum(h.sum(axis=1), 1)  # 0.0 without hits
@@ -298,7 +306,9 @@ def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
     groups: dict = {}
     for params in settings:
         groups.setdefault((params.beta, params.n), {})[params.alpha] = None
-    new_counts = [len(items) for items in fold.truth.values()]
+    # one I_new size per hit count: the ranked users' rows, then the unranked
+    unranked = sorted(fold.truth.keys() - set(shared.users))
+    new_counts = np.array([len(fold.truth[user]) for user in shared.users + unranked])
     t = fold.train.columns.t[-1].item()  # LSG finds at the last event the nodes rec_time would
     scored: dict = {}
     recomputed = 0

@@ -109,9 +109,32 @@ def _code(ids: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _compact(table: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """The part of a sorted table that ``codes`` use, and the codes into it."""
-    present = np.unique(codes)
-    return tuple(table[c] for c in present.tolist()), np.searchsorted(present, codes)
+    """The part of a sorted table that ``codes`` use, and the codes into it.
+
+    Counts instead of sorting: an id is kept when some code uses it, and
+    its new code is the number of kept ids before it, so the result
+    equals ``np.unique`` of the codes and a ``searchsorted`` into that.
+    """
+    used = np.bincount(codes, minlength=len(table)) > 0
+    return tuple(itertools.compress(table, used)), (np.cumsum(used) - 1)[codes]
+
+
+def _packed_order(t: np.ndarray, user_code: np.ndarray, item_code: np.ndarray,
+                  n_users: int, n_items: int) -> np.ndarray | None:
+    """The (t, user, item) order of integer-timed events, as one argsort of
+    the int64 key ``(t - t_min) * U * I + user * I + item``; None when the
+    times are not integers, a key would not fit in 63 bits, or two events
+    share (t, user, item) (only then do the rating keys decide)."""
+    if t.dtype.kind not in "iu" or not len(t):
+        return None
+    lo, hi = t.min().item(), t.max().item()
+    if (hi - lo + 1) * n_users * n_items > 2**63:  # the largest key is this minus 1
+        return None
+    # int64 throughout: uint64 times mixed with int64 codes would become float64
+    key = (t - t.min()).astype(np.int64) * (n_users * n_items) + user_code * n_items + item_code
+    order = np.argsort(key)  # distinct keys: every sort gives the one order
+    key = key[order]
+    return None if (key[1:] == key[:-1]).any() else order
 
 
 class LinkStream:
@@ -159,7 +182,14 @@ class LinkStream:
     @classmethod
     def _sorted(cls, ts: list, users: list[str], items: list[str], ratings: list[float],
                 time_span) -> "LinkStream":
-        """Code, sort and deduplicate parallel per-event lists."""
+        """Code, sort and deduplicate parallel per-event lists.
+
+        The order is the five-key ``np.lexsort`` on (t, user, item, rated,
+        rating). Integer times whose (t, user, item) keys are distinct and
+        pack into an int64 take the same order from one argsort of the
+        packed key (:func:`_packed_order`): with no ties there, the
+        rating keys break none.
+        """
         if not ts and time_span is None:
             raise ValueError("empty stream")
         user_table, user_code = _code(users)
@@ -182,7 +212,9 @@ class LinkStream:
                 raise ValueError(f"time span {tuple(time_span)} has a non-finite end")
         rating = np.array(ratings, dtype=float)
         unrated = np.isnan(rating)
-        order = np.lexsort((np.where(unrated, 0.0, rating), ~unrated, item_code, user_code, t))
+        order = _packed_order(t, user_code, item_code, len(user_table), len(item_table))
+        if order is None:
+            order = np.lexsort((np.where(unrated, 0.0, rating), ~unrated, item_code, user_code, t))
         t, user_code, item_code, rating, unrated = (
             a[order] for a in (t, user_code, item_code, rating, unrated)
         )
@@ -356,11 +388,8 @@ class Window:
 
 
 def _parse_timestamp(text: str) -> int:
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    """Epoch seconds of stripped ISO-8601 text (the record loop reads
+    integer stamps itself)."""
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
@@ -420,8 +449,18 @@ def parse_link_stream(
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'csv')")
-    delim = "\t" if fmt == "tsv" else ","
-    records = enumerate(csv.reader(_read_lines(source), delimiter=delim), start=1)
+    reader = csv.reader(_read_lines(source), delimiter="\t" if fmt == "tsv" else ",")
+    try:
+        ts, users, items, ratings = _read_records(enumerate(reader, start=1), columns)
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise ParseError(reader.line_num, str(exc)) from None
+    if not ts:
+        raise ValueError("empty stream")
+    return LinkStream._sorted(ts, users, items, ratings, time_span)
+
+
+def _read_records(records, columns: Sequence[str] | None):
+    """The parallel time, user, item and rating lists of numbered records."""
     # Records whose cells are all blank are skipped; the first other one
     # may be a header.
     first = next(((ln, row) for ln, row in records if any(map(str.strip, row))), None)
@@ -457,9 +496,12 @@ def parse_link_stream(
                 continue
             raise ParseError(ln, "record needs user, item and timestamp fields")
         try:
-            t = _parse_timestamp(text)
-        except ValueError as exc:
-            raise ParseError(ln, str(exc)) from None
+            t = int(text)
+        except ValueError:
+            try:
+                t = _parse_timestamp(text)
+            except ValueError as exc:
+                raise ParseError(ln, str(exc)) from None
         rating = math.nan
         text = row[pr].strip() if pr < n else None
         if text:
@@ -473,10 +515,7 @@ def parse_link_stream(
         users.append(user)
         items.append(item)
         ratings.append(rating)
-
-    if not ts:
-        raise ValueError("empty stream")
-    return LinkStream._sorted(ts, users, items, ratings, time_span)
+    return ts, users, items, ratings
 
 
 def filter_positive(stream: LinkStream, rating_floor: float = 2.5) -> LinkStream:

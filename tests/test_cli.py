@@ -160,6 +160,15 @@ def test_malformed_input_is_runtime_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_oversized_field_is_a_line_error(tmp_path, capsys):
+    path = tmp_path / "big.tsv"
+    path.write_text(f"user\titem\tt\nu{'x' * 140_000}\ti1\t5\n")
+    assert main(["inspect", "--input", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_search_writes_leaderboard_and_bests(dataset, tmp_path, capsys):
     out_dir = tmp_path / "campaign"
     code = main([

@@ -137,6 +137,22 @@ def test_map_components_sums_ap():
     assert den == 3.0
 
 
+def test_metrics_reject_hit_data_beyond_n():
+    with pytest.raises(ValueError, match="3 hit flags for a top-2 list"):
+        average_precision([0, 0, 1], 2)
+    with pytest.raises(ValueError, match="3 ranks of hit flags for a top-2 list"):
+        map_components([[0, 0, 1]], 2)
+    with pytest.raises(ValueError, match="3 ranks of hit flags for a top-2 list"):
+        map_components(np.zeros((4, 3), bool), 2)
+    for hits, new_counts in (([3], [1]), ([3], [5]), ([0, 2], [1, 1])):
+        with pytest.raises(ValueError, match=r"a hit count exceeds min\(n, \|I_new\|\)"):
+            f1_components(hits, new_counts, 2)
+    # at the limits
+    assert average_precision([0, 1], 2) == 0.5
+    assert map_components([[0, 1]], 2) == (0.5, 1.0)
+    assert f1_components([2, 1], [5, 1], 2) == (6.0, 10.0)
+
+
 # --- time average ----------------------------------------------------------------
 
 
@@ -207,10 +223,11 @@ def bits(components) -> list[str]:
 @st.composite
 def ranked_and_unranked(draw):
     """A ranked users x ranks hit array, a count of unranked users, and one
-    I_new size per user, ranked first."""
+    I_new size per user, ranked first, at least 1 and the user's hits."""
     hits = draw(arrays(np.bool_, st.tuples(st.integers(0, 12), st.integers(0, 10))))
     users = len(hits) + draw(st.integers(0, 5))
-    return hits, users, draw(st.lists(st.integers(1, 5), min_size=users, max_size=users))
+    least = hits.sum(axis=1).tolist() + [0] * (users - len(hits))
+    return hits, users, [max(h, 1) + draw(st.integers(0, 4)) for h in least]
 
 
 @given(ranked_and_unranked(), st.integers(0, 3))

@@ -1,9 +1,11 @@
 import io
+import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkrec.linkstream import (
@@ -11,6 +13,8 @@ from linkrec.linkstream import (
     FilterConfig,
     LinkStream,
     ParseError,
+    _compact,
+    _packed_order,
     filter_min_activity,
     filter_positive,
     parse_link_stream,
@@ -76,6 +80,14 @@ def test_parse_bad_timestamp_names_line():
     text = "u1\ti1\t100\nu2\ti2\tnot-a-time\n"
     with pytest.raises(ParseError, match="line 2"):
         parse_link_stream(io.StringIO(text))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "csv"])
+def test_parse_oversized_field_names_line(fmt):
+    sep = "\t" if fmt == "tsv" else ","
+    text = sep.join(["u1", "i1", "100"]) + "\n" + sep.join(["u" + "x" * 140_000, "i1", "5"])
+    with pytest.raises(ParseError, match=r"^line 2: field larger than field limit"):
+        parse_link_stream(io.StringIO(text), fmt=fmt)
 
 
 def test_parse_rating_out_of_range_rejected():
@@ -437,6 +449,89 @@ def test_streams_always_sorted(triples):
     )
     keys = [(ev.t, ev.user, ev.item) for ev in stream.events]
     assert keys == sorted(keys)
+
+
+RATINGS = [math.nan, 0.0, 1.0, 2.5, 5.0]
+
+
+@st.composite
+def coded_events(draw):
+    """Event times, user and item codes into tables of the drawn sizes, and
+    ratings (NaN: unrated), as parallel lists. The times are small (many
+    repeated (t, user, item) keys), negative, near 2**64, floats, or span
+    the widest range whose packed keys fit in 63 bits, or one more."""
+    n_users, n_items = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size = draw(st.integers(1, 12))
+    space = draw(st.sampled_from(["small", "negative", "near 2**64", "float", "key edge"]))
+    if space == "float":
+        ts = draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size))
+    else:
+        lo, span = {"small": (0, 5), "negative": (-10**12, 50),
+                    "near 2**64": (2**64 - 1001, 1000)}.get(space, (None, None))
+        if space == "key edge":  # the largest key is 2**63 - 1 or past it
+            span = 2**63 // (n_users * n_items) - 1 + draw(st.integers(0, 1))
+            lo = draw(st.sampled_from([0, -2**62, -2**63]))
+        ts = [lo, lo + span] + draw(st.lists(st.integers(lo, lo + span), max_size=size))
+    codes = st.lists(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1),
+                               st.sampled_from(RATINGS)), min_size=len(ts), max_size=len(ts))
+    users, items, ratings = map(list, zip(*draw(codes)))
+    return ts, users, items, ratings, n_users, n_items
+
+
+@given(coded_events())
+@settings(max_examples=300, deadline=None)
+def test_packed_order_is_the_five_key_lexsort(case):
+    ts, users, items, ratings, n_users, n_items = case
+    t, user, item, rating = np.array(ts), np.array(users), np.array(items), np.array(ratings)
+    order = _packed_order(t, user, item, n_users, n_items)
+    packs = (t.dtype.kind in "iu"
+             and (max(ts) - min(ts) + 1) * n_users * n_items <= 2**63
+             and len(set(zip(ts, users, items))) == len(ts))
+    assert (order is not None) == packs
+    if packs:
+        unrated = np.isnan(rating)
+        lexsort = np.lexsort((np.where(unrated, 0.0, rating), ~unrated, item, user, t))
+        assert order.tolist() == lexsort.tolist()
+
+
+@pytest.mark.parametrize("lo", [0, -2**63])
+def test_packed_key_just_fits_or_falls_back(lo):
+    # 2 users x 3 items: span + 1 = 2**63 // 6 puts the largest key at 2**63 - 1
+    user, item = np.array([1, 0]), np.array([2, 0])
+    span = 2**63 // 6 - 1
+    assert _packed_order(np.array([lo + span, lo]), user, item, 2, 3).tolist() == [1, 0]
+    assert _packed_order(np.array([lo + span + 1, lo]), user, item, 2, 3) is None
+
+
+@given(coded_events())
+@settings(max_examples=300, deadline=None)
+def test_stream_events_are_the_sorted_set_of_the_input(case):
+    ts, users, items, ratings, _, _ = case
+    events = [Event(t, f"u{u}", f"i{i}", None if math.isnan(r) else r)
+              for t, u, i, r in zip(ts, users, items, ratings)]
+    stream = LinkStream.from_events(events)
+    expected = sorted(set(events), key=lambda ev: (ev.t, ev.user, ev.item,
+                                                  ev.rating is not None, ev.rating or 0.0))
+    assert list(stream.events) == expected
+    assert [type(ev.t) for ev in stream.events] == [type(ev.t) for ev in expected]
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, max(n - 1, 0)),
+                                             max_size=20 if n else 0))))
+@example((0, []))
+@example((5, []))
+@settings(max_examples=200, deadline=None)
+def test_compact_is_unique_and_searchsorted(case):
+    n, codes = case
+    table = tuple(f"id{k}" for k in range(n))
+    codes = np.array(codes, dtype=np.int64)
+    present = np.unique(codes)
+    expected = np.searchsorted(present, codes)
+    got_table, got_codes = _compact(table, codes)
+    assert got_table == tuple(table[c] for c in present.tolist())
+    assert got_codes.dtype == expected.dtype
+    assert got_codes.tolist() == expected.tolist()
 
 
 @given(

@@ -9,6 +9,8 @@ Run from the root of a source tree; it imports that tree's ``src/`` and
 Each stream is generated and loaded as ``perfbench/run.py`` does it.
 Per seed, one line per output:
 
+* ``protocol-lsg/stream`` and ``campaign-lsg/stream`` -- the loaded
+  (parsed and filtered) streams: their columns, id tables and time span;
 * ``protocol-lsg/report`` -- the protocol-lsg workload's ``report_json``;
 * ``campaign-lsg/leaderboard`` -- the campaign-lsg workload's
   ``leaderboard_csv``;
@@ -70,6 +72,18 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def stream_sha(stream) -> str:
+    """Hash of a stream's columns (dtype, shape and bytes), id tables and
+    time span."""
+    c = stream.columns
+    digest = hashlib.sha256()
+    for column in (c.t, c.user_code, c.item_code, c.rating):
+        digest.update(f"{column.dtype.str} {column.shape}\n".encode())
+        digest.update(column.tobytes())
+    digest.update(repr((c.users, c.items, stream.time_span)).encode())
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -123,6 +137,8 @@ def main(argv=None) -> int:
     per_flavor: Counter = Counter()
     for seed in args.seeds:
         loaded = {name: stream_of(name, seed) for name in ("protocol-lsg", "campaign-lsg")}
+        for name, stream in loaded.items():
+            print(f"{name}/stream seed={seed} {stream_sha(stream)}")
         for name, output, flavor, workload, run in runs:
             records = Records()
             logger.addHandler(records)
