@@ -150,7 +150,8 @@ class LinkStream:
     the events. An empty stream is legal only with an explicit time span
     (filters may empty a stream; parsing empty input is an error). A span
     derived from the events keeps their type, so integer timestamps past
-    2**53 (nanosecond epochs) stay exact.
+    2**53 (nanosecond epochs) stay exact. Integer times are stored as
+    int64, or as uint64 when one passes 2**63 - 1 and none is negative.
 
     :attr:`columns` holds the stream. :attr:`events`, :attr:`users` and
     :attr:`items` are rendered from it on first read. Two streams are
@@ -195,6 +196,11 @@ class LinkStream:
         user_table, user_code = _code(users)
         item_table, item_code = _code(items)
         t = np.array(ts) if ts else np.zeros(0, np.int64)
+        # numpy infers float64 for int64 and uint64 integers together; when
+        # none is negative, uint64 holds them all exactly
+        if (t.dtype.kind == "f" and all(isinstance(x, (int, np.integer)) for x in ts)
+                and min(ts) >= 0):
+            t = np.array(ts, dtype=np.uint64)
         if t.dtype.kind not in "iuf":
             raise ValueError("timestamps must be 64-bit integers or floats")
         if t.dtype.kind == "f":

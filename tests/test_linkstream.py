@@ -504,6 +504,7 @@ def test_packed_key_just_fits_or_falls_back(lo):
 
 
 @given(coded_events())
+@example(([0, 2**63], [0, 0], [0, 0], [math.nan, math.nan], 1, 1))  # int64 + uint64 times
 @settings(max_examples=300, deadline=None)
 def test_stream_events_are_the_sorted_set_of_the_input(case):
     ts, users, items, ratings, _, _ = case
