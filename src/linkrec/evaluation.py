@@ -74,8 +74,13 @@ class Fold:
     """Training/test split for one evaluation step.
 
     ``rec_time`` is the exact right edge of the training span, the time
-    recommendations are issued at. ``train_items`` and ``truth`` are
-    read from ``train`` and ``test`` on first use and kept.
+    recommendations are issued at. ``train`` and ``test`` are slices of
+    one stream and share its id tables, so a (user, item) pair is one
+    int64 key ``user_code * n_items + item_code``, and keys sort like
+    (user id, item id). :attr:`train_keys` and :attr:`new_keys` are the
+    fold's code view, read from its slices on first use and kept; the
+    protocol reads nothing else. :attr:`train_items` and :attr:`truth`
+    render them as id sets, for tests and demos.
     """
 
     k: int
@@ -84,23 +89,46 @@ class Fold:
     test: LinkStream
     rec_time: Fraction
 
+    @property
+    def n_items(self) -> int:
+        """The size of the item table the fold's slices share."""
+        return len(self.train.columns.items)
+
+    @cached_property
+    def train_keys(self) -> np.ndarray:
+        """The keys of the distinct training pairs, ascending."""
+        c = self.train.columns
+        return np.unique(c.user_code * self.n_items + c.item_code)
+
+    @cached_property
+    def new_keys(self) -> np.ndarray:
+        """The keys of the new test pairs, ascending: each pair's user is
+        present in training and its item is not among that user's
+        training items. The users of these pairs are the evaluated users.
+        Empty for an empty test window, which reads no training pair."""
+        c, train = self.test.columns, self.train.columns
+        if (c.users, c.items) != (train.users, train.items):
+            raise ValueError("a fold's train and test slices must share id tables")
+        if not len(c.t):
+            return np.zeros(0, np.int64)
+        keys = np.unique(c.user_code * self.n_items + c.item_code)
+        trained = np.isin(keys // self.n_items, self.train_keys // self.n_items)
+        return keys[trained & ~np.isin(keys, self.train_keys)]
+
     @cached_property
     def train_items(self) -> dict[str, set[str]]:
-        """Each training user's distinct items."""
+        """Each training user's distinct items, users by first appearance."""
         return self.train.items_by_user()
 
     @cached_property
     def truth(self) -> dict[str, set[str]]:
-        """Each evaluated user's new test-window items (never empty sets);
-        ``{}`` for an empty test window, which reads no training item."""
-        if not len(self.test):
-            return {}
-        train_items = self.train_items
-        return {
-            user: new
-            for user, items in self.test.items_by_user().items()
-            if user in train_items and (new := items - train_items[user])
-        }
+        """Each evaluated user's new test-window items (never empty sets),
+        rendered from :attr:`new_keys`."""
+        c = self.train.columns
+        truth: dict[str, set[str]] = {}
+        for u, i in zip(*(a.tolist() for a in np.divmod(self.new_keys, self.n_items))):
+            truth.setdefault(c.users[u], set()).add(c.items[i])
+        return truth
 
 
 @dataclass(frozen=True)
@@ -216,8 +244,9 @@ def iter_folds(stream: LinkStream, n_windows: int = 8) -> list[Fold]:
 
     Windows are runs of the time-sorted stream, so each fold's training
     stream is a prefix of the stream's columns and its test stream one
-    window's run. Only the windows are cut here: each fold reads its
-    training items and truth from its own slices when first asked.
+    window's run, both sharing the stream's id tables. Only the windows
+    are cut here: each fold reads its pair keys from its own slices when
+    first asked.
     """
     windows = split_windows(stream, n_windows)
     folds = []
@@ -237,17 +266,23 @@ class FoldGraph:
 
     Settings with the same graph key (flavor, delta, eta_s) build the
     graph, transition matrix and item aggregation matrix of a fold
-    once, with users x items masks of the ranked users' training items
-    (``seen``) and new test-window items (``truth``). It keeps nothing
-    per beta: :func:`rank_users` builds the restart blocks on each call.
+    once. It keeps nothing per beta: :func:`rank_users` builds the
+    restart blocks on each call.
 
-    ``users`` are the ranked users: the evaluated users, sorted, with at
-    least one new item among the graph's items. Only graph items can be
-    ranked, so an evaluated user whose new items all first appear in the
-    test window scores no hit under any setting and is not ranked. Every
-    evaluated user has training nodes, so leaving them out hides no
-    restart-vector error. The rows of ``seen`` and ``truth`` follow
-    ``users``.
+    ``user_codes`` are the ranked users: the codes, ascending (so in id
+    order), of the evaluated users with at least one new item among the
+    graph's items. Only graph items can be ranked, so an evaluated user
+    whose new items all first appear in the test window scores no hit
+    under any setting and is not ranked. Every evaluated user has
+    training nodes, so leaving them out hides no restart-vector error.
+    ``seen`` and ``truth`` are users x items boolean CSR rows of the
+    ranked users' training items and their new test-window items in the
+    graph, one stored entry per (user, item) pair; their rows follow
+    ``user_codes`` and their columns the rows of ``A``. ``new_counts``
+    holds |I_new| of every evaluated user: the ranked users' in row
+    order, then the others'. All of it is derived from the fold's keys
+    (:class:`Fold`) with no per-user loop; :attr:`users` renders the
+    ranked users' ids.
     """
 
     fold: Fold
@@ -255,9 +290,15 @@ class FoldGraph:
     tm: TransitionMatrix
     items: list[str]
     A: sparse.csr_matrix
-    users: list[str]
-    seen: np.ndarray
-    truth: np.ndarray
+    user_codes: np.ndarray
+    seen: sparse.csr_matrix
+    truth: sparse.csr_matrix
+    new_counts: np.ndarray
+
+    @property
+    def users(self) -> list[str]:
+        """The ranked users' ids."""
+        return [self.graph.users[c] for c in self.user_codes.tolist()]
 
     @classmethod
     def build(
@@ -266,34 +307,68 @@ class FoldGraph:
         graph = build_graph(flavor, fold.train, delta=delta, eta_s=eta_s)
         tm = transition_matrix(graph)
         items, A = item_matrix(graph)
-        item_row = {item: r for r, item in enumerate(items)}
-        users = [u for u in sorted(fold.truth) if any(i in item_row for i in fold.truth[u])]
-        seen = np.zeros((len(users), len(items)), dtype=bool)
-        truth = np.zeros_like(seen)
-        for r, user in enumerate(users):
-            seen[r, [item_row[i] for i in fold.train_items[user]]] = True
-            truth[r, [item_row[i] for i in fold.truth[user] if i in item_row]] = True
-        return cls(fold, graph, tm, items, A, users, seen, truth)
+        # each row of A sums the nodes of one item; its first node names it
+        item_codes = graph.ident[A.indices[A.indptr[:-1]]]
+        new_user, new_item = np.divmod(fold.new_keys, fold.n_items)
+        in_graph = np.isin(new_item, item_codes)
+        users = np.unique(new_user[in_graph])
+        train_user, train_item = np.divmod(fold.train_keys, fold.n_items)
+        of_ranked = np.isin(train_user, users)
+        evaluated, sizes = np.unique(new_user, return_counts=True)
+        ranked = np.isin(evaluated, users)
+        return cls(
+            fold, graph, tm, items, A, users,
+            _item_rows(train_user[of_ranked], train_item[of_ranked], users, item_codes),
+            _item_rows(new_user[in_graph], new_item[in_graph], users, item_codes),
+            np.concatenate([sizes[ranked], sizes[~ranked]]),
+        )
+
+
+def _item_rows(user: np.ndarray, item: np.ndarray, users: np.ndarray,
+               item_codes: np.ndarray) -> sparse.csr_matrix:
+    """Sorted (user, item) code pairs as users x items boolean CSR rows,
+    one stored entry per pair; every pair's user is in ``users`` and its
+    item in ``item_codes``, both ascending."""
+    indptr = np.append(np.searchsorted(user, users), len(user))
+    return sparse.csr_matrix(
+        (np.ones(len(user), dtype=bool), np.searchsorted(item_codes, item), indptr),
+        shape=(len(users), len(item_codes)),
+    )
+
+
+def _hits(truth: sparse.csr_matrix, top: np.ndarray) -> np.ndarray:
+    """Whether each item row of ``top`` (-1: none) is stored in its row of
+    ``truth``: each stored (user, item) is looked for among its user's
+    rows of ``top``, so the work follows the pairs, not users x items."""
+    user = np.repeat(np.arange(truth.shape[0]), np.diff(truth.indptr))
+    entry, rank = np.divmod(np.flatnonzero(top[user] == truth.indices[:, None]), top.shape[1])
+    hits = np.zeros(top.shape, dtype=bool)
+    hits[user[entry], rank] = True
+    return hits
 
 
 def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
     """Skip, build, rank and score one fold for every setting.
 
     Returns ``(counts, outcomes)``: ``counts`` is the fold's (nodes,
-    edges, ranked users, recomputed lists), or None when no graph was
-    built, and ``outcomes`` holds per setting its components, the
-    skipped (0, 0) components of a fold without evaluated users, or the
-    exception that stopped it. An error building the :class:`FoldGraph`
-    is every setting's; :func:`rank_users` ranks each (beta, n) once for
-    all its alphas, and an error there belongs to the settings it
-    stopped. No scoring error escapes. The graph is freed on return.
+    edges, evaluated users, ranked users, recomputed lists), or None when
+    no graph was built, and ``outcomes`` holds per setting its
+    components, the skipped (0, 0) components of a fold without evaluated
+    users, or the exception that stopped it. An error building the
+    :class:`FoldGraph` is every setting's; :func:`rank_users` ranks each
+    (beta, n) once for all its alphas, and an error there belongs to the
+    settings it stopped. No scoring error escapes. The graph is freed on
+    return.
 
-    An evaluated user with no new item in the graph is only counted: they
-    score a hit count of 0, and the AP sum leaves out their AP of 0.0,
-    whose addition is exact. The users and denominators still count
-    every evaluated user, so the components equal ranking them all.
+    The evaluated users and their I_new sizes come from the fold's new
+    pair keys, through ``FoldGraph.new_counts``, and hits are read from
+    the ``truth`` rows: no users x items array is built. An evaluated
+    user with no new item in the graph is only counted: they score a hit
+    count of 0, and the AP sum leaves out their AP of 0.0, whose addition
+    is exact. The users and denominators still count every evaluated
+    user, so the components equal ranking them all.
     """
-    if not fold.truth:
+    if not len(fold.new_keys):
         skipped = MetricComponents(
             window=fold.k, users=0, f1=(0.0, 0.0), hr=(0.0, 0.0), map=(0.0, 0.0), skipped=True
         )
@@ -306,32 +381,30 @@ def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
     groups: dict = {}
     for params in settings:
         groups.setdefault((params.beta, params.n), {})[params.alpha] = None
-    # one I_new size per hit count: the ranked users' rows, then the unranked
-    unranked = sorted(fold.truth.keys() - set(shared.users))
-    new_counts = np.array([len(fold.truth[user]) for user in shared.users + unranked])
+    evaluated = len(shared.new_counts)  # one I_new size per evaluated user
     t = fold.train.columns.t[-1].item()  # LSG finds at the last event the nodes rec_time would
     scored: dict = {}
     recomputed = 0
     for (beta, n), alphas in groups.items():
-        tops, walked = rank_users(shared.tm, shared.A, shared.users, t, beta, list(alphas),
+        tops, walked = rank_users(shared.tm, shared.A, shared.user_codes, t, beta, list(alphas),
                                   shared.seen, n)
         recomputed += walked
         for alpha, top in tops.items():
             if isinstance(top, Exception):
                 scored[beta, n, alpha] = top
                 continue
-            # truth and seen items are disjoint, so hits stop where unseen items do
-            hits = np.take_along_axis(shared.truth, top, axis=1) & (top >= 0)
+            hits = _hits(shared.truth, top)
             # row sums, then a 0 for each unranked user, whom minlength counts
-            hit_counts = np.bincount(hits.nonzero()[0], minlength=len(new_counts))
+            hit_counts = np.bincount(hits.nonzero()[0], minlength=evaluated)
             scored[beta, n, alpha] = MetricComponents(
                 window=fold.k,
-                users=len(fold.truth),
-                f1=f1_components(hit_counts, new_counts, n),
+                users=evaluated,
+                f1=f1_components(hit_counts, shared.new_counts, n),
                 hr=hit_ratio_components(hit_counts),
-                map=(map_components(hits, n)[0], float(len(fold.truth))),
+                map=(map_components(hits, n)[0], float(evaluated)),
             )
-    counts = (shared.graph.n_nodes, shared.graph.n_edges, len(shared.users), recomputed)
+    counts = (shared.graph.n_nodes, shared.graph.n_edges, evaluated, len(shared.user_codes),
+              recomputed)
     return counts, [scored[params.beta, params.n, params.alpha] for params in settings]
 
 
@@ -391,11 +464,10 @@ def evaluate_settings(
         results = (task.result() for task in reversed(tasks))
     for fold, (counts, scored) in zip(folds, results):
         if counts is not None:
-            nodes, edges, ranked, recomputed = counts
             log.debug(
                 "%s fold %d: %d nodes, %d edges, %d evaluated users, %d ranked, "
                 "%d lists recomputed",
-                flavor, fold.k, nodes, edges, len(fold.truth), ranked, recomputed,
+                flavor, fold.k, *counts,
             )
         for j, comp in enumerate(scored):
             if not isinstance(outcomes[j], list):

@@ -406,18 +406,17 @@ def _parse_timestamp(text: str) -> int:
     return math.floor(dt.timestamp())
 
 
-def _read_lines(source) -> list[str]:
-    """Lines of a path, bytes, or text or binary file; a leading UTF-8
+def _read_text(source) -> str:
+    """Text of a path, bytes, or text or binary file; a leading UTF-8
     byte-order mark is dropped so it cannot hide a header."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8-sig").splitlines()
+        return Path(source).read_text(encoding="utf-8-sig")
     if isinstance(source, bytes):
-        return source.decode("utf-8-sig").splitlines()
+        return source.decode("utf-8-sig")
     if isinstance(source, io.TextIOBase):
-        text = source.read()
-        return text.removeprefix("\ufeff").splitlines()
+        return source.read().removeprefix("\ufeff")
     # binary file-like
-    return source.read().decode("utf-8-sig").splitlines()
+    return source.read().decode("utf-8-sig")
 
 
 def map_columns(columns: Sequence[str]) -> dict[str, int]:
@@ -451,13 +450,17 @@ def parse_link_stream(
     positionally in that order or named by a header row. ``columns``
     overrides both: a sequence of field names per input column, with
     ``"-"`` for columns to ignore. Timestamps may be integer epoch
-    seconds or ISO-8601 dates.
+    seconds or ISO-8601 dates. Records end at a line feed, a carriage
+    return or both, outside quotes; a quoted field keeps its line
+    breaks. A :class:`ParseError` names the physical line its record
+    ends on.
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'csv')")
-    reader = csv.reader(_read_lines(source), delimiter="\t" if fmt == "tsv" else ",")
+    reader = csv.reader(io.StringIO(_read_text(source), newline=""),
+                        delimiter="\t" if fmt == "tsv" else ",")
     try:
-        ts, users, items, ratings = _read_records(enumerate(reader, start=1), columns)
+        ts, users, items, ratings = _read_records(reader, columns)
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
         raise ParseError(reader.line_num, str(exc)) from None
     if not ts:
@@ -465,34 +468,36 @@ def parse_link_stream(
     return LinkStream._sorted(ts, users, items, ratings, time_span)
 
 
-def _read_records(records, columns: Sequence[str] | None):
-    """The parallel time, user, item and rating lists of numbered records."""
+def _read_records(reader, columns: Sequence[str] | None):
+    """The parallel time, user, item and rating lists of a CSV reader's
+    records; an error names ``reader.line_num``, the physical line the
+    record in hand ends on."""
     # Records whose cells are all blank are skipped; the first other one
     # may be a header.
-    first = next(((ln, row) for ln, row in records if any(map(str.strip, row))), None)
+    first = next((row for row in reader if any(map(str.strip, row))), None)
     if first is None:
         raise ValueError("empty stream")
-    rows = itertools.chain([first], records)
+    rows = itertools.chain([first], reader)
 
     if columns is not None:
         mapping = map_columns(columns)
     else:
-        keys = [_HEADER_NAMES.get(cell.strip().lower()) for cell in first[1]]
+        keys = [_HEADER_NAMES.get(cell.strip().lower()) for cell in first]
         # A first row only counts as a header when it names all three
         # required fields; otherwise short ids would shadow data rows.
         if {"user", "item", "timestamp"} <= set(keys):
             try:
-                mapping = map_columns([c if key else "-" for c, key in zip(first[1], keys)])
+                mapping = map_columns([c if key else "-" for c, key in zip(first, keys)])
             except ValueError as exc:  # a field named twice
-                raise ParseError(first[0], str(exc)) from None
-            rows = records
+                raise ParseError(reader.line_num, str(exc)) from None
+            rows = reader
         else:
             mapping = {"user": 0, "item": 1, "timestamp": 2, "rating": 3}
 
     pu, pi, pt = mapping["user"], mapping["item"], mapping["timestamp"]
     pr = mapping.get("rating", math.inf)  # no rating column: past every row
     ts, users, items, ratings = [], [], [], []
-    for ln, row in rows:
+    for row in rows:
         n = len(row)
         user = row[pu].strip() if pu < n else None
         item = row[pi].strip() if pi < n else None
@@ -500,23 +505,23 @@ def _read_records(records, columns: Sequence[str] | None):
         if not user or not item or not text:
             if not any(map(str.strip, row)):
                 continue
-            raise ParseError(ln, "record needs user, item and timestamp fields")
+            raise ParseError(reader.line_num, "record needs user, item and timestamp fields")
         try:
             t = int(text)
         except ValueError:
             try:
                 t = _parse_timestamp(text)
             except ValueError as exc:
-                raise ParseError(ln, str(exc)) from None
+                raise ParseError(reader.line_num, str(exc)) from None
         rating = math.nan
         text = row[pr].strip() if pr < n else None
         if text:
             try:
                 rating = float(text)
             except ValueError:
-                raise ParseError(ln, f"unparseable rating {text!r}") from None
+                raise ParseError(reader.line_num, f"unparseable rating {text!r}") from None
             if not 0.0 <= rating <= 5.0:
-                raise ParseError(ln, f"rating {rating} outside [0, 5]")
+                raise ParseError(reader.line_num, f"rating {rating} outside [0, 5]")
         ts.append(t)
         users.append(user)
         items.append(item)

@@ -162,9 +162,13 @@ def transition_matrix(graph: RecGraph) -> TransitionMatrix:
 
 
 def _restart_vectors(
-    graph: RecGraph, users: Sequence[str], t: float | None = None, beta: float | None = None
+    graph: RecGraph,
+    users: Sequence[str] | np.ndarray,
+    t: float | None = None,
+    beta: float | None = None,
 ) -> list[dict[int, float]]:
-    """Restart vectors of ``users`` as node index -> mass maps.
+    """Restart vectors of ``users`` (ids, or an integer array of their
+    codes into ``graph.users``) as node index -> mass maps.
 
     Each node kind is looked up for all users in one pass over the node
     table: its nodes (LSG: temporal user nodes at or before t), sorted
@@ -180,8 +184,11 @@ def _restart_vectors(
         raise ValueError("lsg personalization requires the query time t")
     if graph.flavor == "stg" and (beta is None or not 0.0 <= beta <= 1.0):
         raise ValueError("stg personalization requires beta in [0, 1]")
-    user_code = {u: c for c, u in enumerate(graph.users)}
-    codes = np.array([user_code.get(u, -1) for u in users], dtype=np.int64)
+    if isinstance(users, np.ndarray):
+        codes = users
+    else:
+        user_code = {u: c for c, u in enumerate(graph.users)}
+        codes = np.array([user_code.get(u, -1) for u in users], dtype=np.int64)
 
     def latest(tag: str, message: str, t: float | None = None) -> list[int]:
         idx = np.flatnonzero(graph.kind == _KIND[tag])
@@ -193,7 +200,8 @@ def _restart_vectors(
         node[graph.ident[idx[last]]] = idx[last]
         found = node[codes]
         for j in np.flatnonzero(found < 0)[:1].tolist():
-            raise ValueError(message.format(user=users[j], t=t))
+            user = graph.users[codes[j]] if codes[j] >= 0 else users[j]
+            raise ValueError(message.format(user=user, t=t))
         return found.tolist()
 
     absent = "user {user!r} not in training graph"
@@ -546,21 +554,24 @@ def certified_top_n(
 def rank_users(
     tm: TransitionMatrix,
     A: sparse.csr_matrix,
-    users: Sequence[str],
+    users: Sequence[str] | np.ndarray,
     t: float | None,
     beta: float | None,
     alphas: Sequence[float],
-    seen: np.ndarray,
+    seen: sparse.spmatrix | np.ndarray,
     n: int,
 ) -> tuple[dict, int]:
     """Rank ``users`` at every alpha of ``alphas`` for one (beta, n): the
     protocol's ranking of a fold's users, with :func:`rank_items`' lists.
 
-    ``A`` is the :func:`item_matrix` of ``tm``'s graph and ``seen`` a
-    users x items mask of the items each user must skip. The restart
-    vectors (at time t for LSG) are looked up once and cut into blocks
-    of ``_BATCH_COLUMNS``, each ranked once for the alphas still
-    running. Where their walks take at least twice the steps of the
+    ``users`` are ids, or an integer array of their codes into the
+    graph's user table. ``A`` is the :func:`item_matrix` of ``tm``'s
+    graph and ``seen`` a users x items matrix, sparse or dense, of the
+    items each user must skip; a ``ValueError`` names its shape when it
+    is not users x items. The restart vectors (at time t for LSG) are
+    looked up once and cut into blocks of ``_BATCH_COLUMNS``, each
+    ranked once for the alphas still running with its rows of ``seen``
+    made dense. Where their walks take at least twice the steps of the
     longest (never for a lone alpha), :func:`series_scores` is tried
     per block and :func:`certified_top_n` selects each alpha's lists.
     :func:`rank_items` walks every list not certified: the whole block
@@ -574,6 +585,10 @@ def rank_users(
     alpha; a restart-vector, restart-block or series error stops them
     all, and the count keeps the lists walked before it.
     """
+    if np.shape(seen) != (len(users), A.shape[0]):
+        raise ValueError(f"seen must be users x items, {len(users)} x {A.shape[0]}; "
+                         f"got shape {np.shape(seen)}")
+    seen = sparse.csr_matrix(seen, dtype=bool)
     steps = [step_count(alpha)[0] for alpha in alphas]
     series = sum(steps) >= 2 * max(steps)
     tops: dict = {a: np.empty((len(users), min(n, A.shape[0])), np.intp) for a in alphas}
@@ -585,7 +600,7 @@ def rank_users(
             live = [alpha for alpha in alphas if isinstance(tops[alpha], np.ndarray)]
             if not live:
                 break
-            block_seen = seen[block]
+            block_seen = seen[block].toarray()
             scores = series_scores(tm, A, D, live) if series else None
             for j, alpha in enumerate(live):
                 try:

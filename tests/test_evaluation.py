@@ -516,6 +516,23 @@ def test_restart_vectors_match_personalization(seed):
         ]
 
 
+@pytest.mark.parametrize("build,beta", [
+    (build_bip, None), (lambda s: build_stg(s, delta=40, eta_s=0.5), 0.7),
+    (lambda s: build_lsg(s, eta_s=0.5), None),
+], ids=["bip", "stg", "lsg"])
+def test_restart_vectors_take_user_codes_or_ids(build, beta):
+    stream = make_stream(5, n_events=40, t_max=300)
+    graph = build(stream)
+    users = sorted(stream.users)[::-1]
+    codes = np.array([graph.users.index(u) for u in users])
+    t = stream.omega
+    assert _restart_vectors(graph, codes, t, beta) == _restart_vectors(graph, users, t, beta)
+    if graph.flavor == "lsg":  # an error names the user of the code
+        early = min(ev.t for ev in stream.events if ev.user == users[0]) - 1
+        with pytest.raises(ValueError, match=f"user {users[0]!r} not in training graph at"):
+            _restart_vectors(graph, codes[:1], early, beta)
+
+
 @pytest.mark.parametrize(
     "build,t,beta",
     [
@@ -1244,6 +1261,15 @@ def test_iter_folds_edge_cases():
     assert third.truth == {"b": {"w"}, "c": {"x"}}
 
 
+def test_fold_of_slices_with_other_id_tables_is_rejected():
+    stream = edge_case_stream()
+    _, second, _ = iter_folds(stream, 4)
+    other = LinkStream.from_events(second.test.events, second.test.time_span)
+    fold = dataclasses.replace(second, test=other)
+    with pytest.raises(ValueError, match="a fold's train and test slices must share id tables"):
+        fold.new_keys
+
+
 @pytest.mark.parametrize("n_windows", [2, 4, 8])
 def test_iter_folds_match_their_plain_definition(n_windows):
     streams = [edge_case_stream(), cold_item_stream()] + [
@@ -1275,6 +1301,83 @@ def test_ranked_users_match_their_plain_definition(flavor, params):
     assert ranked and unranked
 
 
+def name_loop_rows(fold, items):
+    """The ranked users, seen and truth masks and I_new sizes of a fold
+    from its id sets (:func:`plain_fold`): the loop over users that
+    ``FoldGraph.build`` ran before it read the fold's keys."""
+    train_items, new_items = plain_fold(fold)
+    item_row = {item: r for r, item in enumerate(items)}
+    users = [u for u in sorted(new_items) if any(i in item_row for i in new_items[u])]
+    seen = np.zeros((len(users), len(items)), dtype=bool)
+    truth = np.zeros_like(seen)
+    for r, user in enumerate(users):
+        seen[r, [item_row[i] for i in train_items[user]]] = True
+        truth[r, [item_row[i] for i in new_items[user] if i in item_row]] = True
+    unranked = sorted(new_items.keys() - set(users))
+    return users, seen, truth, [len(new_items[user]) for user in users + unranked]
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 6),
+    st.sampled_from(FLAVOR_PARAMS),
+)
+@settings(max_examples=40, deadline=None)
+def test_fold_rows_from_keys_match_the_name_loop(seed, n_windows, flavor_params):
+    flavor, params = flavor_params
+    stream = make_stream(seed, n_users=7, n_items=16, n_events=90)
+    for fold in iter_folds(stream, n_windows):
+        if not len(fold.new_keys):
+            assert plain_fold(fold)[1] == {}
+            continue
+        shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
+        users, seen, truth, new_counts = name_loop_rows(fold, shared.items)
+        assert shared.users == users
+        assert shared.new_counts.tolist() == new_counts
+        for rows, mask in ((shared.seen, seen), (shared.truth, truth)):
+            assert rows.shape == mask.shape and rows.dtype == bool
+            assert np.array_equal(rows.toarray(), mask)
+            assert rows.nnz == mask.sum()  # one stored entry per (user, item) pair
+
+
+def test_protocol_and_search_render_no_fold_ids(monkeypatch):
+    rendered, folds = [], []
+    items_by_user, evaluate_fold = LinkStream.items_by_user, evaluation._evaluate_fold
+
+    def items_spy(self):
+        rendered.append(self)
+        return items_by_user(self)
+
+    def fold_spy(fold, *args):
+        folds.append(fold)
+        return evaluate_fold(fold, *args)
+
+    monkeypatch.setattr(LinkStream, "items_by_user", items_spy)
+    monkeypatch.setattr(evaluation, "_evaluate_fold", fold_spy)
+    stream = make_stream(6, n_users=6, n_items=10, n_events=120, t_max=800)
+    report = run_protocol(stream, "lsg", ParamSetting(alpha=0.3, n=3, eta_s=0.5), n_windows=4,
+                          workers=1)
+    grid = ParamGrid(delta=(100.0,), beta=(0.5,), eta_s=(0.0, 0.5), alpha=(0.3, 0.5))
+    result = search(stream, "stg", grid=grid, count=4, seed=0, n=3, n_windows=4)
+    assert not report.nothing_evaluated and result.entries and not result.failed
+    assert rendered == []
+    assert folds and all("new_keys" in vars(fold) for fold in folds)
+    assert not any({"train_items", "truth"} & vars(fold).keys() for fold in folds)
+
+
+def test_rank_users_names_a_seen_of_the_wrong_shape():
+    stream = make_stream(4, n_users=6, n_items=10, n_events=80)
+    fold = iter_folds(stream, 3)[-1]
+    shared = evaluation.FoldGraph.build(fold, "bip", None, None)
+    users, items = shared.seen.shape
+    assert users and items > 1
+    for seen in (shared.seen[:, 1:], shared.seen.toarray()[1:]):
+        shape = seen.shape
+        with pytest.raises(ValueError, match=fr"^seen must be users x items, {users} x "
+                                             fr"{items}; got shape \({shape[0]}, {shape[1]}\)$"):
+            ranker.rank_users(shared.tm, shared.A, shared.user_codes, None, None, [0.3], seen, 5)
+
+
 # --- costs bounded by the data, not by a flag value ---------------------------------
 
 
@@ -1300,19 +1403,12 @@ def test_unranked_users_take_no_memory_per_list_slot():
     assert window.hr == (1.0, 3.0) and window.map == (1.0, 3.0)
 
 
-def test_folds_with_empty_test_windows_read_no_item_sets(monkeypatch):
+def test_folds_with_empty_test_windows_read_no_item_sets():
     stream = make_stream(3, n_users=5, n_items=8, n_events=30)
-    items_by_user = LinkStream.items_by_user
-    calls = itertools.count()
-
-    def counting(self):
-        next(calls)
-        return items_by_user(self)
-
-    monkeypatch.setattr(LinkStream, "items_by_user", counting)
-    report = run_protocol(stream, "bip", ParamSetting(alpha=0.3, n=5), n_windows=2000, workers=1)
-    # one training and one test read per fold whose test window has events
-    assert next(calls) <= 2 * 29
+    folds = iter_folds(stream, 2000)
+    (report,) = evaluation.evaluate_settings(folds, "bip", [ParamSetting(alpha=0.3, n=5)])
+    # only a fold whose test window has events reads its training pairs
+    assert ["train_keys" in vars(fold) for fold in folds] == [len(fold.test) > 0 for fold in folds]
     assert not report.nothing_evaluated
 
 

@@ -82,6 +82,25 @@ def test_parse_bad_timestamp_names_line():
         parse_link_stream(io.StringIO(text))
 
 
+def test_parse_quoted_csv_field_keeps_its_line_break():
+    stream = parse_link_stream(io.StringIO('a,"x\ny",1\n'), fmt="csv")
+    assert stream.events == (Event(1, "a", "x\ny"),)
+
+
+def test_parse_error_after_a_multiline_record_names_the_physical_line():
+    with pytest.raises(ParseError, match=r"^line 3: unparseable timestamp 'zz'"):
+        parse_link_stream(io.StringIO('a,"x\ny",1\nb,c,zz\n'), fmt="csv")
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1e"])
+def test_parse_splits_records_only_at_cr_and_lf(separator):
+    text = f"a{separator}b\tx\t1\r\nc\ty\t2\rd\tz\t3"
+    stream = parse_link_stream(io.StringIO(text))
+    assert [(ev.user, ev.item, ev.t) for ev in stream.events] == [
+        (f"a{separator}b", "x", 1), ("c", "y", 2), ("d", "z", 3)
+    ]
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "csv"])
 def test_parse_oversized_field_names_line(fmt):
     sep = "\t" if fmt == "tsv" else ","

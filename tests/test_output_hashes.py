@@ -20,7 +20,7 @@ def test_output_hashes_prints_one_line_per_output_and_seed():
     hashes = [line for line in lines if not line.startswith("recomputed ")]
     outputs = ["report", "leaderboard", "leaderboard", "leaderboard", "reports"]
     assert [line.split()[0] for line in hashes] == [
-        "protocol-lsg/stream", "campaign-lsg/stream",
+        "protocol-lsg/stream", "campaign-lsg/stream", "protocol-lsg/folds",
     ] + [
         f"{run}/{part}" for run, output in zip(RUNS, outputs)
         for part in (output, "warnings", "debug")

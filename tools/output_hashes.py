@@ -11,6 +11,8 @@ Per seed, one line per output:
 
 * ``protocol-lsg/stream`` and ``campaign-lsg/stream`` -- the loaded
   (parsed and filtered) streams: their columns, id tables and time span;
+* ``protocol-lsg/folds`` -- every protocol-lsg fold's training items and
+  truth (``Fold.train_items`` and ``Fold.truth``), rendered and sorted;
 * ``protocol-lsg/report`` -- the protocol-lsg workload's ``report_json``;
 * ``campaign-lsg/leaderboard`` -- the campaign-lsg workload's
   ``leaderboard_csv``;
@@ -84,6 +86,15 @@ def stream_sha(stream) -> str:
     return digest.hexdigest()
 
 
+def folds_sha(folds) -> str:
+    """Hash of each fold's rendered training items and truth, sorted."""
+    return sha("".join(
+        repr([fold.k] + [sorted((user, sorted(items)) for user, items in sets.items())
+                         for sets in (fold.train_items, fold.truth)]) + "\n"
+        for fold in folds
+    ))
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -139,6 +150,8 @@ def main(argv=None) -> int:
         loaded = {name: stream_of(name, seed) for name in ("protocol-lsg", "campaign-lsg")}
         for name, stream in loaded.items():
             print(f"{name}/stream seed={seed} {stream_sha(stream)}")
+        folds = evaluation.iter_folds(loaded["protocol-lsg"], workloads.WINDOWS)
+        print(f"protocol-lsg/folds seed={seed} {folds_sha(folds)}")
         for name, output, flavor, workload, run in runs:
             records = Records()
             logger.addHandler(records)
