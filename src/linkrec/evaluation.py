@@ -97,8 +97,7 @@ class Fold:
     @cached_property
     def train_keys(self) -> np.ndarray:
         """The keys of the distinct training pairs, ascending."""
-        c = self.train.columns
-        return np.unique(c.user_code * self.n_items + c.item_code)
+        return self.train.pair_keys()
 
     @cached_property
     def new_keys(self) -> np.ndarray:
@@ -111,7 +110,7 @@ class Fold:
             raise ValueError("a fold's train and test slices must share id tables")
         if not len(c.t):
             return np.zeros(0, np.int64)
-        keys = np.unique(c.user_code * self.n_items + c.item_code)
+        keys = self.test.pair_keys()
         trained = np.isin(keys // self.n_items, self.train_keys // self.n_items)
         return keys[trained & ~np.isin(keys, self.train_keys)]
 
@@ -269,7 +268,9 @@ class FoldGraph:
     once. It keeps nothing per beta: :func:`rank_users` builds the
     restart blocks on each call.
 
-    ``user_codes`` are the ranked users: the codes, ascending (so in id
+    ``item_codes`` are the codes of the items of ``A``'s rows, as
+    :func:`item_matrix` gives them. ``user_codes`` are the ranked users:
+    the codes, ascending (so in id
     order), of the evaluated users with at least one new item among the
     graph's items. Only graph items can be ranked, so an evaluated user
     whose new items all first appear in the test window scores no hit
@@ -281,14 +282,14 @@ class FoldGraph:
     ``user_codes`` and their columns the rows of ``A``. ``new_counts``
     holds |I_new| of every evaluated user: the ranked users' in row
     order, then the others'. All of it is derived from the fold's keys
-    (:class:`Fold`) with no per-user loop; :attr:`users` renders the
-    ranked users' ids.
+    (:class:`Fold`) with no per-user loop; :attr:`users` and
+    :attr:`items` render ids.
     """
 
     fold: Fold
     graph: RecGraph
     tm: TransitionMatrix
-    items: list[str]
+    item_codes: np.ndarray
     A: sparse.csr_matrix
     user_codes: np.ndarray
     seen: sparse.csr_matrix
@@ -300,27 +301,31 @@ class FoldGraph:
         """The ranked users' ids."""
         return [self.graph.users[c] for c in self.user_codes.tolist()]
 
+    @property
+    def items(self) -> list[str]:
+        """The ids of the items of ``A``'s rows."""
+        return [self.graph.items[c] for c in self.item_codes.tolist()]
+
     @classmethod
     def build(
         cls, fold: Fold, flavor: str, delta: float | None, eta_s: float | None
     ) -> "FoldGraph":
         graph = build_graph(flavor, fold.train, delta=delta, eta_s=eta_s)
         tm = transition_matrix(graph)
-        items, A = item_matrix(graph)
-        # each row of A sums the nodes of one item; its first node names it
-        item_codes = graph.ident[A.indices[A.indptr[:-1]]]
+        item_codes, A = item_matrix(graph)
+        n_users = len(fold.train.columns.users)
         new_user, new_item = np.divmod(fold.new_keys, fold.n_items)
         in_graph = np.isin(new_item, item_codes)
-        users = np.unique(new_user[in_graph])
+        ranked = np.bincount(new_user[in_graph], minlength=n_users) > 0
+        sizes = np.bincount(new_user, minlength=n_users)  # |I_new| by user code
+        users = np.flatnonzero(ranked)
         train_user, train_item = np.divmod(fold.train_keys, fold.n_items)
-        of_ranked = np.isin(train_user, users)
-        evaluated, sizes = np.unique(new_user, return_counts=True)
-        ranked = np.isin(evaluated, users)
+        of_ranked = ranked[train_user]
         return cls(
-            fold, graph, tm, items, A, users,
+            fold, graph, tm, item_codes, A, users,
             _item_rows(train_user[of_ranked], train_item[of_ranked], users, item_codes),
             _item_rows(new_user[in_graph], new_item[in_graph], users, item_codes),
-            np.concatenate([sizes[ranked], sizes[~ranked]]),
+            np.concatenate([sizes[users], sizes[(sizes > 0) & ~ranked]]),
         )
 
 

@@ -342,17 +342,23 @@ class LinkStream:
         users, items = self.columns.users, self.columns.items
         return {(users[u], items[i]) for u, i in self._pairs()}
 
+    def pair_keys(self) -> np.ndarray:
+        """The distinct (user, item) pairs as int64 keys ``user_code *
+        len(columns.items) + item_code``, ascending: by user code, then
+        item code, which sort like the ids."""
+        c = self.columns
+        key = np.sort(c.user_code * len(c.items) + c.item_code)
+        return key[np.diff(key, prepend=-1) != 0]
+
     def items_by_user(self) -> dict[str, set[str]]:
         """Each user's distinct items, users in order of first appearance.
 
-        The distinct (user, item) code pairs are sorted by user in numpy,
-        and each pair's item is named once; each user's set is built from
-        its run of names.
+        The :meth:`pair_keys` are split by user, and each pair's item is
+        named once; each user's set is built from its run of names.
         """
         c = self.columns
-        n_events, n_items = len(c.user_code), len(c.items)
-        key = np.sort(c.user_code * n_items + c.item_code)
-        user_of, item_of = np.divmod(key[np.diff(key, prepend=-1) != 0], n_items)
+        n_events = len(c.user_code)
+        user_of, item_of = np.divmod(self.pair_keys(), len(c.items))
         bounds = np.searchsorted(user_of, np.arange(len(c.users) + 1)).tolist()
         names = np.array(c.items, dtype=object)[item_of].tolist()
         first = np.full(len(c.users), n_events)

@@ -63,15 +63,19 @@ DEFAULT_MAX_ITER = 100
 
 # Users are scored in column blocks so one sparse product serves many
 # walks. Results do not depend on the width, as the step count is fixed
-# by alpha. A 48-column iterate of 17.9k nodes takes 6.9 MB (a 128-column
-# one 18 MB), and 48 still scores a fold of up to 48 users, as in a small
-# search campaign, in one product per step; 32 split such folds and
-# slowed the campaign. The protocol runs
-# whole folds on its threads, so each thread holds one fold graph and
-# one live block, and peak memory grows with the thread count, hence
-# with the core count by default, up to the fold count: the protocol-lsg
-# stream peaked at 82 MB on one thread and about 100 MB on two.
+# by alpha. A block is at most 48 columns wide, which still scores a
+# fold of up to 48 users, as in a small search campaign, in one product
+# per step; 32 split such folds and slowed the campaign. A step holds
+# two dense iterates of nodes x columns, and the protocol runs whole
+# folds on its threads, so the iterates of the largest graphs set the
+# peak memory: a block is narrowed until one iterate fits in
+# _BLOCK_BYTES, but not below _MIN_COLUMNS. On the protocol-lsg stream
+# (17.2k nodes in the last fold) 24-48 columns rank at the same cost per
+# column, 16 at about 10% more and 8 at 35% more, and the 4 MiB budget
+# (30-48 columns there) took the two-thread peak RSS from 99.8 to 90.8 MB.
 _BATCH_COLUMNS = 48
+_MIN_COLUMNS = 16
+_BLOCK_BYTES = 2**22
 
 # pagerank_batch starts a block sparse only when one dense product of
 # it is at least this large (M.nnz * columns). A sparse step costs about
@@ -184,7 +188,7 @@ def _restart_vectors(
         raise ValueError("lsg personalization requires the query time t")
     if graph.flavor == "stg" and (beta is None or not 0.0 <= beta <= 1.0):
         raise ValueError("stg personalization requires beta in [0, 1]")
-    if isinstance(users, np.ndarray):
+    if isinstance(users, np.ndarray) and np.issubdtype(users.dtype, np.integer):
         codes = users
     else:
         user_code = {u: c for c, u in enumerate(graph.users)}
@@ -407,20 +411,20 @@ def pagerank(
     return ScoreVector(tm, X[:, 0], converged, iterations)
 
 
-def item_matrix(graph: RecGraph) -> tuple[list[str], sparse.csr_matrix]:
-    """Sparse aggregation matrix A with A @ scores = per-item scores.
+def item_matrix(graph: RecGraph) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """Sparse aggregation matrix A with A @ scores = per-item scores, and
+    the item code of each row of A, ascending.
 
     BIP/STG items are their item node; an LSG item sums every temporal
-    occurrence, in node order. Items are sorted, so row order doubles
-    as the ranking tie-break.
+    occurrence, in node order. Codes sort like the ids in
+    ``graph.items``, so row order doubles as the ranking tie-break.
     """
     cols = graph.item_nodes()
     codes, rows = np.unique(graph.ident[cols], return_inverse=True)
-    items = [graph.items[c] for c in codes.tolist()]
     A = sparse.csr_matrix(
-        (np.ones(len(cols)), (rows.ravel(), cols)), shape=(len(items), graph.n_nodes)
+        (np.ones(len(cols)), (rows.ravel(), cols)), shape=(len(codes), graph.n_nodes)
     )
-    return items, A
+    return codes, A
 
 
 def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
@@ -428,8 +432,8 @@ def item_scores(graph: RecGraph, pr: ScoreVector) -> dict[str, float]:
     Raises ValueError when ``pr`` holds scores of another graph."""
     if pr.tm.graph is not graph:
         raise ValueError("pr holds the scores of another graph")
-    items, A = item_matrix(graph)
-    return dict(zip(items, (A @ pr.x).tolist()))
+    codes, A = item_matrix(graph)
+    return dict(zip((graph.items[c] for c in codes.tolist()), (A @ pr.x).tolist()))
 
 
 def rank_items(
@@ -569,11 +573,13 @@ def rank_users(
     graph and ``seen`` a users x items matrix, sparse or dense, of the
     items each user must skip; a ``ValueError`` names its shape when it
     is not users x items. The restart vectors (at time t for LSG) are
-    looked up once and cut into blocks of ``_BATCH_COLUMNS``, each
-    ranked once for the alphas still running with its rows of ``seen``
-    made dense. Where their walks take at least twice the steps of the
-    longest (never for a lone alpha), :func:`series_scores` is tried
-    per block and :func:`certified_top_n` selects each alpha's lists.
+    looked up once and cut into blocks of up to ``_BATCH_COLUMNS``,
+    fewer where a nodes x columns iterate would exceed ``_BLOCK_BYTES``
+    (but not fewer than ``_MIN_COLUMNS``), each ranked once for the
+    alphas still running with its rows of ``seen`` made dense. Where
+    their walks take at least twice the steps of the longest (never for
+    a lone alpha), :func:`series_scores` is tried per block and
+    :func:`certified_top_n` selects each alpha's lists.
     :func:`rank_items` walks every list not certified: the whole block
     where no series ran or it declined, else a sub-block of the
     uncertified users, whose rows are bitwise the whole block's.
@@ -595,7 +601,8 @@ def rank_users(
     walked = 0
     try:
         vectors = _restart_vectors(tm.graph, users, t, beta)
-        blocks = [slice(s, s + _BATCH_COLUMNS) for s in range(0, len(vectors), _BATCH_COLUMNS)]
+        width = min(_BATCH_COLUMNS, max(_MIN_COLUMNS, _BLOCK_BYTES // (8 * tm.n)))
+        blocks = [slice(s, s + width) for s in range(0, len(vectors), width)]
         for block, D in [(b, personalization_matrix(tm, vectors[b])) for b in blocks]:
             live = [alpha for alpha in alphas if isinstance(tops[alpha], np.ndarray)]
             if not live:
@@ -673,7 +680,8 @@ def recommend(
     elif tm.graph is not graph:
         raise ValueError("tm is the transition matrix of another graph")
     D = personalization_matrix(tm, _restart_vectors(graph, [user], t, params.beta))
-    items, A = item_matrix(graph)
+    codes, A = item_matrix(graph)
+    items = [graph.items[c] for c in codes.tolist()]
     mask = np.array([[item in seen for item in items]], dtype=bool)
     top, S = rank_items(tm, A, D, params.alpha, mask, params.n)
     return [(items[r], float(S[0, r])) for r in top[0].tolist() if r >= 0]

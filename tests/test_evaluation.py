@@ -527,6 +527,9 @@ def test_restart_vectors_take_user_codes_or_ids(build, beta):
     codes = np.array([graph.users.index(u) for u in users])
     t = stream.omega
     assert _restart_vectors(graph, codes, t, beta) == _restart_vectors(graph, users, t, beta)
+    # an array of ids is looked up as ids, not taken for codes
+    assert _restart_vectors(graph, np.array(users), t, beta) == _restart_vectors(
+        graph, users, t, beta)
     if graph.flavor == "lsg":  # an error names the user of the code
         early = min(ev.t for ev in stream.events if ev.user == users[0]) - 1
         with pytest.raises(ValueError, match=f"user {users[0]!r} not in training graph at"):
@@ -1376,6 +1379,40 @@ def test_rank_users_names_a_seen_of_the_wrong_shape():
         with pytest.raises(ValueError, match=fr"^seen must be users x items, {users} x "
                                              fr"{items}; got shape \({shape[0]}, {shape[1]}\)$"):
             ranker.rank_users(shared.tm, shared.A, shared.user_codes, None, None, [0.3], seen, 5)
+
+
+def test_rank_users_narrows_blocks_to_the_iterate_budget(monkeypatch):
+    # a block's dense iterate, nodes x columns of float64, stays within
+    # _BLOCK_BYTES unless that is narrower than _MIN_COLUMNS; lists do
+    # not depend on the width
+    stream = make_stream(4, n_users=30, n_items=20, n_events=400)
+    fold = iter_folds(stream, 3)[-1]
+    shared = evaluation.FoldGraph.build(fold, "lsg", None, 0.5)
+    t = fold.train.columns.t[-1].item()
+    users, n = len(shared.user_codes), shared.tm.n
+    widths = []
+    personalization_matrix = ranker.personalization_matrix
+
+    def spy(tm, vectors):
+        D = personalization_matrix(tm, vectors)
+        widths.append(D.shape[1])
+        return D
+
+    monkeypatch.setattr(ranker, "personalization_matrix", spy)
+
+    def rank():
+        widths.clear()
+        tops, _ = ranker.rank_users(shared.tm, shared.A, shared.user_codes, t, None, [0.3],
+                                    shared.seen, 5)
+        return tops[0.3]
+
+    expected = rank()
+    assert widths == [users] and users > 6
+    for budget, least, width in ((8 * n * 5 + 7, 2, 5), (8 * n, 3, 3)):
+        monkeypatch.setattr(ranker, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(ranker, "_MIN_COLUMNS", least)
+        assert np.array_equal(rank(), expected)
+        assert widths == [min(width, users - s) for s in range(0, users, width)]
 
 
 # --- costs bounded by the data, not by a flag value ---------------------------------

@@ -602,11 +602,12 @@ def test_item_matrix_aggregates_like_item_scores(toy_stream):
     tm = transition_matrix(graph)
     d = personalization(graph, "u2", t=5)
     pr = pagerank(tm, d, alpha=0.5)
-    items, A = item_matrix(graph)
+    codes, A = item_matrix(graph)
     vec = np.array([pr.scores[node] for node in tm.nodes])
     agg = A @ vec
     direct = item_scores(graph, pr)
-    for row, item in enumerate(items):
+    assert list(direct) == [graph.items[c] for c in codes]
+    for row, item in enumerate(direct):
         assert agg[row] == pytest.approx(direct[item], abs=1e-15)
 
 
@@ -894,15 +895,15 @@ def test_certified_top_n_compares_the_nth_with_every_non_twin_left_out(scores, n
 @pytest.mark.parametrize("flavor", ["bip", "lsg-0.5", "stg-0.1", "stg-0.9"])
 def test_certified_lists_are_the_per_alpha_lists(flavor):
     tm, ds = sparse_start_cases(flavor)
-    items, A = item_matrix(tm.graph)
+    codes, A = item_matrix(tm.graph)
     rng = np.random.default_rng(7)
     certified = 0
     for start in (0, 48):
         D = personalization_matrix(tm, ds[start:start + 48])
-        seen = rng.random((D.shape[1], len(items))) < 0.1
+        seen = rng.random((D.shape[1], len(codes))) < 0.1
         alphas = list(GRID_ALPHA)
         for alpha, S in zip(alphas, ranker.series_scores(tm, A, D, alphas)):
-            for n in (1, 10, len(items)):
+            for n in (1, 10, len(codes)):
                 top, sure = ranker.certified_top_n(tm, A, S.copy(), alpha, seen, n)
                 expected, _ = ranker.rank_items(tm, A, D, alpha, seen, n)
                 assert np.array_equal(top[sure], expected[sure])
