@@ -6,7 +6,7 @@ Run from the repository root:  python demos/04_windowed_evaluation.py
 """
 
 from linkrec import Event, LinkStream, ParamSetting, iter_folds, run_protocol
-from linkrec.evaluation import FoldGraph, report_csv
+from linkrec.evaluation import report_csv
 
 # A synthetic stream with drift: every user keeps moving on to new items,
 # so each fold has something to predict.
@@ -25,7 +25,8 @@ stream = LinkStream.from_events(events, time_span=(0, 400))
 # absent from it (u6 in fold 1) scores no hit: the protocol counts them
 # with zero hits and ranks only the others.
 for fold in iter_folds(stream, 4):
-    ranked = FoldGraph.build(fold, "lsg", None, 0.2).users
+    users = fold.train.columns.users
+    ranked = [users[code] for code in fold.rows.users.tolist()]
     print(
         f"fold {fold.k}: train={len(fold.train)} events, "
         f"test={len(fold.test)} events, evaluated users={sorted(fold.truth)}, "

@@ -381,7 +381,7 @@ def cmd_inspect(cfg: dict) -> int:
     if cfg["delta"] is not None:
         graphs.append(describe("stg", delta=cfg["delta"], eta_s=cfg["eta_s"] or 0.0))
     graphs.append(describe("lsg", eta_s=cfg["eta_s"] or 0.0))
-    pairs = len(stream.distinct_pairs())
+    pairs = len(stream.pair_keys())
     n_users, n_items = len(stream.users), len(stream.items)
     start, end, span = _iso(stream.alpha), _iso(stream.omega), stream.omega - stream.alpha
     if start is None or end is None:

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import logging
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -25,14 +26,14 @@ from functools import cached_property, reduce
 from itertools import accumulate
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .graphs import RecGraph, build_graph
+from .graphs import build_graph
 from .linkstream import LinkStream, Window, split_windows
-from .ranker import TransitionMatrix, item_matrix, rank_users, step_count, transition_matrix
+from .ranker import item_matrix, rank_users, step_count, transition_matrix
 
 if TYPE_CHECKING:
     from .tuning import ParamSetting
@@ -46,7 +47,6 @@ __all__ = [
     "hit_ratio_components",
     "map_components",
     "iter_folds",
-    "FoldGraph",
     "evaluate_settings",
     "run_protocol",
     "time_average",
@@ -69,6 +69,24 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _check_workers(workers) -> None:
+    """Raise ValueError unless ``workers`` is an integer of at least 1."""
+    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
+        raise ValueError("workers must be an integer")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+class FoldRows(NamedTuple):
+    """What every graph of a fold ranks and scores (:attr:`Fold.rows`)."""
+
+    items: np.ndarray
+    users: np.ndarray
+    seen: sparse.csr_matrix
+    truth: sparse.csr_matrix
+    new_counts: np.ndarray
+
+
 @dataclass(frozen=True)
 class Fold:
     """Training/test split for one evaluation step.
@@ -78,9 +96,11 @@ class Fold:
     one stream and share its id tables, so a (user, item) pair is one
     int64 key ``user_code * n_items + item_code``, and keys sort like
     (user id, item id). :attr:`train_keys` and :attr:`new_keys` are the
-    fold's code view, read from its slices on first use and kept; the
-    protocol reads nothing else. :attr:`train_items` and :attr:`truth`
-    render them as id sets, for tests and demos.
+    fold's code view, and :attr:`rows` the ranking rows derived from
+    them, each read on first use and kept, so every graph key scored
+    on the fold shares them; the protocol reads nothing else.
+    :attr:`train_items` and :attr:`truth` render the keys as id sets,
+    for tests and demos.
     """
 
     k: int
@@ -113,6 +133,42 @@ class Fold:
         keys = self.test.pair_keys()
         trained = np.isin(keys // self.n_items, self.train_keys // self.n_items)
         return keys[trained & ~np.isin(keys, self.train_keys)]
+
+    @cached_property
+    def rows(self) -> FoldRows:
+        """The fold's ranking rows, from its keys with no per-user loop.
+
+        Every graph built from the training slice has the training items
+        as its items, so these serve every graph key. ``items`` are their
+        codes, ascending: the rows of :func:`item_matrix`'s ``A``.
+        ``users`` are the ranked users: the codes, ascending (so in id
+        order), of the evaluated users with at least one new item among
+        the training items. Only graph items can be ranked, so an
+        evaluated user whose new items all first appear in the test
+        window scores no hit under any setting and is not ranked. Every
+        evaluated user has training nodes, so leaving them out hides no
+        restart-vector error. ``seen`` and ``truth`` are users x items
+        boolean CSR rows of the ranked users' training items and of
+        their new items among the training items, one stored entry per
+        (user, item) pair. ``new_counts`` holds |I_new| of every
+        evaluated user: the ranked users' in row order, then the
+        others'.
+        """
+        n_users = len(self.train.columns.users)
+        train_user, train_item = np.divmod(self.train_keys, self.n_items)
+        items = np.unique(train_item)
+        new_user, new_item = np.divmod(self.new_keys, self.n_items)
+        in_graph = np.isin(new_item, items)
+        ranked = np.bincount(new_user[in_graph], minlength=n_users) > 0
+        sizes = np.bincount(new_user, minlength=n_users)  # |I_new| by user code
+        users = np.flatnonzero(ranked)
+        of_ranked = ranked[train_user]
+        return FoldRows(
+            items, users,
+            _item_rows(train_user[of_ranked], train_item[of_ranked], users, items),
+            _item_rows(new_user[in_graph], new_item[in_graph], users, items),
+            np.concatenate([sizes[users], sizes[(sizes > 0) & ~ranked]]),
+        )
 
     @cached_property
     def train_items(self) -> dict[str, set[str]]:
@@ -259,76 +315,6 @@ def iter_folds(stream: LinkStream, n_windows: int = 8) -> list[Fold]:
     return folds
 
 
-@dataclass
-class FoldGraph:
-    """One fold's graph and what every setting scored on it shares.
-
-    Settings with the same graph key (flavor, delta, eta_s) build the
-    graph, transition matrix and item aggregation matrix of a fold
-    once. It keeps nothing per beta: :func:`rank_users` builds the
-    restart blocks on each call.
-
-    ``item_codes`` are the codes of the items of ``A``'s rows, as
-    :func:`item_matrix` gives them. ``user_codes`` are the ranked users:
-    the codes, ascending (so in id
-    order), of the evaluated users with at least one new item among the
-    graph's items. Only graph items can be ranked, so an evaluated user
-    whose new items all first appear in the test window scores no hit
-    under any setting and is not ranked. Every evaluated user has
-    training nodes, so leaving them out hides no restart-vector error.
-    ``seen`` and ``truth`` are users x items boolean CSR rows of the
-    ranked users' training items and their new test-window items in the
-    graph, one stored entry per (user, item) pair; their rows follow
-    ``user_codes`` and their columns the rows of ``A``. ``new_counts``
-    holds |I_new| of every evaluated user: the ranked users' in row
-    order, then the others'. All of it is derived from the fold's keys
-    (:class:`Fold`) with no per-user loop; :attr:`users` and
-    :attr:`items` render ids.
-    """
-
-    fold: Fold
-    graph: RecGraph
-    tm: TransitionMatrix
-    item_codes: np.ndarray
-    A: sparse.csr_matrix
-    user_codes: np.ndarray
-    seen: sparse.csr_matrix
-    truth: sparse.csr_matrix
-    new_counts: np.ndarray
-
-    @property
-    def users(self) -> list[str]:
-        """The ranked users' ids."""
-        return [self.graph.users[c] for c in self.user_codes.tolist()]
-
-    @property
-    def items(self) -> list[str]:
-        """The ids of the items of ``A``'s rows."""
-        return [self.graph.items[c] for c in self.item_codes.tolist()]
-
-    @classmethod
-    def build(
-        cls, fold: Fold, flavor: str, delta: float | None, eta_s: float | None
-    ) -> "FoldGraph":
-        graph = build_graph(flavor, fold.train, delta=delta, eta_s=eta_s)
-        tm = transition_matrix(graph)
-        item_codes, A = item_matrix(graph)
-        n_users = len(fold.train.columns.users)
-        new_user, new_item = np.divmod(fold.new_keys, fold.n_items)
-        in_graph = np.isin(new_item, item_codes)
-        ranked = np.bincount(new_user[in_graph], minlength=n_users) > 0
-        sizes = np.bincount(new_user, minlength=n_users)  # |I_new| by user code
-        users = np.flatnonzero(ranked)
-        train_user, train_item = np.divmod(fold.train_keys, fold.n_items)
-        of_ranked = ranked[train_user]
-        return cls(
-            fold, graph, tm, item_codes, A, users,
-            _item_rows(train_user[of_ranked], train_item[of_ranked], users, item_codes),
-            _item_rows(new_user[in_graph], new_item[in_graph], users, item_codes),
-            np.concatenate([sizes[users], sizes[(sizes > 0) & ~ranked]]),
-        )
-
-
 def _item_rows(user: np.ndarray, item: np.ndarray, users: np.ndarray,
                item_codes: np.ndarray) -> sparse.csr_matrix:
     """Sorted (user, item) code pairs as users x items boolean CSR rows,
@@ -359,16 +345,18 @@ def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
     edges, evaluated users, ranked users, recomputed lists), or None when
     no graph was built, and ``outcomes`` holds per setting its
     components, the skipped (0, 0) components of a fold without evaluated
-    users, or the exception that stopped it. An error building the
-    :class:`FoldGraph` is every setting's; :func:`rank_users` ranks each
-    (beta, n) once for all its alphas, and an error there belongs to the
-    settings it stopped. No scoring error escapes. The graph is freed on
-    return.
+    users, or the exception that stopped it. An error building the graph
+    and its matrices, or reading the fold's :attr:`Fold.rows` on first
+    use, is every setting's, and so is a ``ValueError`` when the codes of
+    ``A``'s rows are not the fold's training items; :func:`rank_users`
+    ranks each (beta, n) once for all its alphas, and an error there
+    belongs to the settings it stopped. No scoring error escapes. The
+    graph is freed on return; the rows stay with the fold.
 
     The evaluated users and their I_new sizes come from the fold's new
-    pair keys, through ``FoldGraph.new_counts``, and hits are read from
-    the ``truth`` rows: no users x items array is built. An evaluated
-    user with no new item in the graph is only counted: they score a hit
+    pair keys, through ``rows.new_counts``, and hits are read from the
+    ``truth`` rows: no users x items array is built. An evaluated user
+    with no new item in the graph is only counted: they score a hit
     count of 0, and the AP sum leaves out their AP of 0.0, whose addition
     is exact. The users and denominators still count every evaluated
     user, so the components equal ranking them all.
@@ -380,36 +368,40 @@ def _evaluate_fold(fold: Fold, flavor: str, settings: Sequence["ParamSetting"]):
         return None, [skipped] * len(settings)
     first = settings[0]
     try:
-        shared = FoldGraph.build(fold, flavor, first.delta, first.eta_s)
+        graph = build_graph(flavor, fold.train, delta=first.delta, eta_s=first.eta_s)
+        tm = transition_matrix(graph)
+        codes, A = item_matrix(graph)
+        rows = fold.rows
+        if not np.array_equal(codes, rows.items):
+            raise ValueError(f"fold {fold.k}: the {flavor} graph's items are not the fold's "
+                             "training items")
     except Exception as exc:  # the whole group stops; the caller reports it
         return None, [exc] * len(settings)
     groups: dict = {}
     for params in settings:
         groups.setdefault((params.beta, params.n), {})[params.alpha] = None
-    evaluated = len(shared.new_counts)  # one I_new size per evaluated user
+    evaluated = len(rows.new_counts)  # one I_new size per evaluated user
     t = fold.train.columns.t[-1].item()  # LSG finds at the last event the nodes rec_time would
     scored: dict = {}
     recomputed = 0
     for (beta, n), alphas in groups.items():
-        tops, walked = rank_users(shared.tm, shared.A, shared.user_codes, t, beta, list(alphas),
-                                  shared.seen, n)
+        tops, walked = rank_users(tm, A, rows.users, t, beta, list(alphas), rows.seen, n)
         recomputed += walked
         for alpha, top in tops.items():
             if isinstance(top, Exception):
                 scored[beta, n, alpha] = top
                 continue
-            hits = _hits(shared.truth, top)
+            hits = _hits(rows.truth, top)
             # row sums, then a 0 for each unranked user, whom minlength counts
             hit_counts = np.bincount(hits.nonzero()[0], minlength=evaluated)
             scored[beta, n, alpha] = MetricComponents(
                 window=fold.k,
                 users=evaluated,
-                f1=f1_components(hit_counts, shared.new_counts, n),
+                f1=f1_components(hit_counts, rows.new_counts, n),
                 hr=hit_ratio_components(hit_counts),
                 map=(map_components(hits, n)[0], float(evaluated)),
             )
-    counts = (shared.graph.n_nodes, shared.graph.n_edges, evaluated, len(shared.user_codes),
-              recomputed)
+    counts = (graph.n_nodes, graph.n_edges, evaluated, len(rows.users), recomputed)
     return counts, [scored[params.beta, params.n, params.alpha] for params in settings]
 
 
@@ -424,10 +416,12 @@ def evaluate_settings(
     All settings must share delta and eta_s, so each fold's graph and
     matrices are built once and every setting (alpha, beta, n) is scored
     on them in one pass, each restart block ranked once per (beta, n)
-    for all its alphas (:func:`rank_users`). Returns one outcome per
-    setting, in order: its report, or the exception that stopped it. An
-    error building a fold's shared graph stops every setting still
-    running; a restart-vector, restart-block or series error while ranking a
+    for all its alphas (:func:`rank_users`). The ranking rows are the
+    fold's (:attr:`Fold.rows`), built on first use and shared by every
+    call given the same folds, whatever its graph key. Returns one
+    outcome per setting, in order: its report, or the exception that
+    stopped it. An error building a fold's graph or matrices, or its
+    rows, stops every setting still running; a restart-vector, restart-block or series error while ranking a
     (beta, n) stops its settings, and an error in one alpha's selection
     or walk only that alpha's; the first error in fold order wins. Folds
     without evaluable users contribute (0, 0) components and are marked
@@ -524,16 +518,15 @@ def run_protocol(
 
     The one-setting case of :func:`evaluate_settings`, raising what
     stopped the setting. ``workers`` threads (default: every usable
-    core; below 1: ``ValueError``), but no more than there are folds,
-    each take whole folds, largest first, from one pool that lives for
-    this call; with one, no pool is made and the folds run in order in
-    this thread. A report where every fold was skipped has None
-    for the time-averaged metrics and ``nothing_evaluated`` set.
+    core; not an integer, or below 1: ``ValueError``), but no more than
+    there are folds, each take whole folds, largest first, from one pool
+    that lives for this call; with one, no pool is made and the folds
+    run in order in this thread. A report where every fold was skipped
+    has None for the time-averaged metrics and ``nothing_evaluated`` set.
     """
     if workers is None:
         workers = _usable_cores()
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_workers(workers)
     folds = iter_folds(stream, n_windows)
     workers = min(workers, len(folds))
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:

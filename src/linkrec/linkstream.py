@@ -332,16 +332,6 @@ class LinkStream:
     def omega(self) -> float:
         return self.time_span[1]
 
-    def _pairs(self):
-        c = self.columns
-        return zip(c.user_code.tolist(), c.item_code.tolist())
-
-    def distinct_pairs(self) -> set[tuple[str, str]]:
-        """Distinct (user, item) pairs (dataset summaries report both
-        this and the raw event count)."""
-        users, items = self.columns.users, self.columns.items
-        return {(users[u], items[i]) for u, i in self._pairs()}
-
     def pair_keys(self) -> np.ndarray:
         """The distinct (user, item) pairs as int64 keys ``user_code *
         len(columns.items) + item_code``, ascending: by user code, then

@@ -178,9 +178,10 @@ def _restart_vectors(
     table: its nodes (LSG: temporal user nodes at or before t), sorted
     by (user code, time), keep the last node of each code. Of several
     faults, the first of these raises ValueError: an unknown flavor; LSG
-    without t; STG without beta in [0, 1]; the first user, in the order
-    given, absent from the graph; for LSG, the first with no node at or
-    before t. No users and valid arguments give [].
+    without t; STG without beta in [0, 1]; the first code, in the order
+    given, outside the user table; the first user, in the order given,
+    absent from the graph; for LSG, the first with no node at or before
+    t. No users and valid arguments give [].
     """
     if graph.flavor not in ("bip", "stg", "lsg"):
         raise ValueError(f"unknown graph flavor {graph.flavor!r}")
@@ -190,6 +191,8 @@ def _restart_vectors(
         raise ValueError("stg personalization requires beta in [0, 1]")
     if isinstance(users, np.ndarray) and np.issubdtype(users.dtype, np.integer):
         codes = users
+        for code in codes[(codes < 0) | (codes >= len(graph.users))][:1].tolist():
+            raise ValueError(f"user code {code} is outside [0, {len(graph.users)})")
     else:
         user_code = {u: c for c, u in enumerate(graph.users)}
         codes = np.array([user_code.get(u, -1) for u in users], dtype=np.int64)
@@ -569,10 +572,11 @@ def rank_users(
     protocol's ranking of a fold's users, with :func:`rank_items`' lists.
 
     ``users`` are ids, or an integer array of their codes into the
-    graph's user table. ``A`` is the :func:`item_matrix` of ``tm``'s
-    graph and ``seen`` a users x items matrix, sparse or dense, of the
-    items each user must skip; a ``ValueError`` names its shape when it
-    is not users x items. The restart vectors (at time t for LSG) are
+    graph's user table (a code outside it is a restart-vector error,
+    below). ``A`` is the :func:`item_matrix` of ``tm``'s graph and
+    ``seen`` a users x items matrix, sparse or dense, of the items each
+    user must skip; a ``ValueError`` names its shape when it is not
+    users x items. The restart vectors (at time t for LSG) are
     looked up once and cut into blocks of up to ``_BATCH_COLUMNS``,
     fewer where a nodes x columns iterate would exceed ``_BLOCK_BYTES``
     (but not fewer than ``_MIN_COLUMNS``), each ranked once for the

@@ -29,7 +29,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 
-from .evaluation import EvaluationReport, evaluate_settings, iter_folds
+from .evaluation import EvaluationReport, _check_workers, evaluate_settings, iter_folds
 from .linkstream import LinkStream
 
 __all__ = [
@@ -277,16 +277,15 @@ def search(
     are fewer tasks than ``workers`` (each part then builds its own
     graphs). With one worker or one task the tasks run in this process;
     otherwise on a pool of min(workers, tasks) processes that lives for
-    this call; with fewer than one worker, ``ValueError``. A setting
-    whose evaluation raises (or evaluates nobody) is recorded as failed
-    and left out of the ranking; the campaign continues. An error in a
-    fold's graph build or in a task's process fails every setting of its
-    task. An error cutting the folds is raised, as :func:`run_protocol`
+    this call; with a ``workers`` that is not an integer, or below 1,
+    ``ValueError``. A setting whose evaluation raises (or evaluates
+    nobody) is recorded as failed and left out of the ranking; the
+    campaign continues. An error in a fold's graph build or in a task's
+    process fails every setting of its task. An error cutting the folds is raised, as :func:`run_protocol`
     raises it, before any setting runs. Results are keyed by sample
     index, so the worker count cannot change the output.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_workers(workers)
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if grid is None:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from linkrec import evaluation
 from linkrec.evaluation import iter_folds, run_protocol
 from linkrec.graphs import (
     ITEM,
@@ -224,6 +223,4 @@ def test_protocol_and_search_render_no_tagged_tuples(flavor, monkeypatch):
     user = min(stream.users)
     assert recommend(graph, user, stream.omega, params, seen=set())
     with pytest.raises(AssertionError, match="rendered"):
-        evaluation.FoldGraph.build(
-            iter_folds(stream, 4)[-1], flavor, 100.0, 0.5
-        ).graph.nodes
+        build_graph(flavor, iter_folds(stream, 4)[-1].train, delta=100.0, eta_s=0.5).nodes

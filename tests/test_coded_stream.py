@@ -229,7 +229,10 @@ def test_windows_and_slices_match_the_reference(seed):
     assert part.columns.users == active.columns.users  # tables are shared
     assert part == LinkStream.from_events(active.events[lo:hi], active.time_span)
     pairs = {(ev.user, ev.item) for ev in part.events}
-    assert part.distinct_pairs() == pairs
+    users, items = part.columns.users, part.columns.items
+    keys = part.pair_keys().tolist()
+    assert {(users[k // len(items)], items[k % len(items)]) for k in keys} == pairs
+    assert len(keys) == len(pairs)  # what `linkrec inspect` counts
     by_user = {}
     for ev in part.events:
         by_user.setdefault(ev.user, set()).add(ev.item)

@@ -5,6 +5,7 @@ import logging
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -21,7 +22,7 @@ from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from linkrec import evaluation, ranker
+from linkrec import evaluation, ranker, tuning
 from linkrec.evaluation import (
     EVALUATED_USERS_RULE,
     REPORT_SCHEMA,
@@ -647,6 +648,28 @@ FLAVOR_PARAMS = [
 ]
 
 
+def fold_matrices(fold, flavor, params):
+    """The graph, transition matrix and item matrix of a fold for the
+    graph key of ``params``, from the public builders; ``A``'s rows are
+    the fold's item codes."""
+    graph = build_graph(flavor, fold.train, delta=params.delta, eta_s=params.eta_s)
+    codes, A = ranker.item_matrix(graph)
+    assert np.array_equal(codes, fold.rows.items)
+    return graph, ranker.transition_matrix(graph), A
+
+
+def ranked_ids(fold) -> list[str]:
+    """The ids of the fold's ranked users, in row order."""
+    users = fold.train.columns.users
+    return [users[c] for c in fold.rows.users.tolist()]
+
+
+def item_ids(fold) -> list[str]:
+    """The ids of the fold's items, in the row order of ``A``."""
+    items = fold.train.columns.items
+    return [items[c] for c in fold.rows.items.tolist()]
+
+
 @pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
 def test_run_protocol_independent_of_block_width(monkeypatch, flavor, params):
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
@@ -725,12 +748,14 @@ def test_protocol_pool_is_capped_at_the_fold_count(monkeypatch):
     assert report_json(report) == serial
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True])
 def test_workers_below_one_rejected(workers):
     params = ParamSetting(alpha=0.3, n=5)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
+    integer = isinstance(workers, int) and not isinstance(workers, bool)
+    message = "workers must be at least 1" if integer else "^workers must be an integer$"
+    with pytest.raises(ValueError, match=message):
         run_protocol(drifting_stream(), "bip", params, n_windows=4, workers=workers)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
+    with pytest.raises(ValueError, match=message):
         search(drifting_stream(), "bip", grid=ParamGrid(alpha=(0.3,)), count=1, n=5,
                n_windows=4, workers=workers)
 
@@ -777,19 +802,22 @@ class BuildError(Exception):
     pass
 
 
-def fail_builds(monkeypatch, failing_folds):
-    """Patch FoldGraph.build to raise BuildError(k) on the folds in
-    ``failing_folds``, and record the thread that builds each fold."""
-    build = evaluation.FoldGraph.build.__func__
+def fail_builds(monkeypatch, failing_folds, folds):
+    """Patch evaluation.build_graph to raise BuildError(k) on the folds in
+    ``failing_folds``, and record the thread that builds each fold; a
+    fold's training slice is known by its time span among ``folds``."""
+    k_of = {fold.train.time_span: fold.k for fold in folds}
+    build = evaluation.build_graph
     threads = {}
 
-    def failing(cls, fold, *args):
-        threads[fold.k] = threading.current_thread()
-        if fold.k in failing_folds:
-            raise BuildError(fold.k)
-        return build(cls, fold, *args)
+    def failing(flavor, train, **kwargs):
+        k = k_of[train.time_span]
+        threads[k] = threading.current_thread()
+        if k in failing_folds:
+            raise BuildError(k)
+        return build(flavor, train, **kwargs)
 
-    monkeypatch.setattr(evaluation.FoldGraph, "build", classmethod(failing))
+    monkeypatch.setattr(evaluation, "build_graph", failing)
     return threads
 
 
@@ -797,8 +825,8 @@ def fail_builds(monkeypatch, failing_folds):
 def test_first_build_error_in_fold_order_wins(monkeypatch, workers):
     # fold 3 is submitted first and may fail first; fold 2's error is
     # the one the serial loop meets, so it is the one reported
-    fail_builds(monkeypatch, {2, 3})
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    fail_builds(monkeypatch, {2, 3}, iter_folds(stream, 5))
     params = ParamSetting(alpha=0.3, n=5, eta_s=0.2)
     with pytest.raises(BuildError) as caught:
         run_protocol(stream, "lsg", params, n_windows=5, workers=workers)
@@ -811,17 +839,18 @@ def test_first_build_error_in_fold_order_wins(monkeypatch, workers):
 
 
 def test_serial_protocol_stops_building_once_every_setting_stopped(monkeypatch):
-    threads = fail_builds(monkeypatch, {2})
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    threads = fail_builds(monkeypatch, {2}, iter_folds(stream, 5))
     with pytest.raises(BuildError):
-        run_protocol(make_stream(11, n_users=20, n_items=30, n_events=300), "lsg",
-                     ParamSetting(alpha=0.3, n=5, eta_s=0.2), n_windows=5, workers=1)
+        run_protocol(stream, "lsg", ParamSetting(alpha=0.3, n=5, eta_s=0.2), n_windows=5,
+                     workers=1)
     assert sorted(threads) == [1, 2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fold_builds_run_on_the_pool_threads(monkeypatch, workers):
-    threads = fail_builds(monkeypatch, set())
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    threads = fail_builds(monkeypatch, set(), iter_folds(stream, 5))
     run_protocol(stream, "lsg", ParamSetting(alpha=0.3, n=5, eta_s=0.2),
                  n_windows=5, workers=workers)
     assert sorted(threads) == [1, 2, 3, 4]
@@ -1025,17 +1054,18 @@ def test_protocol_ranking_matches_public_recommend(monkeypatch, seed, flavor, pa
     for fold in iter_folds(stream, 4):
         if not fold.truth:
             continue
-        shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
+        graph, tm, A = fold_matrices(fold, flavor, params)
+        users, items = ranked_ids(fold), item_ids(fold)
         tops, _ = ranker.rank_users(
-            shared.tm, shared.A, shared.users, fold.train.columns.t[-1].item(), params.beta,
-            [params.alpha], shared.seen, params.n,
+            tm, A, users, fold.train.columns.t[-1].item(), params.beta,
+            [params.alpha], fold.rows.seen, params.n,
         )
-        for user, rows in zip(shared.users, tops[params.alpha].tolist()):
+        for user, rows in zip(users, tops[params.alpha].tolist()):
             expected = recommend(
-                shared.graph, user, fold.rec_time, params,
-                seen=fold.train_items[user], tm=shared.tm,
+                graph, user, fold.rec_time, params,
+                seen=fold.train_items[user], tm=tm,
             )
-            assert [shared.items[r] for r in rows if r >= 0] == [item for item, _ in expected]
+            assert [items[r] for r in rows if r >= 0] == [item for item, _ in expected]
             compared += 1
     assert compared > 10
 
@@ -1058,16 +1088,17 @@ def test_fold_restart_blocks_are_column_blocks_of_all_ranked_users(monkeypatch, 
         blocks.clear()
         # one alpha, so no sub-block is built: the blocks are those ranked
         evaluation._evaluate_fold(fold, flavor, [params])
-        shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
+        graph, tm, _ = fold_matrices(fold, flavor, params)
+        users = ranked_ids(fold)
         widths = [B.shape[1] for B in blocks]
-        assert widths[:-1] == [3] * (len(widths) - 1) and sum(widths) == len(shared.users)
-        whole = personalization_matrix(shared.tm, [
-            personalization(shared.graph, user, t=fold.rec_time, beta=params.beta)
-            for user in shared.users
+        assert widths[:-1] == [3] * (len(widths) - 1) and sum(widths) == len(users)
+        whole = personalization_matrix(tm, [
+            personalization(graph, user, t=fold.rec_time, beta=params.beta)
+            for user in users
         ])
         expected = np.zeros(whole.shape)
         expected[whole.row, whole.col] = whole.mass
-        for start, B in zip(range(0, len(shared.users), 3), blocks):
+        for start, B in zip(range(0, len(users), 3), blocks):
             got = np.zeros(B.shape)
             got[B.row, B.col] = B.mass
             assert np.array_equal(got, expected[:, start:start + 3])
@@ -1178,27 +1209,33 @@ def test_fold_with_only_cold_new_items_is_scored_without_pagerank(
         ],
         time_span=(0, 300),
     )
-    shared_of, ranked_on = {}, []
-    build, pagerank_batch = evaluation.FoldGraph.build, ranker.pagerank_batch
+    folds, tms, ranked_on = [], [], []
+    evaluate_fold, transition = evaluation._evaluate_fold, evaluation.transition_matrix
+    pagerank_batch = ranker.pagerank_batch
 
-    def build_spy(*args):
-        shared = build(*args)
-        shared_of[shared.fold.k] = shared
-        return shared
+    def fold_spy(fold, *args):
+        folds.append(fold)
+        return evaluate_fold(fold, *args)
+
+    def transition_spy(graph):
+        tms.append(transition(graph))
+        return tms[-1]
 
     def pagerank_spy(tm, *args, **kwargs):
         ranked_on.append(tm)
         return pagerank_batch(tm, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation.FoldGraph, "build", build_spy)
+    monkeypatch.setattr(evaluation, "_evaluate_fold", fold_spy)
+    monkeypatch.setattr(evaluation, "transition_matrix", transition_spy)
     monkeypatch.setattr(ranker, "pagerank_batch", pagerank_spy)
     report = run_protocol(stream, flavor, params, n_windows=3, workers=1)
     cold, warm = report.windows
     n = params.n
+    assert [fold.k for fold in folds] == [1, 2] and len(tms) == 2  # one graph per fold
     assert cold == comp(1, 2, (0.0, float(1 + n + 2 + n)), (0.0, 2.0), (0.0, 2.0))
-    assert shared_of[1].users == [] and shared_of[1].seen.shape == (0, 3)
-    assert shared_of[2].users == ["a", "b", "c"] and warm.users == 3
-    assert all(tm is shared_of[2].tm for tm in ranked_on) and ranked_on
+    assert ranked_ids(folds[0]) == [] and folds[0].rows.seen.shape == (0, 3)
+    assert ranked_ids(folds[1]) == ["a", "b", "c"] and warm.users == 3
+    assert all(tm is tms[1] for tm in ranked_on) and ranked_on
 
 
 def test_fold_debug_record_counts_evaluated_and_ranked_users(caplog):
@@ -1294,20 +1331,21 @@ def test_ranked_users_match_their_plain_definition(flavor, params):
     ranked = unranked = 0
     for stream in streams:
         for fold in iter_folds(stream, 4):
-            shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
-            graph_items = set(shared.items)
-            assert shared.users == [
+            fold_matrices(fold, flavor, params)  # A's rows are the fold's items
+            graph_items = set(item_ids(fold))
+            users = ranked_ids(fold)
+            assert users == [
                 u for u in sorted(fold.truth) if fold.truth[u] & graph_items
             ]
-            ranked += len(shared.users)
-            unranked += len(fold.truth) - len(shared.users)
+            ranked += len(users)
+            unranked += len(fold.truth) - len(users)
     assert ranked and unranked
 
 
 def name_loop_rows(fold, items):
     """The ranked users, seen and truth masks and I_new sizes of a fold
-    from its id sets (:func:`plain_fold`): the loop over users that
-    ``FoldGraph.build`` ran before it read the fold's keys."""
+    from its id sets (:func:`plain_fold`): the loop over users that the
+    fold's rows were built by before they were read from its keys."""
     train_items, new_items = plain_fold(fold)
     item_row = {item: r for r, item in enumerate(items)}
     users = [u for u in sorted(new_items) if any(i in item_row for i in new_items[u])]
@@ -1333,14 +1371,64 @@ def test_fold_rows_from_keys_match_the_name_loop(seed, n_windows, flavor_params)
         if not len(fold.new_keys):
             assert plain_fold(fold)[1] == {}
             continue
-        shared = evaluation.FoldGraph.build(fold, flavor, params.delta, params.eta_s)
-        users, seen, truth, new_counts = name_loop_rows(fold, shared.items)
-        assert shared.users == users
-        assert shared.new_counts.tolist() == new_counts
-        for rows, mask in ((shared.seen, seen), (shared.truth, truth)):
+        fold_matrices(fold, flavor, params)  # A's rows are the fold's items
+        users, seen, truth, new_counts = name_loop_rows(fold, item_ids(fold))
+        assert ranked_ids(fold) == users
+        assert fold.rows.new_counts.tolist() == new_counts
+        for rows, mask in ((fold.rows.seen, seen), (fold.rows.truth, truth)):
             assert rows.shape == mask.shape and rows.dtype == bool
             assert np.array_equal(rows.toarray(), mask)
             assert rows.nnz == mask.sum()  # one stored entry per (user, item) pair
+
+
+def test_search_builds_each_fold_rows_once_for_every_graph_key(monkeypatch):
+    item_rows, cut = evaluation._item_rows, tuning.iter_folds
+    calls, folds = [], []
+
+    def rows_spy(*args):
+        calls.append(args)
+        return item_rows(*args)
+
+    def folds_spy(*args):
+        folds.extend(cut(*args))
+        return folds
+
+    monkeypatch.setattr(evaluation, "_item_rows", rows_spy)
+    monkeypatch.setattr(tuning, "iter_folds", folds_spy)
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    grid = ParamGrid(eta_s=(0.0, 0.2, 0.5), alpha=(0.3, 0.5))
+    result = search(stream, "lsg", grid=grid, count=6, seed=0, n=5, n_windows=5)
+    assert not result.failed and len({e.setting.eta_s for e in result.entries}) == 3
+    with_rows = [fold for fold in folds if len(fold.new_keys)]
+    assert with_rows
+    # seen and truth once per fold, not once per (graph key, fold)
+    assert len(calls) == 2 * len(with_rows)
+    assert all("rows" in vars(fold) for fold in with_rows)
+
+
+def test_items_other_than_the_fold_items_fail_every_setting(monkeypatch):
+    item_matrix = evaluation.item_matrix
+
+    def shifted(graph):
+        codes, A = item_matrix(graph)
+        return codes + 1, A
+
+    monkeypatch.setattr(evaluation, "item_matrix", shifted)
+    stream = make_stream(11, n_users=20, n_items=30, n_events=300)
+    folds = iter_folds(stream, 4)
+    k = next(fold.k for fold in folds if len(fold.new_keys))
+    message = f"^fold {k}: the lsg graph's items are not the fold's training items$"
+    settings = [ParamSetting(alpha=a, n=n, eta_s=0.2) for a in (0.3, 0.5) for n in (3, 5)]
+    outcomes = evaluation.evaluate_settings(folds, "lsg", settings)
+    assert len(outcomes) == len(settings)
+    for outcome in outcomes:
+        assert isinstance(outcome, ValueError) and re.match(message, str(outcome))
+    with pytest.raises(ValueError, match=message):
+        run_protocol(stream, "lsg", settings[0], n_windows=4, workers=2)
+    grid = ParamGrid(eta_s=(0.2,), alpha=(0.3, 0.5))
+    result = search(stream, "lsg", grid=grid, count=2, seed=0, n=5, n_windows=4)
+    assert not result.entries and len(result.failed) == 2
+    assert all(re.match(message, entry.error) for entry in result.failed)
 
 
 def test_protocol_and_search_render_no_fold_ids(monkeypatch):
@@ -1371,14 +1459,36 @@ def test_protocol_and_search_render_no_fold_ids(monkeypatch):
 def test_rank_users_names_a_seen_of_the_wrong_shape():
     stream = make_stream(4, n_users=6, n_items=10, n_events=80)
     fold = iter_folds(stream, 3)[-1]
-    shared = evaluation.FoldGraph.build(fold, "bip", None, None)
-    users, items = shared.seen.shape
+    _, tm, A = fold_matrices(fold, "bip", ParamSetting(alpha=0.3))
+    rows = fold.rows
+    users, items = rows.seen.shape
     assert users and items > 1
-    for seen in (shared.seen[:, 1:], shared.seen.toarray()[1:]):
+    for seen in (rows.seen[:, 1:], rows.seen.toarray()[1:]):
         shape = seen.shape
         with pytest.raises(ValueError, match=fr"^seen must be users x items, {users} x "
                                              fr"{items}; got shape \({shape[0]}, {shape[1]}\)$"):
-            ranker.rank_users(shared.tm, shared.A, shared.user_codes, None, None, [0.3], seen, 5)
+            ranker.rank_users(tm, A, rows.users, None, None, [0.3], seen, 5)
+
+
+@pytest.mark.parametrize("flavor,params", FLAVOR_PARAMS)
+def test_rank_users_rejects_user_codes_outside_the_table(flavor, params):
+    # a negative code must not wrap around to the last users
+    stream = make_stream(4, n_users=6, n_items=10, n_events=80)
+    fold = iter_folds(stream, 3)[-1]
+    graph, tm, A = fold_matrices(fold, flavor, params)
+    t = fold.train.columns.t[-1].item()
+    n_users = len(graph.users)
+    assert len(fold.rows.users)
+    for bad in (-1, -2, n_users, n_users + 5):
+        codes = fold.rows.users.copy()
+        codes[-1] = bad
+        message = f"user code {bad} is outside [0, {n_users})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _restart_vectors(graph, codes, t, params.beta)
+        tops, _ = ranker.rank_users(tm, A, codes, t, params.beta, [0.3, 0.5], fold.rows.seen,
+                                    params.n)
+        # a restart-vector error stops every alpha
+        assert all(isinstance(top, ValueError) and str(top) == message for top in tops.values())
 
 
 def test_rank_users_narrows_blocks_to_the_iterate_budget(monkeypatch):
@@ -1387,9 +1497,9 @@ def test_rank_users_narrows_blocks_to_the_iterate_budget(monkeypatch):
     # not depend on the width
     stream = make_stream(4, n_users=30, n_items=20, n_events=400)
     fold = iter_folds(stream, 3)[-1]
-    shared = evaluation.FoldGraph.build(fold, "lsg", None, 0.5)
+    _, tm, A = fold_matrices(fold, "lsg", ParamSetting(alpha=0.3, eta_s=0.5))
     t = fold.train.columns.t[-1].item()
-    users, n = len(shared.user_codes), shared.tm.n
+    users, n = len(fold.rows.users), tm.n
     widths = []
     personalization_matrix = ranker.personalization_matrix
 
@@ -1402,8 +1512,7 @@ def test_rank_users_narrows_blocks_to_the_iterate_budget(monkeypatch):
 
     def rank():
         widths.clear()
-        tops, _ = ranker.rank_users(shared.tm, shared.A, shared.user_codes, t, None, [0.3],
-                                    shared.seen, 5)
+        tops, _ = ranker.rank_users(tm, A, fold.rows.users, t, None, [0.3], fold.rows.seen, 5)
         return tops[0.3]
 
     expected = rank()
@@ -1645,8 +1754,7 @@ def test_duplicate_settings_share_one_walk(monkeypatch):
     stream = make_stream(11, n_users=20, n_items=30, n_events=300)
     folds = iter_folds(stream, 4)
     setting = ParamSetting(alpha=0.3, n=5, eta_s=0.2)
-    ranked = sum(len(evaluation.FoldGraph.build(fold, "lsg", None, 0.2).users)
-                 for fold in folds if fold.truth)
+    ranked = sum(len(fold.rows.users) for fold in folds if fold.truth)
     blocks, walked = [], []
     block, rank = ranker.personalization_matrix, ranker.rank_items
 
